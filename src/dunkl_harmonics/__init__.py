@@ -21,9 +21,8 @@ from .reflection import (
     context_from_descriptor,
     make_context,
     reflection_matrix,
-    weight_eval,
 )
-from .dunkl import apply_operator_poly, dunkl_apply, dunkl_axis, dunkl_gradient, laplacian, pairing
+from .dunkl import apply_operator_poly, dunkl_apply, dunkl_axis, laplacian, pairing
 from .harmonic import (
     HarmonicDecomposition,
     canonical_decompose,
@@ -86,7 +85,6 @@ __all__ = [
     "dirichlet_monomial",
     "dunkl_apply",
     "dunkl_axis",
-    "dunkl_gradient",
     "extended_pizzetti",
     "format_poly",
     "funk_hecke_check",
@@ -117,5 +115,4 @@ __all__ = [
     "reproducing_kernel",
     "sphere_integrate",
     "verify",
-    "weight_eval",
 ]

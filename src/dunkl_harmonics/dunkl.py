@@ -1,9 +1,12 @@
 """The Dunkl operator, its Laplacian, operator substitution, and the pairing.
 
-Everything here is exact.  For a homogeneous input of degree n the operator
-output is homogeneous of degree n - 1 (zero when n = 0) and the Laplacian
-output of degree n - 2; both facts fall out of the difference-quotient form
-and are exercised by the test suite rather than asserted per call.
+Everything here is exact.  :func:`dunkl_apply` is the one place where the
+partial derivative meets the divided differences; :func:`dunkl_axis` is its
+coordinate case, and :func:`laplacian` uses the closed form of the sum of
+squares.  For a homogeneous input of degree n the operator output is
+homogeneous of degree n - 1 (zero when n = 0) and the Laplacian output of
+degree n - 2; both facts fall out of the difference-quotient form and are
+exercised by the test suite rather than asserted per call.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import Poly, RationalLike, as_fraction
+from .polyring import Poly, RationalLike, as_fraction, divide_by_linear
 from .reflection import DunklContext
 
 
@@ -20,9 +23,8 @@ def _require_ctx_dim(ctx: DunklContext, p: Poly) -> None:
         raise ValueError(f"polynomial dimension {p.dim} does not match context dimension {ctx.dim}")
 
 
-def _difference_parts(ctx: DunklContext, p: Poly) -> list[tuple[tuple[Fraction, ...], Fraction, Poly]]:
-    """Per-root divided differences (root, kappa, (p - p.r_alpha)/<alpha,x>)."""
-    return [(root, kappa, p.divided_difference(root)) for root, kappa in ctx.active_roots]
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
@@ -38,50 +40,44 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
     out = Poly.zero(ctx.dim)
     for j, c in enumerate(v):
         if c:
-            out = out + p.partial(j + 1) * c
+            d = p.partial(j + 1)
+            out = out + (d if c == 1 else d * c)
     for root, kappa in ctx.active_roots:
-        proj = sum((a * b for a, b in zip(root, v)), Fraction(0))
+        proj = _dot(root, v)
         if proj:
             out = out + p.divided_difference(root) * (kappa * proj)
     return out
 
 
 def dunkl_axis(ctx: DunklContext, axis: int, p: Poly) -> Poly:
-    """D_j for the standard basis direction, 1-based axis index."""
+    """D_j = D_(e_j), the Dunkl operator along a coordinate, 1-based axis index."""
     if not 1 <= axis <= ctx.dim:
         raise ValueError(f"axis {axis} out of range 1..{ctx.dim}")
-    _require_ctx_dim(ctx, p)
-    out = p.partial(axis)
-    j = axis - 1
-    for root, kappa in ctx.active_roots:
-        aj = root[j]
-        if aj:
-            out = out + p.divided_difference(root) * (kappa * aj)
-    return out
-
-
-def dunkl_gradient(ctx: DunklContext, p: Poly) -> list[Poly]:
-    """All coordinate Dunkl derivatives, sharing the divided differences."""
-    _require_ctx_dim(ctx, p)
-    diffs = _difference_parts(ctx, p)
-    grad = []
-    for j in range(ctx.dim):
-        g = p.partial(j + 1)
-        for root, kappa, dd in diffs:
-            aj = root[j]
-            if aj:
-                g = g + dd * (kappa * aj)
-        grad.append(g)
-    return grad
+    return dunkl_apply(ctx, [1 if j == axis - 1 else 0 for j in range(ctx.dim)], p)
 
 
 def laplacian(ctx: DunklContext, p: Poly) -> Poly:
-    """The Dunkl Laplacian, the sum of the squared coordinate operators."""
+    """The Dunkl Laplacian, the sum of the squared coordinate operators.
+
+    Computed in one pass from the closed form
+    Lap p = Delta p + sum over positive roots of
+    kappa_alpha (2 <grad p, alpha> - |alpha|^2 (p - p(r_alpha x)) / <alpha, x>) / <alpha, x>
+    (Dunkl 1989; Dunkl-Xu), one divided difference and one exact linear
+    division per root.  It equals the sum of squares because the roots and
+    multiplicities are invariant under the group, which :class:`RootSystem`
+    checks at construction.
+    """
     _require_ctx_dim(ctx, p)
+    grad = [p.partial(j + 1) for j in range(ctx.dim)]
     out = Poly.zero(ctx.dim)
-    for j, g in enumerate(dunkl_gradient(ctx, p)):
-        if not g.is_zero:
-            out = out + dunkl_axis(ctx, j + 1, g)
+    for j, g in enumerate(grad):
+        out = out + g.partial(j + 1)
+    for root, kappa in ctx.active_roots:
+        numer = p.divided_difference(root) * -_dot(root, root)
+        for a, g in zip(root, grad):
+            if a:
+                numer = numer + g * (2 * a)
+        out = out + divide_by_linear(numer, root) * kappa
     return out
 
 

@@ -31,9 +31,19 @@ class McEstimate:
     seed: int
 
 
+def _as_float(value: Fraction, what: str) -> float:
+    """An exact value entering the float lane; one past the float range is refused."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} {value} is too large for the floating oracle") from None
+
+
 def _poly_term_arrays(p: Poly) -> tuple[np.ndarray, np.ndarray]:
     exponents = np.array(sorted(p.terms), dtype=np.int64)
-    coeffs = np.array([float(p.terms[tuple(e)]) for e in exponents], dtype=np.float64)
+    coeffs = np.array(
+        [_as_float(p.terms[tuple(e)], "coefficient") for e in exponents], dtype=np.float64
+    )
     return exponents, coeffs
 
 
@@ -47,8 +57,8 @@ def _eval_poly(exponents: np.ndarray, coeffs: np.ndarray, points: np.ndarray) ->
 def _weight_squared(ctx: DunklContext, points: np.ndarray) -> np.ndarray:
     values = np.ones(points.shape[0])
     for root, kappa in ctx.active_roots:
-        dots = points @ np.array([float(v) for v in root])
-        values *= np.abs(dots) ** (2.0 * float(kappa))
+        dots = points @ np.array([_as_float(v, "root coordinate") for v in root])
+        values *= np.abs(dots) ** (2.0 * _as_float(kappa, "multiplicity"))
     return values
 
 

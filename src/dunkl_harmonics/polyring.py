@@ -7,18 +7,22 @@ arithmetic is exact; floating point enters only through
 ``x1 .. xd`` (see :func:`parse`), and :meth:`Poly.__str__` emits terms in
 graded-lexicographic order so that formatting is canonical.
 
-The one non-generic primitive here is :meth:`Poly.divided_difference`,
-the exact quotient (p(x) - p(r_a x)) / <a, x> for a nonzero vector ``a``
-with reflection ``r_a``.  The numerator always vanishes on the hyperplane
-orthogonal to ``a``, so the division is exact; a nonzero remainder is an
-internal error, never a property of the input.
+The reflection primitives live here too.  :meth:`Poly.reflect` takes the
+reflection ``r_a`` of a nonzero rational vector ``a`` from one memoized
+builder, which records r_a as a signed permutation whenever it is one (every
+catalog root) and as a dense matrix otherwise.  :meth:`Poly.divided_difference`
+is the exact quotient (p(x) - p(r_a x)) / <a, x>; the numerator vanishes on
+the hyperplane orthogonal to ``a``, so :func:`divide_by_linear` leaves no
+remainder, and a nonzero one is an internal error, never a property of the
+input.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 Monomial = tuple[int, ...]
 RationalLike = Fraction | int
@@ -269,34 +273,6 @@ class Poly:
         rows = [[as_fraction(v) for v in row] for row in matrix]
         if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
             raise ValueError("matrix must be dim x dim")
-
-        # fast path: signed permutation (every row has a single nonzero entry),
-        # which covers every reflection in the rational-root catalog
-        perm: list[int] = []
-        signs: list[Fraction] = []
-        for row in rows:
-            nz = [(j, v) for j, v in enumerate(row) if v]
-            if len(nz) != 1:
-                perm = []
-                break
-            perm.append(nz[0][0])
-            signs.append(nz[0][1])
-        if perm:
-            out: dict[Monomial, Fraction] = {}
-            for mono, c in self.terms.items():
-                target = [0] * self.dim
-                factor = c
-                for i, e in enumerate(mono):
-                    if e:
-                        target[perm[i]] += e
-                        s = signs[i]
-                        if s != 1:
-                            factor *= s**e
-                key = tuple(target)
-                prev = out.get(key)
-                out[key] = factor if prev is None else prev + factor
-            return Poly._raw(self.dim, {m: c for m, c in out.items() if c})
-
         images = [
             Poly(self.dim, {tuple(1 if j == k else 0 for k in range(self.dim)): rows[i][j]
                             for j in range(self.dim)})
@@ -323,26 +299,25 @@ class Poly:
 
     def reflect(self, alpha: Sequence[RationalLike]) -> Poly:
         """Return p(r_a x) where r_a is the reflection across a-perp."""
-        a = [as_fraction(v) for v in alpha]
-        if len(a) != self.dim or not any(a):
+        a = tuple(as_fraction(v) for v in alpha)
+        if len(a) != self.dim:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
-        norm2 = sum(v * v for v in a)
-        matrix = [
-            [
-                (Fraction(1) if i == j else Fraction(0)) - 2 * a[i] * a[j] / norm2
-                for j in range(self.dim)
-            ]
-            for i in range(self.dim)
-        ]
-        return self.substitute_linear(matrix)
+        r = _reflection(a)
+        if r.perm is None:
+            return self.substitute_linear(r.matrix)
+        # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
+        # exponent of x_k is e_perm[k], and no two terms merge
+        perm, flips = r.perm, r.flips
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in self.terms.items():
+            odd = sum(mono[i] for i in flips) & 1
+            out[tuple(mono[i] for i in perm)] = -c if odd else c
+        return Poly._raw(self.dim, out)
 
     def divided_difference(self, alpha: Sequence[RationalLike]) -> Poly:
         """Exact quotient (p(x) - p(r_a x)) / <a, x> for nonzero ``alpha``."""
-        a = [as_fraction(v) for v in alpha]
-        if len(a) != self.dim or not any(a):
-            raise ValueError("alpha must be a nonzero vector of the ambient dimension")
-        numer = self - self.reflect(a)
-        return Poly._raw(self.dim, _divide_by_linear(numer.terms, a, self.dim))
+        a = tuple(as_fraction(v) for v in alpha)
+        return divide_by_linear(self - self.reflect(a), a)
 
     def homogeneous_parts(self) -> list[tuple[int, Poly]]:
         """Split into homogeneous parts, degrees strictly increasing."""
@@ -364,18 +339,54 @@ class Poly:
         return f"Poly({self.dim}, {format_poly(self)!r})"
 
 
-def _divide_by_linear(numer: dict[Monomial, Fraction], a: list[Fraction], dim: int) -> dict[Monomial, Fraction]:
+class _Reflection(NamedTuple):
+    matrix: tuple[tuple[Fraction, ...], ...]
+    perm: tuple[int, ...] | None  # column of row i's single nonzero, or None if dense
+    flips: tuple[int, ...]  # rows whose single nonzero is -1
+
+    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """The image r v of a vector."""
+        if self.perm is None:
+            return tuple(sum((m * x for m, x in zip(row, v)), Fraction(0)) for row in self.matrix)
+        return tuple(-v[j] if i in self.flips else v[j] for i, j in enumerate(self.perm))
+
+
+@functools.lru_cache(maxsize=1024)
+def _reflection(a: tuple[Fraction, ...]) -> _Reflection:
+    """The reflection across a-perp, built once per root.
+
+    r_a = I - 2 a a^T / |a|^2 is symmetric and orthogonal, so when every row
+    has a single nonzero entry that entry is +-1 and the column map is an
+    involution; ``perm`` and ``flips`` then carry r_a as a signed permutation.
+    """
+    if not any(a):
+        raise ValueError("alpha must be a nonzero vector of the ambient dimension")
+    norm2 = sum(v * v for v in a)
+    n = len(a)
+    matrix = tuple(
+        tuple((Fraction(1) if i == j else Fraction(0)) - 2 * a[i] * a[j] / norm2 for j in range(n))
+        for i in range(n)
+    )
+    nonzero = [[j for j, v in enumerate(row) if v] for row in matrix]
+    if any(len(cols) != 1 for cols in nonzero):
+        return _Reflection(matrix, None, ())
+    perm = tuple(cols[0] for cols in nonzero)
+    flips = tuple(i for i in range(n) if matrix[i][perm[i]] < 0)
+    return _Reflection(matrix, perm, flips)
+
+
+def divide_by_linear(p: Poly, a: Sequence[Fraction]) -> Poly:
     """Divide an exactly-divisible polynomial by the linear form <a, x>.
 
     Synthetic division in the first pivot variable; the remainder must be
     identically zero, otherwise an AssertionError flags an internal bug.
     """
-    if not numer:
-        return {}
+    if not p.terms:
+        return p
     pivot = next(i for i, v in enumerate(a) if v)
     inv = Fraction(1) / a[pivot]
     levels: dict[int, dict[Monomial, Fraction]] = {}
-    for mono, c in numer.items():
+    for mono, c in p.terms.items():
         levels.setdefault(mono[pivot], {})[mono] = c
     quotient: dict[Monomial, Fraction] = {}
     for k in range(max(levels), 0, -1):
@@ -394,9 +405,9 @@ def _divide_by_linear(numer: dict[Monomial, Fraction], a: list[Fraction], dim: i
     remainder = {m: c for m, c in levels.get(0, {}).items() if c}
     if remainder:
         raise AssertionError(
-            f"divided difference left a nonzero remainder {remainder!r}; this is a bug"
+            f"division by a linear form left a nonzero remainder {remainder!r}; this is a bug"
         )
-    return {m: c for m, c in quotient.items() if c}
+    return Poly._raw(p.dim, {m: c for m, c in quotient.items() if c})
 
 
 def format_poly(p: Poly) -> str:

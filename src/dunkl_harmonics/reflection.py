@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import RationalLike, as_fraction
+from .polyring import RationalLike, _reflection, as_fraction
 
 Vector = tuple[Fraction, ...]
 
 FAMILY_ORBITS = {"z2": None, "a": 1, "b": 2, "d": 1}
-
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def _unit(dim: int, i: int, sign: int = 1) -> Vector:
@@ -35,8 +31,9 @@ class RootSystem:
     """A reduced root system given by positive roots and orbit multiplicities.
 
     ``orbit_ids[k]`` is the orbit of ``positive_roots[k]``; ``kappa_by_orbit``
-    assigns one multiplicity per orbit, so invariance under the group action
-    holds by construction (and is asserted for catalog systems).
+    assigns one multiplicity per orbit.  Construction checks that every
+    reflection maps the roots onto roots of the same orbit, so the roots and
+    the multiplicities are invariant under the group.
     """
 
     dim: int
@@ -63,6 +60,13 @@ class RootSystem:
                 u, v = self.positive_roots[i], self.positive_roots[j]
                 if all(u[a] * v[b] == u[b] * v[a] for a in range(self.dim) for b in range(self.dim)):
                     raise ValueError(f"roots #{i} and #{j} are parallel; the system must be reduced")
+        bad = root_closure_failure(self)
+        if bad is not None:
+            beta, alpha, image = bad
+            raise ValueError(
+                f"the reflection across {beta} maps {alpha} to {image}, "
+                "outside the root set or its orbit"
+            )
 
     def kappa_of(self, index: int) -> Fraction:
         return self.kappa_by_orbit[self.orbit_ids[index]]
@@ -110,16 +114,23 @@ class DunklContext:
     def family(self) -> str | None:
         return self.root_system.family
 
-    def label(self) -> str:
+    @property
+    def group_name(self) -> str:
+        """The group descriptor (``z2^D``, ``aR``, ``bD``, ``dD``), or ``custom``."""
         fam = self.family or "custom"
         if fam == "z2":
-            fam = f"z2^{self.dim}"
-        elif fam == "a":
-            fam = f"a{self.dim - 1}"
-        else:
-            fam = f"{fam}{self.dim}" if fam in ("b", "d") else fam
-        kappas = ",".join(str(k) for k in self.root_system.kappa_by_orbit)
-        return f"{fam}[kappa={kappas}]"
+            return f"z2^{self.dim}"
+        if fam == "a":
+            return f"a{self.dim - 1}"
+        return f"{fam}{self.dim}" if fam in ("b", "d") else fam
+
+    @property
+    def kappa_text(self) -> str:
+        """The multiplicities, one per orbit, comma-separated."""
+        return ",".join(str(k) for k in self.root_system.kappa_by_orbit)
+
+    def label(self) -> str:
+        return f"{self.group_name}[kappa={self.kappa_text}]"
 
 
 def _catalog_roots(family: str, d: int) -> tuple[list[Vector], list[int]]:
@@ -176,25 +187,24 @@ def make_context(family: str, d: int, kappa_by_orbit: Sequence[RationalLike]) ->
         raise ValueError(f"family {family!r} at d={d} takes {n_orbits} multiplicities, got {len(kappas)}")
     roots, orbits = _catalog_roots(family, d)
     rs = RootSystem(d, tuple(roots), tuple(orbits), kappas, family=family)
-    _assert_orbit_invariance(rs)
     return DunklContext.from_root_system(rs)
 
 
-def _assert_orbit_invariance(rs: RootSystem) -> None:
-    """Reflections must permute the root set and preserve multiplicities."""
+def root_closure_failure(rs: RootSystem) -> tuple[Vector, Vector, Vector] | None:
+    """The first (beta, alpha, r_beta alpha) breaking closure, or None.
+
+    Each reflection must map every root to a root of the same orbit, up to
+    sign, so that it permutes the root set and preserves multiplicities.
+    """
     index = {root: i for i, root in enumerate(rs.positive_roots)}
     for beta in rs.positive_roots:
-        bb = _dot(beta, beta)
+        r = _reflection(beta)
         for i, alpha in enumerate(rs.positive_roots):
-            factor = 2 * _dot(beta, alpha) / bb
-            image = tuple(a - factor * b for a, b in zip(alpha, beta))
+            image = r.apply(alpha)
             pos = image if image in index else tuple(-v for v in image)
-            if pos not in index:
-                raise AssertionError(f"reflection across {beta} maps {alpha} outside the root set")
-            if rs.orbit_ids[index[pos]] != rs.orbit_ids[i]:
-                raise AssertionError(
-                    f"orbit assignment not invariant: {alpha} -> {pos} changes orbit"
-                )
+            if pos not in index or rs.orbit_ids[index[pos]] != rs.orbit_ids[i]:
+                return beta, alpha, image
+    return None
 
 
 def reflection_matrix(ctx: DunklContext, alpha: Sequence[RationalLike]) -> list[list[Fraction]]:
@@ -202,31 +212,7 @@ def reflection_matrix(ctx: DunklContext, alpha: Sequence[RationalLike]) -> list[
     a = tuple(as_fraction(v) for v in alpha)
     if a not in ctx.root_system.positive_roots:
         raise ValueError(f"{a!r} is not a positive root of this context")
-    norm2 = _dot(a, a)
-    d = ctx.dim
-    return [
-        [(Fraction(1) if i == j else Fraction(0)) - 2 * a[i] * a[j] / norm2 for j in range(d)]
-        for i in range(d)
-    ]
-
-
-def weight_eval(ctx: DunklContext, point: Sequence[float]) -> float:
-    """The weight h(x) = prod |<alpha, x>|^kappa_alpha over positive roots.
-
-    Float-valued; exponents may be non-integers.  Used by the floating
-    oracle only; the exact engine never needs the weight pointwise.
-    """
-    if len(point) != ctx.dim:
-        raise ValueError("point length must equal the dimension")
-    rs = ctx.root_system
-    value = 1.0
-    for i, root in enumerate(rs.positive_roots):
-        kappa = rs.kappa_of(i)
-        if not kappa:
-            continue
-        dot = sum(float(a) * x for a, x in zip(root, point))
-        value *= abs(dot) ** float(kappa)
-    return value
+    return [list(row) for row in _reflection(a).matrix]
 
 
 def context_from_descriptor(descriptor: str, kappa_by_orbit: Sequence[RationalLike]) -> DunklContext:

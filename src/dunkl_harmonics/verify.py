@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from . import harmonic, intertwine, oracle, spherical
 from .dunkl import apply_operator_poly, dunkl_apply, dunkl_axis, laplacian, pairing
 from .polyring import Poly, format_poly, monomials_of_degree, parse
-from .reflection import DunklContext, RootSystem, make_context, reflection_matrix
+from .reflection import DunklContext, RootSystem, make_context, reflection_matrix, root_closure_failure
 
 
 @dataclass
@@ -144,19 +144,6 @@ def _rng(seed: int, *scope: str) -> random.Random:
     return random.Random(":".join((str(seed),) + scope))
 
 
-def _kappa_str(ctx: DunklContext) -> str:
-    return ",".join(str(k) for k in ctx.root_system.kappa_by_orbit)
-
-
-def _group_str(ctx: DunklContext) -> str:
-    fam = ctx.family or "custom"
-    if fam == "z2":
-        return f"z2^{ctx.dim}"
-    if fam == "a":
-        return f"a{ctx.dim - 1}"
-    return f"{fam}{ctx.dim}"
-
-
 def _counterexample(**kwargs) -> dict:
     return {k: str(v) for k, v in kwargs.items()}
 
@@ -240,16 +227,11 @@ def check_homogeneous_parts(ctx: DunklContext, rng: random.Random, max_degree: i
 
 
 def check_root_closure(ctx: DunklContext, rng: random.Random, max_degree: int) -> Outcome:
-    rs = ctx.root_system
-    index = {root: i for i, root in enumerate(rs.positive_roots)}
-    for beta in rs.positive_roots:
-        bb = sum((v * v for v in beta), Fraction(0))
-        for i, alpha in enumerate(rs.positive_roots):
-            factor = 2 * sum((a * b for a, b in zip(alpha, beta)), Fraction(0)) / bb
-            image = tuple(a - factor * b for a, b in zip(alpha, beta))
-            pos = image if image in index else tuple(-v for v in image)
-            if pos not in index or rs.orbit_ids[index[pos]] != rs.orbit_ids[i]:
-                return _fail("all roots", beta=beta, alpha=alpha, image=image)
+    bad = root_closure_failure(ctx.root_system)
+    if bad is not None:
+        beta, alpha, image = bad
+        return _fail("all roots", beta=beta, alpha=alpha, image=image)
+    for beta in ctx.root_system.positive_roots:
         m = reflection_matrix(ctx, beta)
         square = [
             [sum(m[i][k] * m[k][j] for k in range(ctx.dim)) for j in range(ctx.dim)]
@@ -748,7 +730,7 @@ def verify(
             except Exception as exc:  # a crash is a failing check, not a crash of verify
                 status, ce, degrees = "fail", {"error": repr(exc)}, "-"
             report.checks.append(
-                CheckResult(name, _group_str(ctx), _kappa_str(ctx), degrees, status, ce)
+                CheckResult(name, ctx.group_name, ctx.kappa_text, degrees, status, ce)
             )
     for ctx in corpus:
         rng = _rng(seed, "oracle_mc_agreement", ctx.label())
@@ -757,6 +739,6 @@ def verify(
         except Exception as exc:
             status, ce, degrees = "fail", {"error": repr(exc)}, "-"
         report.checks.append(
-            CheckResult("oracle_mc_agreement", _group_str(ctx), _kappa_str(ctx), degrees, status, ce)
+            CheckResult("oracle_mc_agreement", ctx.group_name, ctx.kappa_text, degrees, status, ce)
         )
     return report

@@ -131,6 +131,17 @@ class TestErrorPaths:
         assert code == 2
         assert "non-negative" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "kappa,poly,named",
+        [("1e400,0", "x1", "multiplicity"), ("1,0", "1" + "0" * 400 + "*x1", "coefficient")],
+    )
+    def test_mc_value_beyond_float_range(self, capsys, kappa, poly, named):
+        code, _, err = run_cli(
+            capsys, "mc", "--group", "z2^2", "--kappa", kappa, "--poly", poly, "--samples", "10"
+        )
+        assert code == 2
+        assert named in json.loads(err)["error"]
+
     def test_bad_group(self, capsys):
         code, _, err = run_cli(capsys, "sphere-int", "--group", "q7", "--kappa", "1", "--poly", "x1")
         assert code == 2

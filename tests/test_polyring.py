@@ -91,8 +91,7 @@ class TestSubstitution:
             parse("x1", 2).substitute_linear([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_substitution_composes(self, rng):
-        # p(M1 x) then x -> M2 x equals a single substitution by M1 M2,
-        # crossing the dense and signed-permutation code paths
+        # p(M1 x) then x -> M2 x equals a single substitution by M1 M2
         m1 = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]
         m2 = [[0, -1, 0], [1, 0, 0], [0, 0, -1]]
         product = [

@@ -10,7 +10,6 @@ from dunkl_harmonics import (
     make_context,
     reflection_matrix,
     sphere_integrate,
-    weight_eval,
 )
 from dunkl_harmonics.verify import random_poly, random_vector
 
@@ -89,20 +88,17 @@ class TestReflectionMatrix:
                 ]
                 assert square == [[F(1 if i == j else 0) for j in range(d)] for i in range(d)]
 
+    def test_reflect_matches_matrix_substitution(self, rng, nonzero_corpus, d3):
+        # Poly.reflect takes catalog roots as signed permutations; the dense
+        # substitution by the same matrix is the second route
+        for ctx in list(nonzero_corpus) + [d3]:
+            p = random_poly(rng, ctx.dim, 5)
+            for root in ctx.root_system.positive_roots:
+                assert p.reflect(root) == p.substitute_linear(reflection_matrix(ctx, root))
+
     def test_not_a_root(self, z2_2):
         with pytest.raises(ValueError):
             reflection_matrix(z2_2, (1, 1))
-
-
-class TestWeight:
-    def test_kappa_zero_is_one(self, z2_2_zero):
-        assert weight_eval(z2_2_zero, [0.3, -2.0]) == 1.0
-
-    def test_half_multiplicities(self, z2_2):
-        assert weight_eval(z2_2, [1.0, 1.0]) == pytest.approx(1.0)
-
-    def test_vanishes_on_mirror(self, z2_2):
-        assert weight_eval(z2_2, [0.0, 0.7]) == 0.0
 
 
 class TestInvariance:
@@ -142,3 +138,12 @@ class TestInvariance:
     def test_parallel_roots_rejected(self):
         with pytest.raises(ValueError):
             RootSystem(2, ((F(1), F(0)), (F(2), F(0))), (0, 0), (F(1),))
+
+    def test_unclosed_roots_rejected(self):
+        # the reflection across (1, 0) maps (1, 1) to (-1, 1), which is not a root
+        with pytest.raises(ValueError):
+            RootSystem(2, ((F(1), F(0)), (F(1), F(1))), (0, 1), (F(1), F(1)))
+        # closed, but the orbit assignment splits the orbit of (1, 1) and (1, -1)
+        b2_roots = ((F(1), F(0)), (F(0), F(1)), (F(1), F(-1)), (F(1), F(1)))
+        with pytest.raises(ValueError):
+            RootSystem(2, b2_roots, (0, 0, 1, 2), (F(1), F(1), F(2)))
