@@ -39,10 +39,7 @@ def _context(args) -> DunklContext:
     if not args.group:
         raise UsageError("--group is required")
     kappa = _parse_kappa(args.kappa) if args.kappa else []
-    try:
-        return context_from_descriptor(args.group, kappa)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return context_from_descriptor(args.group, kappa)
 
 
 def _poly(args_value: str, ctx: DunklContext, flag: str) -> Poly:
@@ -206,10 +203,7 @@ def _run(args) -> int:
         _emit({"result_rational": str(pairing(ctx, p, q))})
     elif command == "decompose":
         p = _poly(args.poly, ctx, "--poly")
-        try:
-            decomp = harmonic.canonical_decompose(ctx, p)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        decomp = harmonic.canonical_decompose(ctx, p)
         _emit(
             {
                 "degree": decomp.degree,
@@ -231,18 +225,12 @@ def _run(args) -> int:
         f = _poly(args.f, ctx, "--f")
         if args.n_terms < 0:
             raise UsageError("--N must be >= 0")
-        try:
-            series = spherical.extended_pizzetti(ctx, q, f, args.n_terms)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        series = spherical.extended_pizzetti(ctx, q, f, args.n_terms)
         _emit({"m": series.m, "coeffs": [str(c) for c in series.coefficients]})
     elif command == "hobson":
         p = _poly(args.p, ctx, "--p")
         radial = _parse_radial(args.radial)
-        try:
-            result = spherical.hobson_apply(ctx, p, radial)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        result = spherical.hobson_apply(ctx, p, radial)
         _emit({"result": format_poly(result)})
     elif command == "intertwine":
         p = _poly(args.poly, ctx, "--poly")
@@ -250,18 +238,12 @@ def _run(args) -> int:
     elif command == "funk-hecke":
         q = _poly(args.q, ctx, "--q")
         phi = _parse_phi(args.phi)
-        try:
-            result = intertwine.funk_hecke_check(ctx, phi, q)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        result = intertwine.funk_hecke_check(ctx, phi, q)
         _emit({"holds": result.holds, "a": str(result.coefficient)})
     elif command == "kernel":
         if args.n < 0:
             raise UsageError("--n must be >= 0")
-        try:
-            kernel = intertwine.reproducing_kernel(ctx, args.n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        kernel = intertwine.reproducing_kernel(ctx, args.n)
         _emit({"n": args.n, "block_dim": ctx.dim, "result": format_poly(kernel.poly)})
     elif command == "mc":
         p = _poly(args.poly, ctx, "--poly")
@@ -286,10 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except UsageError as exc:
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
-        return 2
-    except (PolyParseError, ValueError) as exc:
+    except ValueError as exc:  # UsageError and PolyParseError among them
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

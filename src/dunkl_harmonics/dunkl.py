@@ -3,10 +3,13 @@
 Everything here is exact.  :func:`dunkl_apply` is the one place where the
 partial derivative meets the divided differences; :func:`dunkl_axis` is its
 coordinate case, and :func:`laplacian` uses the closed form of the sum of
-squares.  For a homogeneous input of degree n the operator output is
-homogeneous of degree n - 1 (zero when n = 0) and the Laplacian output of
-degree n - 2; both facts fall out of the difference-quotient form and are
-exercised by the test suite rather than asserted per call.
+squares.  :func:`_laplacian_powers` is the one place that iterates the
+Laplacian over a whole sequence p, Lap p, Lap^2 p, ...; the decomposition and
+the radius expansions read that sequence.  For a homogeneous input of degree
+n the operator output is homogeneous of degree n - 1 (zero when n = 0) and
+the Laplacian output of degree n - 2; both facts fall out of the
+difference-quotient form and are exercised by the test suite rather than
+asserted per call.
 """
 
 from __future__ import annotations
@@ -79,6 +82,14 @@ def laplacian(ctx: DunklContext, p: Poly) -> Poly:
                 numer = numer + g * (2 * a)
         out = out + divide_by_linear(numer, root) * kappa
     return out
+
+
+def _laplacian_powers(ctx: DunklContext, p: Poly, count: int) -> list[Poly]:
+    """[p, Lap p, ..., Lap^count p], each power computed once."""
+    powers = [p]
+    for _ in range(count):
+        powers.append(laplacian(ctx, powers[-1]))
+    return powers
 
 
 def apply_operator_poly(ctx: DunklContext, q: Poly, p: Poly) -> Poly:

@@ -4,7 +4,9 @@ A polynomial is h-harmonic when the Dunkl Laplacian kills it.  Every
 homogeneous polynomial of degree n splits uniquely as a sum of
 |x|^(2i) p_(n-2i) with h-harmonic components, and the closed-form
 coefficients of that splitting are implemented verbatim; the reconstruction
-identity is the independent check, exercised by the tests.
+identity is the independent check, exercised by the tests.  Both the
+projection and the splitting read the sequence p, Lap p, Lap^2 p, ...; the
+splitting computes each Lap^k p once and shares it among its components.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .dunkl import laplacian, pairing
+from .dunkl import _laplacian_powers, laplacian, pairing
 from .polyring import Poly, monomials_of_degree, pochhammer
 from .reflection import DunklContext
 
@@ -74,13 +76,17 @@ def proj(ctx: DunklContext, n: int, p: Poly) -> Poly:
     deg = _require_homogeneous(p, "projection input")
     if deg != n:
         raise ValueError(f"input has degree {deg}, expected {n}")
+    return _project(ctx, n, _laplacian_powers(ctx, p, n // 2))
+
+
+def _project(ctx: DunklContext, n: int, powers: list[Poly]) -> Poly:
+    """The projection of powers[0], of degree n, given powers[j] = Lap^j powers[0]."""
     lam = ctx.lambda_kappa
     norm2 = Poly.norm_squared(ctx.dim)
-    out = p
-    lap = p
+    out = powers[0]
     radial = Poly.const(ctx.dim, 1)
     for j in range(1, n // 2 + 1):
-        lap = laplacian(ctx, lap)
+        lap = powers[j]
         if lap.is_zero:
             break
         radial = radial * norm2
@@ -92,7 +98,9 @@ def proj(ctx: DunklContext, n: int, p: Poly) -> Poly:
 def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
     """Split a homogeneous p as sum of |x|^(2i) p_(n-2i), all components h-harmonic.
 
-    p_(n-2i) = proj(Lap^i p) / (4^i i! (lam + 1 + n - 2i)_i).
+    p_(n-2i) = proj(Lap^i p) / (4^i i! (lam + 1 + n - 2i)_i).  Each Lap^k p,
+    k = 1..n // 2, is computed once and shared by every component's
+    projection.
     """
     if p.dim != ctx.dim:
         raise ValueError("polynomial dimension does not match the context")
@@ -100,13 +108,11 @@ def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
         return HarmonicDecomposition(0, ((0, p),))
     n = _require_homogeneous(p, "decomposition input")
     lam = ctx.lambda_kappa
+    powers = _laplacian_powers(ctx, p, n // 2)
     comps = []
-    lap = p
     for i in range(n // 2 + 1):
-        if i:
-            lap = laplacian(ctx, lap)
         denom = Fraction(4**i) * math.factorial(i) * pochhammer(lam + 1 + n - 2 * i, i)
-        comps.append((i, proj(ctx, n - 2 * i, lap) * (Fraction(1) / denom)))
+        comps.append((i, _project(ctx, n - 2 * i, powers[i:]) * (Fraction(1) / denom)))
     return HarmonicDecomposition(n, tuple(comps))
 
 

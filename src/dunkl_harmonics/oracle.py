@@ -62,12 +62,15 @@ def _weight_squared(ctx: DunklContext, points: np.ndarray) -> np.ndarray:
     return values
 
 
+@np.errstate(all="ignore")  # a non-finite estimate is refused, not warned about
 def mc_sphere_integral(ctx: DunklContext, p: Poly, seed: int, samples: int) -> McEstimate:
     """Ratio estimate of the normalized weighted spherical integral of p.
 
     mean = sum(w p) / sum(w) over uniform sphere points with w the squared
     weight; the standard error is the delta-method error of that ratio.
-    For constant p the ratio is exact and the error is zero.
+    For constant p the ratio is exact and the error is zero; one sample
+    gives an infinite error.  A mean that is not finite, or an error that is
+    NaN, is refused with ``ValueError``.
     """
     if p.dim != ctx.dim:
         raise ValueError("polynomial dimension does not match the context")
@@ -102,6 +105,11 @@ def mc_sphere_integral(ctx: DunklContext, p: Poly, seed: int, samples: int) -> M
         std_error = math.sqrt(max(sq, 0.0) / (n - 1)) / math.sqrt(n)
     else:
         std_error = float("inf")
+    if not math.isfinite(mean) or math.isnan(std_error):
+        raise ValueError(
+            "the Monte-Carlo estimate is not finite in floating point"
+            f" (mean {mean}, standard error {std_error})"
+        )
     return McEstimate(mean=mean, std_error=std_error, samples=samples, seed=seed)
 
 

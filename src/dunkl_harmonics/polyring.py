@@ -326,10 +326,6 @@ class Poly:
             buckets.setdefault(sum(mono), {})[mono] = c
         return [(n, Poly._raw(self.dim, buckets[n])) for n in sorted(buckets)]
 
-    def homogeneous_part(self, degree: int) -> Poly:
-        picked = {m: c for m, c in self.terms.items() if sum(m) == degree}
-        return Poly._raw(self.dim, picked)
-
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dunkl import apply_operator_poly, laplacian
+from .dunkl import _laplacian_powers, apply_operator_poly, laplacian
 from .harmonic import require_h_harmonic
 from .polyring import Poly, RationalLike, as_fraction, pochhammer
 from .reflection import DunklContext
@@ -129,10 +129,7 @@ def extended_pizzetti(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> Pizz
         raise ValueError("the number of series terms must be >= 0")
     lam = ctx.lambda_kappa
     coeffs = []
-    g = f
-    for n in range(n_terms + 1):
-        if n:
-            g = laplacian(ctx, g)
+    for n, g in enumerate(_laplacian_powers(ctx, f, n_terms)):
         value = apply_operator_poly(ctx, q, g).constant_term()
         coeffs.append(
             value
@@ -171,12 +168,9 @@ def hobson_apply(ctx: DunklContext, p: Poly, f0: RadialPowerSum) -> Poly:
     m = p.degree()
     norm2 = Poly.norm_squared(ctx.dim)
     out = Poly.zero(ctx.dim)
-    lap = p
-    for i in range(m // 2 + 1):
-        if i:
-            lap = laplacian(ctx, lap)
-            if lap.is_zero:
-                break
+    for i, lap in enumerate(_laplacian_powers(ctx, p, m // 2)):
+        if lap.is_zero:
+            break
         radial = Poly.zero(ctx.dim)
         for j, c in f0.terms:
             coeff, half = _radial_derivative_power(j, m - i)
@@ -255,10 +249,8 @@ def bessel_form_eval(
     n_max = max(0, (f.degree() - m + 1) // 2) if not f.is_zero else 0
     total = 0.0
     term = 1.0
-    g = f
-    for n in range(n_max + 1):
+    for n, g in enumerate(_laplacian_powers(ctx, f, n_max)):
         if n:
-            g = laplacian(ctx, g)
             term *= half_r * half_r / (n * (alpha + n))
         moment = float(apply_operator_poly(ctx, q, g).constant_term())
         total += moment * term

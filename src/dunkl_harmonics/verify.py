@@ -11,6 +11,7 @@ demihyperoctahedral instance, each with a nonzero multiplicity choice and
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -722,7 +723,10 @@ def verify(
         raise ValueError("max_degree must be >= 2")
     corpus = filter_corpus(default_corpus(), families)
     report = VerifyReport()
-    for name, func in PER_FAMILY_CHECKS:
+    checks = PER_FAMILY_CHECKS + [
+        ("oracle_mc_agreement", functools.partial(check_mc_agreement, samples=mc_samples))
+    ]
+    for name, func in checks:
         for ctx in corpus:
             rng = _rng(seed, name, ctx.label())
             try:
@@ -732,13 +736,4 @@ def verify(
             report.checks.append(
                 CheckResult(name, ctx.group_name, ctx.kappa_text, degrees, status, ce)
             )
-    for ctx in corpus:
-        rng = _rng(seed, "oracle_mc_agreement", ctx.label())
-        try:
-            status, ce, degrees = check_mc_agreement(ctx, rng, max_degree, samples=mc_samples)
-        except Exception as exc:
-            status, ce, degrees = "fail", {"error": repr(exc)}, "-"
-        report.checks.append(
-            CheckResult("oracle_mc_agreement", ctx.group_name, ctx.kappa_text, degrees, status, ce)
-        )
     return report

@@ -133,7 +133,12 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "kappa,poly,named",
-        [("1e400,0", "x1", "multiplicity"), ("1,0", "1" + "0" * 400 + "*x1", "coefficient")],
+        [
+            ("1e400,0", "x1", "multiplicity"),
+            ("1,0", "1" + "0" * 400 + "*x1", "coefficient"),
+            ("1e300,0", "x1", "not finite"),
+            ("1,0", "1" + "0" * 300 + "*x1^2", "not finite"),
+        ],
     )
     def test_mc_value_beyond_float_range(self, capsys, kappa, poly, named):
         code, _, err = run_cli(
@@ -151,11 +156,21 @@ class TestErrorPaths:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_decompose_rejects_inhomogeneous(self, capsys):
-        code, _, err = run_cli(
-            capsys, "decompose", "--group", "z2^2", "--kappa", "0,0", "--poly", "x1^2 + x2"
-        )
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["decompose", "--poly", "x1^2 + x2"], "decomposition input must be homogeneous"),
+            (["pizzetti", "--q", "x1^2", "--f", "x1^2", "--N", "2"], "q must be h-harmonic"),
+            (["hobson", "--p", "x1^2 + x2", "--radial", "1:1"], "p must be homogeneous"),
+            (["funk-hecke", "--phi", "t^3", "--q", "x1^2"], "q must be h-harmonic"),
+            (["kernel", "--n", "2"], "the reproducing kernel needs a positive spectral index"),
+        ],
+        ids=["decompose", "pizzetti", "hobson", "funk-hecke", "kernel"],
+    )
+    def test_invalid_input_exits_2(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv, "--group", "z2^2", "--kappa", "0,0")
         assert code == 2
+        assert json.loads(err) == {"error": message}
 
 
 class TestDeterminism:
@@ -203,13 +218,13 @@ class TestVerify:
         assert all(c.group.startswith("z2^") for c in report.checks)
 
     def test_injected_bug_is_caught(self, monkeypatch):
-        real_proj = harmonic.proj
+        real_project = harmonic._project
 
-        def flipped(ctx, n, p):
-            out = real_proj(ctx, n, p)
+        def flipped(ctx, n, powers):
+            out = real_project(ctx, n, powers)
             return -out if n >= 2 else out  # sign bug in the projection
 
-        monkeypatch.setattr(harmonic, "proj", flipped)
+        monkeypatch.setattr(harmonic, "_project", flipped)
         report = verify(max_degree=3, families=["z2"], mc_samples=5000)
         failing = [c for c in report.checks if c.name == "harmonic_reconstruction" and not c.passed]
         assert failing

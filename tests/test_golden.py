@@ -1,9 +1,9 @@
 """Golden digests: the exact outputs of the core operators, byte for byte.
 
-Each case hashes the canonical text (``format_poly``) of one operator's
-outputs on seeded inputs.  The digests were recorded from the reference
-implementation; any change to an exact output, however small, changes a
-digest.  A deliberate change of an output must re-record the digest and say
+Each case hashes the canonical text (``str``, which is ``format_poly`` for
+a polynomial) of one operator's outputs on seeded inputs.  The digests were
+recorded from the reference implementation; any change to an exact output,
+however small, changes a digest.  A deliberate change of an output must re-record the digest and say
 why.
 """
 
@@ -14,12 +14,16 @@ from fractions import Fraction
 import pytest
 
 from dunkl_harmonics import (
+    RadialPowerSum,
     canonical_decompose,
-    format_poly,
+    extended_pizzetti,
     h_harmonic_basis,
+    hobson_apply,
     intertwiner_apply,
     laplacian,
     make_context,
+    proj,
+    reduce_mod_sphere,
 )
 from dunkl_harmonics.verify import random_poly
 
@@ -35,8 +39,8 @@ def _laplacian(ctx, rng):
     return [laplacian(ctx, random_poly(rng, ctx.dim, 8, max_terms=8)) for _ in range(3)]
 
 
-def _decompose(ctx, rng):
-    p = random_poly(rng, ctx.dim, 6, homogeneous=True, max_terms=6)
+def _decompose(ctx, rng, degree=6):
+    p = random_poly(rng, ctx.dim, degree, homogeneous=True, max_terms=6)
     return [comp for _, comp in canonical_decompose(ctx, p).components]
 
 
@@ -48,11 +52,39 @@ def _intertwiner(ctx, rng):
     return [intertwiner_apply(ctx, random_poly(rng, ctx.dim, 3, max_terms=6)) for _ in range(2)]
 
 
+def _proj(ctx, rng):
+    return [proj(ctx, 8, random_poly(rng, ctx.dim, 8, homogeneous=True, max_terms=6))]
+
+
+def _pizzetti(ctx, rng):
+    q = h_harmonic_basis(ctx, 2)[0]
+    f = q * random_poly(rng, ctx.dim, 6, homogeneous=True, max_terms=4) + random_poly(
+        rng, ctx.dim, 8, max_terms=6
+    )
+    series = extended_pizzetti(ctx, q, f, 4)
+    return [series.m, *series.coefficients]
+
+
+def _hobson(ctx, rng):
+    p = random_poly(rng, ctx.dim, 6, homogeneous=True, max_terms=6)
+    f0 = RadialPowerSum.from_pairs([(3, 2), (4, Fraction(-1, 3)), (5, Fraction(5, 7))])
+    return [hobson_apply(ctx, p, f0)]
+
+
+def _reduce(ctx, rng):
+    return [reduce_mod_sphere(ctx, random_poly(rng, ctx.dim, 7, max_terms=8))]
+
+
 OPERATIONS = {
     "laplacian": _laplacian,
     "canonical_decompose": _decompose,
     "h_harmonic_basis": _basis,
     "intertwiner_apply": _intertwiner,
+    "proj": _proj,
+    "canonical_decompose_8": lambda ctx, rng: _decompose(ctx, rng, 8),
+    "extended_pizzetti": _pizzetti,
+    "hobson_apply": _hobson,
+    "reduce_mod_sphere": _reduce,
 }
 
 
@@ -60,7 +92,7 @@ def digest(group: str, operation: str) -> str:
     family, dim, kappas = CONTEXTS[group]
     ctx = make_context(family, dim, kappas)
     rng = random.Random(f"golden:{group}:{operation}")
-    text = "\n".join(format_poly(p) for p in OPERATIONS[operation](ctx, rng))
+    text = "\n".join(str(x) for x in OPERATIONS[operation](ctx, rng))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -81,6 +113,26 @@ DIGESTS = {
     ("d4", "canonical_decompose"): "036c492db15b12ddf7fc4ffeeee0cb9b37e934b750c607362b978c4daadd57a4",
     ("d4", "h_harmonic_basis"): "16d5a4416bdb5d2b629c2f28ddef3a09668eb7031cda17cb600cc6aebee44f0f",
     ("d4", "intertwiner_apply"): "c652156694b875449873bbc186dfde7b3bfc215192ce9fe3cc32c4bd42a2d2cf",
+    ("z2^3", "proj"): "e5ea9717e17e0084dcf8ca496ef98178e93dd8531f3486c1648959ea89b91844",
+    ("z2^3", "canonical_decompose_8"): "fe802f67e32446bc2b4385329760e234792eed0da8fc4fb430efc504620392ff",
+    ("z2^3", "extended_pizzetti"): "d6ebc45a38ee41d34c5577228ad15598217265840170aa0e3e2ddfe477d299bd",
+    ("z2^3", "hobson_apply"): "0a5daf695570a2c16d957a25b938350804c9ddd2245d7ea4dcbf1d10d429ee74",
+    ("z2^3", "reduce_mod_sphere"): "2331d94b8504a41dc95ee11a0dccfe9fc677558b63dc1b3505f2c3f8bc33b2a5",
+    ("a2", "proj"): "c6a63f1c80d0c2d85daf4298493e75033d631d65e115429a461943ad3ce2f694",
+    ("a2", "canonical_decompose_8"): "0584b9f50b72b51292571859bbe43a1af1cbeb88d9c7532bda41e57d6358dd68",
+    ("a2", "extended_pizzetti"): "d46665505d690897d615ee43da3d717b19fd4f97a597870a3917ab3060ea5a63",
+    ("a2", "hobson_apply"): "30d18a4e0fbc4f335127ee75edac334591d9692f95bf0599cd87a298bf9c3c76",
+    ("a2", "reduce_mod_sphere"): "888934eb5c1bca3de1ed6d57bd4575dfa0574d91f9b10809a6c27cc1a227f5ee",
+    ("b3", "proj"): "0bed3ee679599d75b28cd9b4aec0f2fead77ed4203751a30a6f21f13ea377abb",
+    ("b3", "canonical_decompose_8"): "ed7dd84b38b5ff1d96a223cba82f6aa3f9cd3e22ced3da18004e249148cdd8ed",
+    ("b3", "extended_pizzetti"): "46c0f9e9ea969b7a6f8ef637649129c919e352f95d1fe0071cc0cfc35ee7eec7",
+    ("b3", "hobson_apply"): "fefeabf5863e7c891681a2f6f4db34a451ad445080b540e53600ebd74406963f",
+    ("b3", "reduce_mod_sphere"): "d92c73fa3da53f2493fc52153196274a188bbe0b2d13d1a4069c907cdb3a351e",
+    ("d4", "proj"): "349386fae36f07b1095a54b832217ffebd39bde924f254340dc660c9cd394e65",
+    ("d4", "canonical_decompose_8"): "1cd42966c60c76e04b39d64f9641e1cc9ba17ddec53ebd1e19685aa892f0e229",
+    ("d4", "extended_pizzetti"): "341906ca6184ac79d34fa809a987573219be8d0be8beb1fbcccc6ec65a5a9c48",
+    ("d4", "hobson_apply"): "596f65bf03c5eb7bf39441caf291eddaafade5385e0a265c4865c8f88b1edb31",
+    ("d4", "reduce_mod_sphere"): "c529a89e41e522ccc3008eacee50cc46d0c823affe106848441b72dd80c3b94b",
 }
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dunkl_harmonics import dunkl, harmonic
 from dunkl_harmonics import (
     Poly,
     canonical_decompose,
@@ -99,6 +100,21 @@ class TestCanonicalDecompose:
     def test_non_homogeneous_rejected(self, z2_2):
         with pytest.raises(ValueError):
             canonical_decompose(z2_2, parse("x1^2 + x2", 2))
+
+    def test_each_laplacian_power_computed_once(self, d3, monkeypatch):
+        real = dunkl.laplacian
+        calls = []
+
+        def counted(ctx, p):
+            calls.append(p)
+            return real(ctx, p)
+
+        monkeypatch.setattr(dunkl, "laplacian", counted)
+        monkeypatch.setattr(harmonic, "laplacian", counted)
+        p = parse("x1^8 + 3*x1^2*x2^4*x3^2 - x2^5*x3^3", 3)
+        decomp = canonical_decompose(d3, p)
+        assert len(calls) == 4  # Lap p, ..., Lap^4 p, one call each
+        assert decomp.reconstruct() == p
 
 
 class TestIsHHarmonic:
