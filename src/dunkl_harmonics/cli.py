@@ -247,8 +247,8 @@ def _run(args) -> int:
         _emit({"n": args.n, "block_dim": ctx.dim, "result": format_poly(kernel.poly)})
     elif command == "mc":
         p = _poly(args.poly, ctx, "--poly")
-        if args.samples < 1:
-            raise UsageError("--samples must be >= 1")
+        if args.samples < 2:
+            raise UsageError("--samples must be >= 2: one sample has no standard error")
         estimate = oracle.mc_sphere_integral(ctx, p, seed=args.seed, samples=args.samples)
         _emit(
             {

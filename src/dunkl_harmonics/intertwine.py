@@ -2,10 +2,11 @@
 
 The intertwining operator V is pinned down by three properties: it
 preserves each homogeneous degree, fixes 1, and swaps the Dunkl operators
-for plain partial derivatives.  That definition is made algorithmic here:
-degree by degree, the image of each monomial is the unique solution of an
-exact linear system, and the defining property doubles as the oracle in
-the test suite.  On top of V sit the zonal-kernel constructions: the
+for plain partial derivatives.  It is built here from the Euler identity
+instead: degree by degree, the monomial images are the unique solution of
+one square exact linear system that needs reflections only, no Dunkl
+operator, and the defining property is checked independently by the test
+suite and by verify.  On top of V sit the zonal-kernel constructions: the
 Funk-Hecke identity as an exact congruence modulo the sphere ideal, and
 the degree-n reproducing kernel.
 """
@@ -20,6 +21,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import _linalg
+# unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
 from .dunkl import dunkl_axis
 from .harmonic import reduce_mod_sphere, require_h_harmonic
 from .polyring import Monomial, Poly, RationalLike, as_fraction, monomials_of_degree, pochhammer
@@ -186,47 +188,46 @@ def _intertwiner_table(ctx: DunklContext, degree: int) -> dict[Monomial, Poly]:
 
 
 def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dict[Monomial, Poly]:
+    """V on the degree-n monomials, from the images one degree lower.
+
+    For q homogeneous of degree n the Euler identity reads
+    sum_j x_j D_j q = n q + sum_a kappa_a (q - q o r_a) (Dunkl 1989).  Put
+    q = V x^b and D_j V = V d_j: then T V x^b = sum_j b_j x_j V x^(b - e_j)
+    with T = n + sum_a kappa_a (1 - r_a).  Each 1 - r_a is positive
+    semidefinite in the O(d)-invariant Fischer product, so T is positive
+    definite for kappa >= 0 and the square system has V as its one solution.
+    """
     monos = monomials_of_degree(ctx.dim, n)
-    lower_monos = monomials_of_degree(ctx.dim, n - 1)
-    col_index = {m: i for i, m in enumerate(monos)}
-    row_index = {(j, m): j * len(lower_monos) + i for j in range(ctx.dim) for i, m in enumerate(lower_monos)}
-    n_rows = ctx.dim * len(lower_monos)
-
-    a = [[Fraction(0)] * len(monos) for _ in range(n_rows)]
-    for mono in monos:
-        col = col_index[mono]
+    index = {m: i for i, m in enumerate(monos)}
+    shift = n + ctx.root_system.kappa_sum()
+    t = [[Fraction(0)] * len(monos) for _ in monos]
+    r = [[Fraction(0)] * len(monos) for _ in monos]
+    for col, mono in enumerate(monos):
         unit = Poly.monomial(ctx.dim, mono)
-        for j in range(ctx.dim):
-            image = dunkl_axis(ctx, j + 1, unit)
-            for m, c in image.terms.items():
-                a[row_index[(j, m)]][col] = c
+        image = unit * shift
+        for root, kappa in ctx.active_roots:
+            image = image - unit.reflect(root) * kappa
+        for m, c in image.terms.items():
+            t[index[m]][col] = c
+        for j, e in enumerate(mono):
+            if e:
+                for m, c in lower[mono[:j] + (e - 1,) + mono[j + 1:]].terms.items():
+                    r[index[m[:j] + (m[j] + 1,) + m[j + 1:]]][col] += c * e
 
-    b = [[Fraction(0)] * len(monos) for _ in range(n_rows)]
-    for mono in monos:
-        col = col_index[mono]
-        for j in range(ctx.dim):
-            e = mono[j]
-            if not e:
-                continue
-            below = mono[:j] + (e - 1,) + mono[j + 1:]
-            target = lower[below] * e  # V of the plain derivative of the monomial
-            for m, c in target.terms.items():
-                b[row_index[(j, m)]][col] += c
-
-    x = _linalg.solve_unique(a, b)
-    table = {}
-    for mono in monos:
-        col = col_index[mono]
-        table[mono] = Poly(ctx.dim, {monos[row]: x[row][col] for row in range(len(monos))})
-    return table
+    x = _linalg.solve_unique(t, r)
+    return {
+        mono: Poly(ctx.dim, {monos[row]: x[row][col] for row in range(len(monos))})
+        for col, mono in enumerate(monos)
+    }
 
 
 def intertwiner_apply(ctx: DunklContext, p: Poly) -> Poly:
     """Apply the intertwining operator V, degree by degree.
 
     V is linear, fixes constants, preserves homogeneous degree, and turns
-    plain partial derivatives into Dunkl operators; its monomial images are
-    solved exactly from that last property and cached per context.
+    plain partial derivatives into Dunkl operators.  Its monomial images are
+    solved exactly from the Euler identity (see ``_build_degree``) and cached
+    per context; that last property is checked independently of the build.
     """
     if p.dim != ctx.dim:
         raise ValueError("polynomial dimension does not match the context")

@@ -206,9 +206,6 @@ class Poly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def scale(self, c: RationalLike) -> Poly:
-        return self * as_fraction(c)
-
     def __pow__(self, n: int) -> Poly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")

@@ -71,13 +71,6 @@ class RootSystem:
     def kappa_of(self, index: int) -> Fraction:
         return self.kappa_by_orbit[self.orbit_ids[index]]
 
-    def orbit_of(self, root: Sequence[RationalLike]) -> int:
-        key = tuple(as_fraction(v) for v in root)
-        for idx, r in enumerate(self.positive_roots):
-            if r == key:
-                return self.orbit_ids[idx]
-        raise ValueError(f"{key!r} is not a positive root of this system")
-
     def kappa_sum(self) -> Fraction:
         return sum((self.kappa_of(i) for i in range(len(self.positive_roots))), Fraction(0))
 

@@ -129,12 +129,11 @@ def extended_pizzetti(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> Pizz
         raise ValueError("the number of series terms must be >= 0")
     lam = ctx.lambda_kappa
     coeffs = []
+    denominator = pochhammer(lam + 1, m) * 2**m
     for n, g in enumerate(_laplacian_powers(ctx, f, n_terms)):
-        value = apply_operator_poly(ctx, q, g).constant_term()
-        coeffs.append(
-            value
-            / (math.factorial(n) * pochhammer(lam + 1, m + n) * Fraction(2 ** (m + 2 * n)))
-        )
+        if n:
+            denominator *= 4 * n * (lam + m + n)
+        coeffs.append(apply_operator_poly(ctx, q, g).constant_term() / denominator)
     return PizzettiSeries(m, tuple(coeffs))
 
 

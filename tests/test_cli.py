@@ -164,8 +164,12 @@ class TestErrorPaths:
             (["hobson", "--p", "x1^2 + x2", "--radial", "1:1"], "p must be homogeneous"),
             (["funk-hecke", "--phi", "t^3", "--q", "x1^2"], "q must be h-harmonic"),
             (["kernel", "--n", "2"], "the reproducing kernel needs a positive spectral index"),
+            (
+                ["mc", "--poly", "x1^2", "--samples", "1"],
+                "--samples must be >= 2: one sample has no standard error",
+            ),
         ],
-        ids=["decompose", "pizzetti", "hobson", "funk-hecke", "kernel"],
+        ids=["decompose", "pizzetti", "hobson", "funk-hecke", "kernel", "mc-one-sample"],
     )
     def test_invalid_input_exits_2(self, capsys, argv, message):
         code, _, err = run_cli(capsys, *argv, "--group", "z2^2", "--kappa", "0,0")

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from dunkl_harmonics import (
+    Poly,
     RadialPowerSum,
     canonical_decompose,
     extended_pizzetti,
@@ -22,6 +23,7 @@ from dunkl_harmonics import (
     intertwiner_apply,
     laplacian,
     make_context,
+    monomials_of_degree,
     proj,
     reduce_mod_sphere,
 )
@@ -50,6 +52,11 @@ def _basis(ctx, rng):
 
 def _intertwiner(ctx, rng):
     return [intertwiner_apply(ctx, random_poly(rng, ctx.dim, 3, max_terms=6)) for _ in range(2)]
+
+
+def _intertwiner_monomials(ctx, rng):
+    # every column of the degree-6 V table, and through its recursion every lower one
+    return [intertwiner_apply(ctx, Poly.monomial(ctx.dim, m)) for m in monomials_of_degree(ctx.dim, 6)]
 
 
 def _proj(ctx, rng):
@@ -85,6 +92,7 @@ OPERATIONS = {
     "extended_pizzetti": _pizzetti,
     "hobson_apply": _hobson,
     "reduce_mod_sphere": _reduce,
+    "intertwiner_monomials_6": _intertwiner_monomials,
 }
 
 
@@ -133,6 +141,10 @@ DIGESTS = {
     ("d4", "extended_pizzetti"): "341906ca6184ac79d34fa809a987573219be8d0be8beb1fbcccc6ec65a5a9c48",
     ("d4", "hobson_apply"): "596f65bf03c5eb7bf39441caf291eddaafade5385e0a265c4865c8f88b1edb31",
     ("d4", "reduce_mod_sphere"): "c529a89e41e522ccc3008eacee50cc46d0c823affe106848441b72dd80c3b94b",
+    ("z2^3", "intertwiner_monomials_6"): "db3b10ed246089bea7db68623fe6028f4cd5c8e6a955036e3567eaf8276504ee",
+    ("a2", "intertwiner_monomials_6"): "5f371f2f379e820375ea5fd4bdcf41edc34070612261154f63610e0c49d45d75",
+    ("b3", "intertwiner_monomials_6"): "266844a4e3a2d4fbdc59b62fcab5ce5a03f96d7a554b0dc7576d5167acb73883",
+    ("d4", "intertwiner_monomials_6"): "3fde102f769e7ec72965f71203b5f46d39bfb2898373d5a0c5ef59149f9d12f0",
 }
 
 

@@ -4,7 +4,9 @@ import pytest
 
 from dunkl_harmonics import (
     BiPoly,
+    DunklContext,
     Poly,
+    RootSystem,
     UniPoly,
     dunkl_axis,
     funk_hecke_check,
@@ -22,6 +24,7 @@ from dunkl_harmonics import (
     reproducing_kernel,
     sphere_integrate,
 )
+from dunkl_harmonics import _linalg, dunkl
 from dunkl_harmonics.verify import random_poly
 
 
@@ -89,7 +92,11 @@ class TestIntertwiner:
         assert intertwiner_apply(z2_2, parse("x1", 2)) == parse("1/2*x1", 2)
 
     def test_defining_property(self, rng, nonzero_corpus, d3):
-        for ctx in list(nonzero_corpus) + [d3]:
+        # the reflections of the roots (1, 2) and (2, -1) take the dense path
+        skew = DunklContext.from_root_system(
+            RootSystem(2, ((F(1), F(2)), (F(2), F(-1))), (0, 1), (F(1, 3), F(2)))
+        )
+        for ctx in list(nonzero_corpus) + [d3, skew]:
             for _ in range(4):
                 n = rng.randint(1, 5)
                 p = random_poly(rng, ctx.dim, n, homogeneous=True, max_terms=4)
@@ -97,6 +104,25 @@ class TestIntertwiner:
                 assert vp.is_homogeneous() and (vp.is_zero or vp.degree() == n)
                 for j in range(1, ctx.dim + 1):
                     assert dunkl_axis(ctx, j, vp) == intertwiner_apply(ctx, p.partial(j))
+
+    def test_build_solves_square_systems_without_dunkl_operators(self, monkeypatch):
+        applied, shapes = [], []
+        real_apply, real_solve = dunkl.dunkl_apply, _linalg.solve_unique
+
+        def counting_apply(*args):
+            applied.append(args)
+            return real_apply(*args)
+
+        def recording_solve(a, b):
+            shapes.append((len(a), len(a[0])))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(dunkl, "dunkl_apply", counting_apply)
+        monkeypatch.setattr(_linalg, "solve_unique", recording_solve)
+        ctx = make_context("b", 3, [F(1, 2), F(3, 2)])  # fresh, so no table is cached
+        intertwiner_apply(ctx, Poly.monomial(3, (4, 0, 0)))
+        assert applied == []
+        assert len(shapes) == 4 and all(rows == cols for rows, cols in shapes)
 
     def test_linear(self, rng, b2):
         p = random_poly(rng, 2, 4)

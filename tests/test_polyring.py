@@ -19,9 +19,6 @@ class TestArithmetic:
         p = parse("x1+x2", 2) * parse("x1-x2", 2)
         assert p == parse("x1^2 - x2^2", 2)
 
-    def test_scale(self):
-        assert parse("2*x1*x2", 2).scale(F(1, 2)) == parse("x1*x2", 2)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             parse("x1", 2) + parse("x1", 3)

@@ -113,11 +113,6 @@ class TestInvariance:
                     image = tuple(a - factor * b for a, b in zip(alpha, beta))
                     assert image in roots or tuple(-v for v in image) in roots
 
-    def test_kappa_constant_on_orbits(self, b2):
-        rs = b2.root_system
-        for i, root in enumerate(rs.positive_roots):
-            assert rs.kappa_of(i) == rs.kappa_by_orbit[rs.orbit_of(root)]
-
     def test_scale_invariance_of_operator_outputs(self, rng, nonzero_corpus):
         for ctx in nonzero_corpus:
             rs = ctx.root_system

@@ -21,6 +21,7 @@ from dunkl_harmonics import (
     pizzetti_from_hobson,
     sphere_integrate,
 )
+from dunkl_harmonics import spherical
 from dunkl_harmonics.verify import random_poly
 
 
@@ -134,6 +135,19 @@ class TestExtendedPizzetti:
             residual = {k: v for k, v in residual.items() if v}
             if residual:
                 assert min(residual) > 1 + 2 * n_cut
+
+    def test_denominators_carried_across_terms(self, monkeypatch, z2_2):
+        calls = []
+        real = spherical.pochhammer
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spherical, "pochhammer", counting)
+        series = extended_pizzetti(z2_2, parse("x1", 2), parse("x1^3 + x1*x2^2", 2), 200)
+        assert len(series.coefficients) == 201
+        assert len(calls) <= 1
 
     def test_eval_matches_coefficients(self, z2_2):
         series = PizzettiSeries(1, (F(1, 2), F(3)))
