@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import harmonic, intertwine, oracle, spherical
 from .dunkl import dunkl_apply, laplacian, pairing
-from .verify import verify as run_verify
+from .verify import MC_SAMPLES_ERROR, verify as run_verify
 from .polyring import Poly, PolyParseError, format_poly, parse
 from .reflection import DunklContext, context_from_descriptor
 
@@ -248,7 +248,7 @@ def _run(args) -> int:
     elif command == "mc":
         p = _poly(args.poly, ctx, "--poly")
         if args.samples < 2:
-            raise UsageError("--samples must be >= 2: one sample has no standard error")
+            raise UsageError(MC_SAMPLES_ERROR)
         estimate = oracle.mc_sphere_integral(ctx, p, seed=args.seed, samples=args.samples)
         _emit(
             {

@@ -1,9 +1,15 @@
 """The Dunkl operator, its Laplacian, operator substitution, and the pairing.
 
-Everything here is exact.  :func:`dunkl_apply` is the one place where the
-partial derivative meets the divided differences; :func:`dunkl_axis` is its
-coordinate case, and :func:`laplacian` uses the closed form of the sum of
-squares.  :func:`_laplacian_powers` is the one place that iterates the
+Everything here is exact.  :func:`dunkl_apply` is the one Dunkl-operator
+core, a partial derivative plus one divided difference per root;
+:func:`dunkl_axis` is its coordinate case.  :func:`laplacian` is linear, so it sums the Laplacian
+images of the input's monomials, and each image is computed once per
+context, from the closed form of the sum of squares, into the context's
+``tables.laplacian``.  That table holds one image per monomial the context
+has seen, so it is bounded by the monomials of the degrees the context has
+been asked about; it is dropped with the context, and the results are the
+same as those of the closed form applied to the whole input.
+:func:`_laplacian_powers` is the one place that iterates the
 Laplacian over a whole sequence p, Lap p, Lap^2 p, ...; the decomposition and
 the radius expansions read that sequence.  For a homogeneous input of degree
 n the operator output is homogeneous of degree n - 1 (zero when n = 0) and
@@ -17,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import Poly, RationalLike, as_fraction, divide_by_linear
+from .polyring import Monomial, Poly, RationalLike, _reflection, as_fraction, divide_by_linear
 from .reflection import DunklContext
 
 
@@ -62,26 +68,90 @@ def dunkl_axis(ctx: DunklContext, axis: int, p: Poly) -> Poly:
 def laplacian(ctx: DunklContext, p: Poly) -> Poly:
     """The Dunkl Laplacian, the sum of the squared coordinate operators.
 
-    Computed in one pass from the closed form
-    Lap p = Delta p + sum over positive roots of
-    kappa_alpha (2 <grad p, alpha> - |alpha|^2 (p - p(r_alpha x)) / <alpha, x>) / <alpha, x>
-    (Dunkl 1989; Dunkl-Xu), one divided difference and one exact linear
-    division per root.  It equals the sum of squares because the roots and
-    multiplicities are invariant under the group, which :class:`RootSystem`
-    checks at construction.
+    The Laplacian is linear, so Lap p = sum of c_beta Lap x^beta over the
+    terms of p, and each monomial image is read from the context's table
+    (built on a miss by ``_monomial_image``).
     """
     _require_ctx_dim(ctx, p)
-    grad = [p.partial(j + 1) for j in range(ctx.dim)]
-    out = Poly.zero(ctx.dim)
-    for j, g in enumerate(grad):
-        out = out + g.partial(j + 1)
+    out: dict[Monomial, Fraction] = {}
+    for mono, c in p.terms.items():
+        for m, v in _monomial_laplacian(ctx, mono).items():
+            s = out.get(m)
+            out[m] = c * v if s is None else s + c * v
+    return Poly._raw(ctx.dim, {m: v for m, v in out.items() if v})
+
+
+def _monomial_laplacian(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fraction]:
+    """The terms of Lap x^mono, from the context's table; do not mutate."""
+    images = ctx.tables.laplacian
+    image = images.get(mono)
+    if image is None:
+        image = images[mono] = _monomial_image(ctx, mono)
+    return image
+
+
+def _monomial_image(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fraction]:
+    """Lap x^mono from the closed form (Dunkl 1989; Dunkl-Xu)
+
+    Lap p = Delta p + sum over positive roots of
+    kappa_alpha (2 <grad p, alpha> - |alpha|^2 (p - p(r_alpha x)) / <alpha, x>) / <alpha, x>,
+
+    which equals the sum of squares because the roots and multiplicities are
+    invariant under the group (:class:`RootSystem` checks it).  A root whose
+    reflection is a signed permutation is c e_i or c (e_i +- e_j); its term
+    is kappa_alpha times integer coefficients, whatever c is.  Any other root
+    takes the closed form applied to the monomial.
+    """
+    out: dict[Monomial, Fraction] = {}
+    for i, e in enumerate(mono):
+        if e > 1:
+            out[_shifted(mono, i, e - 2)] = Fraction(e * (e - 1))
+    by_kappa: dict[Fraction, dict[Monomial, int]] = {}
     for root, kappa in ctx.active_roots:
-        numer = p.divided_difference(root) * -_dot(root, root)
-        for a, g in zip(root, grad):
-            if a:
-                numer = numer + g * (2 * a)
-        out = out + divide_by_linear(numer, root) * kappa
-    return out
+        r = _reflection(root)
+        if r.perm is None:
+            x = Poly.monomial(ctx.dim, mono)
+            numer = x.divided_difference(root) * -_dot(root, root)
+            for j, a in enumerate(root):
+                if a:
+                    numer = numer + x.partial(j + 1) * (2 * a)
+            for m, v in divide_by_linear(numer, root).terms.items():
+                out[m] = out.get(m, 0) + kappa * v
+            continue
+        acc = by_kappa.setdefault(kappa, {})
+        moved = [i for i, j in enumerate(r.perm) if i != j]
+        if not moved:
+            # root c e_i: 2 (e - e mod 2) x^(mono - 2 e_i)
+            i = r.flips[0]
+            e = mono[i]
+            if e > 1:
+                m = _shifted(mono, i, e - 2)
+                acc[m] = acc.get(m, 0) + 2 * (e - e % 2)
+            continue
+        # root c (e_i - w e_j), whose reflection maps x_i to w x_j and x_j to
+        # w x_i; with a = mono[i], b = mono[j] and s = 1 if a >= b else -1,
+        # the term is 2 w^b F(x_i, w x_j) times the other variables, where
+        # F(u, v) = sum over k = 1..|a-b|-1 of k u^(b-1+sk) v^(a-1-sk),
+        # minus min(a, b) u^(a-1) v^(b-1)
+        i, j = moved
+        a, b = mono[i], mono[j]
+        s = 1 if a >= b else -1
+        pairs = [(b - 1 + s * k, a - 1 - s * k, k) for k in range(1, abs(a - b))]
+        if a and b:
+            pairs.append((a - 1, b - 1, -min(a, b)))
+        for ei, ej, k in pairs:
+            m = _shifted(_shifted(mono, i, ei), j, ej)
+            acc[m] = acc.get(m, 0) + (-2 * k if r.flips and (b + ej) % 2 else 2 * k)
+    for kappa, acc in by_kappa.items():
+        for m, k in acc.items():
+            if k:
+                out[m] = out.get(m, 0) + kappa * k
+    return {m: v for m, v in out.items() if v}
+
+
+def _shifted(mono: Monomial, i: int, e: int) -> Monomial:
+    """mono with its i-th exponent set to e."""
+    return mono[:i] + (e,) + mono[i + 1:]
 
 
 def _laplacian_powers(ctx: DunklContext, p: Poly, count: int) -> list[Poly]:

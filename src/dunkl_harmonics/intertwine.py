@@ -14,8 +14,6 @@ the degree-n reproducing kernel.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -167,24 +165,17 @@ def gegenbauer_rodrigues(m: int, lam: RationalLike) -> UniPoly:
 # the intertwining operator
 
 
-_MEMO_LOCK = threading.Lock()
-_MEMO: "weakref.WeakKeyDictionary[DunklContext, dict[int, dict[Monomial, Poly]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _intertwiner_table(ctx: DunklContext, degree: int) -> dict[Monomial, Poly]:
-    """Images of the degree-``degree`` monomials under V, built and memoized."""
-    with _MEMO_LOCK:
-        tables = _MEMO.setdefault(ctx, {})
-        for n in range(degree + 1):
-            if n in tables:
-                continue
-            if n == 0:
-                tables[0] = {(0,) * ctx.dim: Poly.const(ctx.dim, 1)}
-                continue
-            tables[n] = _build_degree(ctx, n, tables[n - 1])
-        return tables[degree]
+    """Images of the degree-``degree`` monomials under V, from the context's tables."""
+    tables = ctx.tables.intertwiner
+    for n in range(degree + 1):
+        if n in tables:
+            continue
+        if n == 0:
+            tables[0] = {(0,) * ctx.dim: Poly.const(ctx.dim, 1)}
+            continue
+        tables[n] = _build_degree(ctx, n, tables[n - 1])
+    return tables[degree]
 
 
 def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dict[Monomial, Poly]:

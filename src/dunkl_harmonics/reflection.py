@@ -7,15 +7,20 @@ coordinates (``a``), hyperoctahedral (``b``), and demihyperoctahedral
 absent; ``b`` at d = 2 supplies the square-symmetry case.  Roots are kept
 in their integer-coordinate normalization: every exposed quantity is
 invariant under rescaling a root orbit by a positive rational.
+
+Each context owns one :class:`ContextTables`, created on first use and
+dropped with the context, in which the operator layers memoize exact
+per-monomial data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import RationalLike, _reflection, as_fraction
+from .polyring import Monomial, Poly, RationalLike, _reflection, as_fraction
 
 Vector = tuple[Fraction, ...]
 
@@ -124,6 +129,29 @@ class DunklContext:
 
     def label(self) -> str:
         return f"{self.group_name}[kappa={self.kappa_text}]"
+
+    @functools.cached_property
+    def tables(self) -> ContextTables:
+        """This context's memo tables, created on first use and dropped with it."""
+        return ContextTables()
+
+
+@dataclass
+class ContextTables:
+    """Exact per-monomial data of one context, each entry computed once.
+
+    ``laplacian`` maps a monomial to the terms of its Dunkl Laplacian,
+    ``moments`` an even-degree monomial to its normalized weighted spherical
+    integral, and ``intertwiner`` a degree to the V images of its monomials.
+    Entries are only ever added, and every entry is a function of the
+    context and its key, so two threads that miss together write equal
+    values.  The tables grow with the monomials of the degrees this context
+    has been asked about and are dropped with the context.
+    """
+
+    laplacian: dict[Monomial, dict[Monomial, Fraction]] = field(default_factory=dict)
+    moments: dict[Monomial, Fraction] = field(default_factory=dict)
+    intertwiner: dict[int, dict[Monomial, Poly]] = field(default_factory=dict)
 
 
 def _catalog_roots(family: str, d: int) -> tuple[list[Vector], list[int]]:

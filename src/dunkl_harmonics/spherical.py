@@ -4,9 +4,16 @@ All integrals are normalized by the total weighted surface mass, so no
 transcendental constant ever appears: for a homogeneous polynomial of even
 degree 2n the normalized integral is an iterated-Laplacian value divided by
 2^(2n) n! (lam + 1)_n, odd degrees integrate to zero, and everything else
-is linearity.  The radius expansions (plain and with an h-harmonic factor)
-and Hobson's expansion of p(D) applied to radial polynomials are finite,
-exact objects here because inputs are polynomials.
+is linearity.  :func:`sphere_integrate` therefore reads the moment of each
+monomial from the context's ``tables.moments``, where each moment is
+computed once from the Laplacian images of the ``dunkl`` module.  The table
+holds one moment per even-degree monomial the context has integrated or
+reached through those images, so it is bounded by the monomials of the
+degrees the context has seen; it is dropped with the context, and the
+values are those of the iterated-Laplacian formula.  The radius expansions
+(plain and with an h-harmonic factor) and Hobson's expansion of p(D)
+applied to radial polynomials are finite, exact objects here because inputs
+are polynomials.
 """
 
 from __future__ import annotations
@@ -16,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dunkl import _laplacian_powers, apply_operator_poly, laplacian
+from .dunkl import _laplacian_powers, _monomial_laplacian, apply_operator_poly, laplacian
 from .harmonic import require_h_harmonic
-from .polyring import Poly, RationalLike, as_fraction, pochhammer
+from .polyring import Monomial, Poly, RationalLike, as_fraction, pochhammer
 from .reflection import DunklContext
 
 
@@ -70,23 +77,52 @@ class RadialPowerSum:
 def sphere_integrate(ctx: DunklContext, p: Poly) -> Fraction:
     """Normalized weighted spherical integral of an arbitrary polynomial.
 
-    Odd-degree parts vanish by antipodal symmetry of the squared weight.
+    Integration is linear, so the value is sum of c_beta mu(beta) over the
+    terms of p, with the monomial moments mu read from the context's table
+    (see ``_moment``).  Odd-degree parts vanish by antipodal symmetry of the
+    squared weight.
     """
     if p.dim != ctx.dim:
         raise ValueError("polynomial dimension does not match the context")
-    lam = ctx.lambda_kappa
     total = Fraction(0)
-    for degree, part in p.homogeneous_parts():
-        if degree % 2:
-            continue
-        n = degree // 2
-        value = part
-        for _ in range(n):
-            value = laplacian(ctx, value)
-        total += value.constant_term() / (
-            Fraction(2 ** (2 * n)) * math.factorial(n) * pochhammer(lam + 1, n)
-        )
+    for mono, c in p.terms.items():
+        if not sum(mono) % 2:
+            total += c * _moment(ctx, mono)
     return total
+
+
+def _moment(ctx: DunklContext, mono: Monomial) -> Fraction:
+    """mu(mono), the normalized integral of x^mono, of even degree 2n.
+
+    mu(0) = 1 and mu(beta) = sum over gamma of [Lap x^beta]_gamma mu(gamma) / (4n (lam + n)),
+    the same value as Lap^n x^beta (0) / (4^n n! (lam + 1)_n).  The moments
+    below a missing one are filled from an explicit stack, so the depth of
+    the recurrence is not bounded by Python's recursion limit.
+    """
+    moments = ctx.tables.moments
+    got = moments.get(mono)
+    if got is not None:
+        return got
+    lam = ctx.lambda_kappa
+    stack = [mono]
+    while stack:
+        beta = stack[-1]
+        if beta in moments:
+            stack.pop()
+            continue
+        image = _monomial_laplacian(ctx, beta)
+        missing = [gamma for gamma in image if gamma not in moments]
+        if missing:
+            stack.extend(missing)
+            continue
+        n = sum(beta) // 2
+        if n:
+            value = sum((v * moments[gamma] for gamma, v in image.items()), Fraction(0))
+            moments[beta] = value / (4 * n * (lam + n))
+        else:
+            moments[beta] = Fraction(1)
+        stack.pop()
+    return moments[mono]
 
 
 def pair_integral(ctx: DunklContext, q: Poly, p: Poly) -> Fraction:

@@ -709,6 +709,9 @@ PER_FAMILY_CHECKS: list[tuple[str, Callable[..., Outcome]]] = [
 ]
 
 
+MC_SAMPLES_ERROR = "--samples must be >= 2: one sample has no standard error"
+
+
 def verify(
     max_degree: int = 6,
     families: Sequence[str] | None = None,
@@ -718,9 +721,13 @@ def verify(
     """Run the full check corpus and collect a deterministic report.
 
     Failures never raise; they become report rows with counterexamples.
+    Fewer than two Monte-Carlo samples is refused, since one sample has no
+    standard error and would pass every agreement row.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
+    if mc_samples < 2:
+        raise ValueError(MC_SAMPLES_ERROR)
     corpus = filter_corpus(default_corpus(), families)
     report = VerifyReport()
     checks = PER_FAMILY_CHECKS + [

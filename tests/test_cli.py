@@ -168,11 +168,21 @@ class TestErrorPaths:
                 ["mc", "--poly", "x1^2", "--samples", "1"],
                 "--samples must be >= 2: one sample has no standard error",
             ),
+            (
+                ["verify", "--samples", "0"],
+                "--samples must be >= 2: one sample has no standard error",
+            ),
+            (
+                ["verify", "--samples", "1"],
+                "--samples must be >= 2: one sample has no standard error",
+            ),
         ],
-        ids=["decompose", "pizzetti", "hobson", "funk-hecke", "kernel", "mc-one-sample"],
+        ids=["decompose", "pizzetti", "hobson", "funk-hecke", "kernel", "mc-one-sample",
+             "verify-zero-samples", "verify-one-sample"],
     )
     def test_invalid_input_exits_2(self, capsys, argv, message):
-        code, _, err = run_cli(capsys, *argv, "--group", "z2^2", "--kappa", "0,0")
+        context = [] if argv[0] == "verify" else ["--group", "z2^2", "--kappa", "0,0"]
+        code, _, err = run_cli(capsys, *argv, *context)
         assert code == 2
         assert json.loads(err) == {"error": message}
 

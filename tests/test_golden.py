@@ -26,6 +26,7 @@ from dunkl_harmonics import (
     monomials_of_degree,
     proj,
     reduce_mod_sphere,
+    sphere_integrate,
 )
 from dunkl_harmonics.verify import random_poly
 
@@ -78,6 +79,18 @@ def _hobson(ctx, rng):
     return [hobson_apply(ctx, p, f0)]
 
 
+def _sphere_integrate(ctx, rng):
+    # inhomogeneous inputs up to degree 8, each with an odd homogeneous part
+    return [
+        sphere_integrate(
+            ctx,
+            random_poly(rng, ctx.dim, 8, max_terms=10)
+            + random_poly(rng, ctx.dim, 5, homogeneous=True, max_terms=3),
+        )
+        for _ in range(4)
+    ]
+
+
 def _reduce(ctx, rng):
     return [reduce_mod_sphere(ctx, random_poly(rng, ctx.dim, 7, max_terms=8))]
 
@@ -93,6 +106,7 @@ OPERATIONS = {
     "hobson_apply": _hobson,
     "reduce_mod_sphere": _reduce,
     "intertwiner_monomials_6": _intertwiner_monomials,
+    "sphere_integrate": _sphere_integrate,
 }
 
 
@@ -145,6 +159,10 @@ DIGESTS = {
     ("a2", "intertwiner_monomials_6"): "5f371f2f379e820375ea5fd4bdcf41edc34070612261154f63610e0c49d45d75",
     ("b3", "intertwiner_monomials_6"): "266844a4e3a2d4fbdc59b62fcab5ce5a03f96d7a554b0dc7576d5167acb73883",
     ("d4", "intertwiner_monomials_6"): "3fde102f769e7ec72965f71203b5f46d39bfb2898373d5a0c5ef59149f9d12f0",
+    ("z2^3", "sphere_integrate"): "b4f5d30fbd38ad50842dcd45a3f86cab1769a70163f7d6c018f1570d11341652",
+    ("a2", "sphere_integrate"): "7d9470535ac1e56382c14e2188f44a5d54d84005a588cc7ea977fe84bb81f972",
+    ("b3", "sphere_integrate"): "fa85a129cf3c83a51133d9ca6a97685bb8124963a61286c2007074e08130473b",
+    ("d4", "sphere_integrate"): "bb18e9c1d702c0a40e60808c4adc3a25a5ab5702c2c1239688588f0acdfadc5d",
 }
 
 
