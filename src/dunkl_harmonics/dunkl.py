@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import Monomial, Poly, RationalLike, _reflection, as_fraction, divide_by_linear
+from .polyring import Monomial, Poly, RationalLike, as_fraction
 from .reflection import DunklContext
 
 
@@ -97,56 +97,42 @@ def _monomial_image(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fractio
     kappa_alpha (2 <grad p, alpha> - |alpha|^2 (p - p(r_alpha x)) / <alpha, x>) / <alpha, x>,
 
     which equals the sum of squares because the roots and multiplicities are
-    invariant under the group (:class:`RootSystem` checks it).  A root whose
-    reflection is a signed permutation is c e_i or c (e_i +- e_j); its term
-    is kappa_alpha times integer coefficients, whatever c is.  Any other root
-    takes the closed form applied to the monomial.
+    invariant under the group (:class:`RootSystem` checks it).  With
+    delta_alpha the divided difference and d_alpha the derivative along
+    alpha, each root's term is (delta_alpha d_alpha + d_alpha delta_alpha) p,
+    so no linear division is left.  On a monomial both divided differences
+    take :meth:`Poly.divided_difference`'s closed form whenever the
+    reflection is a signed permutation.  The monomial enters with the int
+    coefficient 1, so for a root with integer entries (every catalog root)
+    the term keeps int coefficients, which :class:`Poly` arithmetic accepts,
+    until it is multiplied by kappa_alpha; the table holds Fractions only.
     """
+    x = Poly._raw(ctx.dim, {mono: 1})
     out: dict[Monomial, Fraction] = {}
     for i, e in enumerate(mono):
         if e > 1:
             out[_shifted(mono, i, e - 2)] = Fraction(e * (e - 1))
-    by_kappa: dict[Fraction, dict[Monomial, int]] = {}
     for root, kappa in ctx.active_roots:
-        r = _reflection(root)
-        if r.perm is None:
-            x = Poly.monomial(ctx.dim, mono)
-            numer = x.divided_difference(root) * -_dot(root, root)
-            for j, a in enumerate(root):
-                if a:
-                    numer = numer + x.partial(j + 1) * (2 * a)
-            for m, v in divide_by_linear(numer, root).terms.items():
+        alpha = tuple(a.numerator if a.denominator == 1 else a for a in root)
+        term = dict(_derivative(x.divided_difference(root), alpha).terms)
+        for m, v in _derivative(x, alpha).divided_difference(root).terms.items():
+            term[m] = term.get(m, 0) + v
+        for m, v in term.items():
+            if v:
                 out[m] = out.get(m, 0) + kappa * v
-            continue
-        acc = by_kappa.setdefault(kappa, {})
-        moved = [i for i, j in enumerate(r.perm) if i != j]
-        if not moved:
-            # root c e_i: 2 (e - e mod 2) x^(mono - 2 e_i)
-            i = r.flips[0]
-            e = mono[i]
-            if e > 1:
-                m = _shifted(mono, i, e - 2)
-                acc[m] = acc.get(m, 0) + 2 * (e - e % 2)
-            continue
-        # root c (e_i - w e_j), whose reflection maps x_i to w x_j and x_j to
-        # w x_i; with a = mono[i], b = mono[j] and s = 1 if a >= b else -1,
-        # the term is 2 w^b F(x_i, w x_j) times the other variables, where
-        # F(u, v) = sum over k = 1..|a-b|-1 of k u^(b-1+sk) v^(a-1-sk),
-        # minus min(a, b) u^(a-1) v^(b-1)
-        i, j = moved
-        a, b = mono[i], mono[j]
-        s = 1 if a >= b else -1
-        pairs = [(b - 1 + s * k, a - 1 - s * k, k) for k in range(1, abs(a - b))]
-        if a and b:
-            pairs.append((a - 1, b - 1, -min(a, b)))
-        for ei, ej, k in pairs:
-            m = _shifted(_shifted(mono, i, ei), j, ej)
-            acc[m] = acc.get(m, 0) + (-2 * k if r.flips and (b + ej) % 2 else 2 * k)
-    for kappa, acc in by_kappa.items():
-        for m, k in acc.items():
-            if k:
-                out[m] = out.get(m, 0) + kappa * k
     return {m: v for m, v in out.items() if v}
+
+
+def _derivative(p: Poly, alpha: Sequence[RationalLike]) -> Poly:
+    """The derivative of p along alpha, sum of alpha_j d_j p."""
+    out: dict[Monomial, RationalLike] = {}
+    for mono, c in p.terms.items():
+        for j, a in enumerate(alpha):
+            e = mono[j]
+            if a and e:
+                m = _shifted(mono, j, e - 1)
+                out[m] = out.get(m, 0) + c * a * e
+    return Poly._raw(p.dim, {m: v for m, v in out.items() if v})
 
 
 def _shifted(mono: Monomial, i: int, e: int) -> Monomial:

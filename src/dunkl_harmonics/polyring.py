@@ -11,8 +11,9 @@ The reflection primitives live here too.  :meth:`Poly.reflect` takes the
 reflection ``r_a`` of a nonzero rational vector ``a`` from one memoized
 builder, which records r_a as a signed permutation whenever it is one (every
 catalog root) and as a dense matrix otherwise.  :meth:`Poly.divided_difference`
-is the exact quotient (p(x) - p(r_a x)) / <a, x>; the numerator vanishes on
-the hyperplane orthogonal to ``a``, so :func:`divide_by_linear` leaves no
+is the exact quotient (p(x) - p(r_a x)) / <a, x>, term by term in closed form
+when r_a is a signed permutation.  Otherwise the numerator vanishes on the
+hyperplane orthogonal to ``a``, so :func:`divide_by_linear` leaves no
 remainder, and a nonzero one is an internal error, never a property of the
 input.
 """
@@ -312,9 +313,52 @@ class Poly:
         return Poly._raw(self.dim, out)
 
     def divided_difference(self, alpha: Sequence[RationalLike]) -> Poly:
-        """Exact quotient (p(x) - p(r_a x)) / <a, x> for nonzero ``alpha``."""
+        """Exact quotient (p(x) - p(r_a x)) / <a, x> for nonzero ``alpha``.
+
+        When r_a is a signed permutation, ``a`` is c e_i or c (e_i - w e_j)
+        with w = +-1, and each term's quotient has a closed form: no
+        reflected copy of p and no division, and for c = 1 (every catalog
+        root) integer coefficients stay integers.  Any other root divides
+        p - p(r_a x) by <a, x>.
+        """
         a = tuple(as_fraction(v) for v in alpha)
-        return divide_by_linear(self - self.reflect(a), a)
+        if len(a) != self.dim:
+            raise ValueError("alpha must be a nonzero vector of the ambient dimension")
+        r = _reflection(a)
+        if r.perm is None:
+            return divide_by_linear(self - self.reflect(a), a)
+        moved = [i for i, j in enumerate(r.perm) if i != j]
+        if not moved:
+            # a = c e_i: x^b - r x^b is 2 x^b for odd b_i and 0 for even b_i
+            i = r.flips[0]
+            scale = 2 if a[i] == 1 else 2 / a[i]
+            return Poly._raw(self.dim, {
+                mono[:i] + (mono[i] - 1,) + mono[i + 1:]: c * scale
+                for mono, c in self.terms.items() if mono[i] % 2
+            })
+        # a = c (e_i - w e_j), and r maps x_i to w x_j and x_j to w x_i; with
+        # u = x_i, v = w x_j, e = b_i and f = b_j, the quotient of x^b is
+        # w^f / c (u^e v^f - u^f v^e) / (u - v) times the other variables,
+        # that is sign(e - f) w^f / c times the sum over k < |e - f| of
+        # u^(min(e, f) + k) v^(max(e, f) - 1 - k)
+        i, j = moved
+        inv = 1 if a[i] == 1 else 1 / a[i]
+        w_odd = bool(r.flips)
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in self.terms.items():
+            e, f = mono[i], mono[j]
+            if e == f:
+                continue
+            lo, hi = (f, e) if e > f else (e, f)
+            q = c * inv if e > f else -c * inv
+            signed = (q, -q) if w_odd else (q, q)
+            for k in range(hi - lo):
+                ej = hi - 1 - k
+                m = mono[:i] + (lo + k,) + mono[i + 1:j] + (ej,) + mono[j + 1:]
+                v = signed[(f + ej) % 2]
+                s = out.get(m)
+                out[m] = v if s is None else s + v
+        return Poly._raw(self.dim, {m: v for m, v in out.items() if v})
 
     def homogeneous_parts(self) -> list[tuple[int, Poly]]:
         """Split into homogeneous parts, degrees strictly increasing."""

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dunkl_harmonics import Poly, PolyParseError, format_poly, parse, pochhammer
+from dunkl_harmonics import Poly, PolyParseError, format_poly, parse, pochhammer, polyring
 from dunkl_harmonics.verify import random_poly
 
 
@@ -117,7 +117,8 @@ class TestDividedDifference:
             parse("x1", 2).divided_difference([0, 0])
 
     def test_quotient_reconstructs(self, rng):
-        alphas = [[1, 0, 0], [1, -1, 0], [1, 1, 0], [0, 1, -1], [2, 1, 3]]
+        alphas = [[1, 0, 0], [1, -1, 0], [1, 1, 0], [0, 1, -1], [2, 1, 3],
+                  [-2, 0, 0], [3, 0, -3], [F(1, 2), F(1, 2), 0], [0, -1, 1]]
         for alpha in alphas:
             linear = Poly(3, {tuple(1 if i == j else 0 for i in range(3)): F(a)
                               for j, a in enumerate(alpha) if a})
@@ -125,6 +126,18 @@ class TestDividedDifference:
                 p = random_poly(rng, 3, 5)
                 dd = p.divided_difference(alpha)
                 assert dd * linear == p - p.reflect(alpha)
+
+    def test_signed_permutation_roots_take_the_closed_form(self, rng, monkeypatch):
+        alphas = [[1, 0, 0], [-2, 0, 0], [1, -1, 0], [3, 0, 3], [0, F(1, 2), F(-1, 2)]]
+        cases = [(alpha, random_poly(rng, 3, 6)) for alpha in alphas for _ in range(4)]
+        want = [polyring.divide_by_linear(p - p.reflect(alpha), alpha) for alpha, p in cases]
+
+        def refuse(*args):
+            raise AssertionError("a signed-permutation root took the plain quotient")
+
+        monkeypatch.setattr(polyring, "divide_by_linear", refuse)
+        monkeypatch.setattr(Poly, "reflect", refuse)
+        assert [p.divided_difference(alpha) for alpha, p in cases] == want
 
 
 class TestHomogeneousParts:
