@@ -58,7 +58,9 @@ def _parse_xi(text: str, dim: int) -> list[Fraction]:
             k = int(text[1:])
         except ValueError as exc:
             raise UsageError(f"bad --xi value {text!r}") from exc
-        if not 1 <= k <= dim:
+        if k < 1:
+            raise UsageError(f"--xi axis e{k} is out of range 1..{dim}")
+        if k > dim:
             raise UsageError(f"--xi axis e{k} exceeds dimension {dim}")
         return [Fraction(1 if i == k - 1 else 0) for i in range(dim)]
     if text.startswith("v:"):

@@ -1,14 +1,17 @@
 """The Dunkl operator, its Laplacian, operator substitution, and the pairing.
 
 Everything here is exact.  :func:`dunkl_apply` is the one Dunkl-operator
-core, a partial derivative plus one divided difference per root;
-:func:`dunkl_axis` is its coordinate case.  :func:`laplacian` is linear, so it sums the Laplacian
-images of the input's monomials, and each image is computed once per
-context, from the closed form of the sum of squares, into the context's
-``tables.laplacian``.  That table holds one image per monomial the context
-has seen, so it is bounded by the monomials of the degrees the context has
-been asked about; it is dropped with the context, and the results are the
-same as those of the closed form applied to the whole input.
+core and :func:`dunkl_axis` its coordinate case.  Both operators are
+linear, so each sums the images of the input's monomials, and each image is
+computed once per context into the context's tables: ``tables.axis`` holds
+the d coordinate images D_j x^beta of a monomial, a partial derivative plus
+one divided difference per root, and ``tables.laplacian`` holds Lap x^beta
+from the closed form of the sum of squares.  The tables hold one entry per
+monomial the context has seen, so they are bounded by the monomials of the
+degrees the context has been asked about; they are dropped with the
+context, and the results are the same as those of the formulas applied to
+the whole input.  :func:`apply_operator_poly` and :func:`pairing` reach the
+axis table through :func:`dunkl_axis`.
 :func:`_laplacian_powers` is the one place that iterates the
 Laplacian over a whole sequence p, Lap p, Lap^2 p, ...; the decomposition and
 the radius expansions read that sequence.  For a homogeneous input of degree
@@ -32,30 +35,71 @@ def _require_ctx_dim(ctx: DunklContext, p: Poly) -> None:
         raise ValueError(f"polynomial dimension {p.dim} does not match context dimension {ctx.dim}")
 
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
     """Apply the Dunkl operator in direction ``xi``.
 
     D_xi p = d_xi p + sum over positive roots of
     kappa_alpha <alpha, xi> (p(x) - p(r_alpha x)) / <alpha, x>.
+    The operator is linear in p and in xi, so D_xi p is the sum of
+    c_beta xi_j D_j x^beta over the terms of p and the axes, and each
+    D_j x^beta is read from the context's table (all d axes of a monomial
+    are built together on a miss by ``_monomial_axes``).
     """
     _require_ctx_dim(ctx, p)
     v = [as_fraction(c) for c in xi]
     if len(v) != ctx.dim or not any(v):
         raise ValueError("xi must be a nonzero vector of the ambient dimension")
-    out = Poly.zero(ctx.dim)
-    for j, c in enumerate(v):
-        if c:
-            d = p.partial(j + 1)
-            out = out + (d if c == 1 else d * c)
+    axes = [(j, c) for j, c in enumerate(v) if c]
+    out: dict[Monomial, Fraction] = {}
+    for mono, c in p.terms.items():
+        images = _monomial_axis_images(ctx, mono)
+        for j, x in axes:
+            cx = c if x == 1 else c * x
+            terms = iter(images[j])
+            for m, w in zip(terms, terms):
+                s = out.get(m)
+                out[m] = cx * w if s is None else s + cx * w
+    return Poly._raw(ctx.dim, {m: w for m, w in out.items() if w})
+
+
+def _monomial_axis_images(ctx: DunklContext, mono: Monomial) -> tuple[tuple, ...]:
+    """D_j x^mono for j = 1..d from the context's table, each flat as m1, c1, m2, c2, ..."""
+    images = ctx.tables.axis
+    image = images.get(mono)
+    if image is None:
+        image = images[mono] = _monomial_axes(ctx, mono)
+    return image
+
+
+def _monomial_axes(ctx: DunklContext, mono: Monomial) -> tuple[tuple, ...]:
+    """D_j x^mono = mono_j x^(mono - e_j) + sum of kappa_alpha alpha_j delta_alpha x^mono.
+
+    The sum is over the positive roots, and delta_alpha is the divided
+    difference (p - p(r_alpha x)) / <alpha, x>.  One divided difference per
+    active root serves every axis.  The monomial
+    enters with the int coefficient 1, so for a catalog root delta_alpha
+    keeps int coefficients until it is multiplied by kappa_alpha alpha_j;
+    the table holds Fractions only, each monomial and coefficient as the
+    context's shared instance (see :class:`ContextTables`).
+    """
+    x = Poly._raw(ctx.dim, {mono: 1})
+    out: list[dict[Monomial, Fraction]] = [{} for _ in mono]
+    for j, e in enumerate(mono):
+        if e:
+            out[j][_shifted(mono, j, e - 1)] = Fraction(e)
     for root, kappa in ctx.active_roots:
-        proj = _dot(root, v)
-        if proj:
-            out = out + p.divided_difference(root) * (kappa * proj)
-    return out
+        quotient = x.divided_difference(root).terms
+        for j, a in enumerate(root):
+            if a:
+                scale = kappa * a
+                image = out[j]
+                for m, v in quotient.items():
+                    image[m] = image.get(m, 0) + scale * v
+    shared = ctx.tables.shared
+    return tuple(
+        tuple(shared.setdefault(t, t) for m, v in image.items() if v for t in (m, v))
+        for image in out
+    )
 
 
 def dunkl_axis(ctx: DunklContext, axis: int, p: Poly) -> Poly:
@@ -105,7 +149,8 @@ def _monomial_image(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fractio
     reflection is a signed permutation.  The monomial enters with the int
     coefficient 1, so for a root with integer entries (every catalog root)
     the term keeps int coefficients, which :class:`Poly` arithmetic accepts,
-    until it is multiplied by kappa_alpha; the table holds Fractions only.
+    until it is multiplied by kappa_alpha; the table holds Fractions only,
+    each monomial and coefficient as the context's shared instance.
     """
     x = Poly._raw(ctx.dim, {mono: 1})
     out: dict[Monomial, Fraction] = {}
@@ -120,7 +165,8 @@ def _monomial_image(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fractio
         for m, v in term.items():
             if v:
                 out[m] = out.get(m, 0) + kappa * v
-    return {m: v for m, v in out.items() if v}
+    shared = ctx.tables.shared
+    return {shared.setdefault(m, m): shared.setdefault(v, v) for m, v in out.items() if v}
 
 
 def _derivative(p: Poly, alpha: Sequence[RationalLike]) -> Poly:

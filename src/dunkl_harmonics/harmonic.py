@@ -7,6 +7,9 @@ coefficients of that splitting are implemented verbatim; the reconstruction
 identity is the independent check, exercised by the tests.  Both the
 projection and the splitting read the sequence p, Lap p, Lap^2 p, ...; the
 splitting computes each Lap^k p once and shares it among its components.
+The projection sums that sequence by Horner's rule in |x|^2, whose
+multiplication is a shift of exponents, so neither makes a product of two
+polynomials.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .dunkl import _laplacian_powers, laplacian, pairing
-from .polyring import Poly, monomials_of_degree, pochhammer
+from .polyring import Monomial, Poly, monomials_of_degree, pochhammer
 from .reflection import DunklContext
 
 
@@ -79,20 +82,36 @@ def proj(ctx: DunklContext, n: int, p: Poly) -> Poly:
     return _project(ctx, n, _laplacian_powers(ctx, p, n // 2))
 
 
-def _project(ctx: DunklContext, n: int, powers: list[Poly]) -> Poly:
-    """The projection of powers[0], of degree n, given powers[j] = Lap^j powers[0]."""
+def _project(ctx: DunklContext, n: int, powers: list[Poly], scale: Fraction = Fraction(1)) -> Poly:
+    """scale times the projection of powers[0], of degree n, given powers[j] = Lap^j powers[0].
+
+    The sum of c_j |x|^(2j) Lap^j p, c_j = scale / (4^j j! (-lam - n + 1)_j),
+    is taken by Horner's rule in |x|^2: out = c_k Lap^k p, then
+    out = |x|^2 out + c_j Lap^j p for j = k - 1 .. 0, where multiplying by
+    |x|^2 adds 2 to each exponent in turn.  The powers past the first zero
+    are zero, so k is the last nonzero power.
+    """
     lam = ctx.lambda_kappa
-    norm2 = Poly.norm_squared(ctx.dim)
-    out = powers[0]
-    radial = Poly.const(ctx.dim, 1)
+    coeffs = [scale]
     for j in range(1, n // 2 + 1):
-        lap = powers[j]
-        if lap.is_zero:
+        if powers[j].is_zero:
             break
-        radial = radial * norm2
-        denom = Fraction(4**j) * math.factorial(j) * pochhammer(-lam - n + 1, j)
-        out = out + radial * lap * (Fraction(1) / denom)
-    return out
+        coeffs.append(coeffs[-1] / (4 * j * (-lam - n + j)))
+    out: dict[Monomial, Fraction] = {}
+    for j in range(len(coeffs) - 1, -1, -1):
+        shifted: dict[Monomial, Fraction] = {}
+        for mono, c in out.items():
+            for i, e in enumerate(mono):
+                m = mono[:i] + (e + 2,) + mono[i + 1:]
+                s = shifted.get(m)
+                shifted[m] = c if s is None else s + c
+        out = shifted
+        c = coeffs[j]
+        terms = powers[j].terms if c == 1 else {m: c * v for m, v in powers[j].terms.items()}
+        for m, v in terms.items():
+            s = out.get(m)
+            out[m] = v if s is None else s + v
+    return Poly._raw(ctx.dim, {m: v for m, v in out.items() if v})
 
 
 def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
@@ -100,7 +119,8 @@ def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
 
     p_(n-2i) = proj(Lap^i p) / (4^i i! (lam + 1 + n - 2i)_i).  Each Lap^k p,
     k = 1..n // 2, is computed once and shared by every component's
-    projection.
+    projection, and each component's scale enters the projection's
+    coefficients.
     """
     if p.dim != ctx.dim:
         raise ValueError("polynomial dimension does not match the context")
@@ -112,7 +132,7 @@ def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
     comps = []
     for i in range(n // 2 + 1):
         denom = Fraction(4**i) * math.factorial(i) * pochhammer(lam + 1 + n - 2 * i, i)
-        comps.append((i, _project(ctx, n - 2 * i, powers[i:]) * (Fraction(1) / denom)))
+        comps.append((i, _project(ctx, n - 2 * i, powers[i:], 1 / denom)))
     return HarmonicDecomposition(n, tuple(comps))
 
 

@@ -176,9 +176,11 @@ class TestErrorPaths:
                 ["verify", "--samples", "1"],
                 "--samples must be >= 2: one sample has no standard error",
             ),
+            (["apply", "--xi", "e0", "--poly", "x1"], "--xi axis e0 is out of range 1..2"),
+            (["apply", "--xi", "e3", "--poly", "x1"], "--xi axis e3 exceeds dimension 2"),
         ],
         ids=["decompose", "pizzetti", "hobson", "funk-hecke", "kernel", "mc-one-sample",
-             "verify-zero-samples", "verify-one-sample"],
+             "verify-zero-samples", "verify-one-sample", "apply-axis-zero", "apply-axis-beyond"],
     )
     def test_invalid_input_exits_2(self, capsys, argv, message):
         context = [] if argv[0] == "verify" else ["--group", "z2^2", "--kappa", "0,0"]
@@ -234,8 +236,8 @@ class TestVerify:
     def test_injected_bug_is_caught(self, monkeypatch):
         real_project = harmonic._project
 
-        def flipped(ctx, n, powers):
-            out = real_project(ctx, n, powers)
+        def flipped(ctx, n, powers, *scale):
+            out = real_project(ctx, n, powers, *scale)
             return -out if n >= 2 else out  # sign bug in the projection
 
         monkeypatch.setattr(harmonic, "_project", flipped)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from dunkl_harmonics import (
     make_context,
     pairing,
     parse,
+    pochhammer,
+    sphere_integrate,
 )
 from dunkl_harmonics.verify import random_poly, random_vector
 
@@ -120,6 +124,40 @@ class TestPairing:
             for _ in range(4):
                 p = random_poly(rng, ctx.dim, rng.randint(0, 4), homogeneous=True)
                 assert pairing(ctx, p, p) > 0
+
+
+def gaussian_pairing(ctx, p, q):
+    """[p, q] by the Macdonald-Dunkl identity, with no Dunkl operator:
+    the sum over j of 2^j (lam + 1)_j mu(f_2j), where f is the product of
+    e^(-Lap/2) p and e^(-Lap/2) q, f_2j its degree-2j part and mu the
+    normalized integral over the weighted sphere."""
+
+    def heat(g):
+        out, k = Poly.zero(ctx.dim), 0
+        while not g.is_zero:
+            out = out + g * (F(-1, 2) ** k / math.factorial(k))
+            g, k = laplacian(ctx, g), k + 1
+        return out
+
+    total = Fraction(0)
+    for degree, part in (heat(p) * heat(q)).homogeneous_parts():
+        if degree % 2 == 0:
+            j = degree // 2
+            total += 2**j * pochhammer(ctx.lambda_kappa + 1, j) * sphere_integrate(ctx, part)
+    return total
+
+
+@pytest.mark.parametrize(
+    "family,dim,kappa",
+    [("z2", 3, [1, F(1, 2), F(2, 3)]), ("a", 3, [F(1, 3)]), ("b", 3, [F(1, 2), F(3, 2)]), ("d", 4, [F(2, 3)])],
+    ids=["z2^3", "a2", "b3", "d4"],
+)
+def test_pairing_matches_the_macdonald_identity(family, dim, kappa):
+    ctx = make_context(family, dim, kappa)
+    rng = random.Random(f"macdonald:{family}{dim}")
+    for _ in range(10):
+        p, q = (random_poly(rng, dim, 6, homogeneous=True, max_terms=8) for _ in range(2))
+        assert pairing(ctx, p, q) == gaussian_pairing(ctx, p, q)
 
 
 class TestCommutativity:

@@ -17,6 +17,7 @@ from dunkl_harmonics import (
     Poly,
     RadialPowerSum,
     canonical_decompose,
+    dunkl_apply,
     extended_pizzetti,
     h_harmonic_basis,
     hobson_apply,
@@ -24,6 +25,7 @@ from dunkl_harmonics import (
     laplacian,
     make_context,
     monomials_of_degree,
+    pairing,
     proj,
     reduce_mod_sphere,
     sphere_integrate,
@@ -91,6 +93,18 @@ def _sphere_integrate(ctx, rng):
     ]
 
 
+def _dunkl_apply(ctx, rng):
+    xi = [0] * ctx.dim
+    while not any(xi):
+        xi = [rng.randint(-3, 3) for _ in range(ctx.dim)]
+    return [dunkl_apply(ctx, xi, random_poly(rng, ctx.dim, 8, homogeneous=True, max_terms=12))]
+
+
+def _pairing(ctx, rng):
+    p, q = (random_poly(rng, ctx.dim, 6, homogeneous=True, max_terms=8) for _ in range(2))
+    return [pairing(ctx, p, q)]
+
+
 def _reduce(ctx, rng):
     return [reduce_mod_sphere(ctx, random_poly(rng, ctx.dim, 7, max_terms=8))]
 
@@ -107,6 +121,8 @@ OPERATIONS = {
     "reduce_mod_sphere": _reduce,
     "intertwiner_monomials_6": _intertwiner_monomials,
     "sphere_integrate": _sphere_integrate,
+    "dunkl_apply": _dunkl_apply,
+    "pairing": _pairing,
 }
 
 
@@ -163,6 +179,14 @@ DIGESTS = {
     ("a2", "sphere_integrate"): "7d9470535ac1e56382c14e2188f44a5d54d84005a588cc7ea977fe84bb81f972",
     ("b3", "sphere_integrate"): "fa85a129cf3c83a51133d9ca6a97685bb8124963a61286c2007074e08130473b",
     ("d4", "sphere_integrate"): "bb18e9c1d702c0a40e60808c4adc3a25a5ab5702c2c1239688588f0acdfadc5d",
+    ("z2^3", "dunkl_apply"): "f0a92c31437833609cf8a48159f838fcf1ba0c739210c034267d579365688e3d",
+    ("a2", "dunkl_apply"): "a9ece9f7c37ed31b1f955e6c36687d2cfc6ced2513da1a4c892378482c4ef18e",
+    ("b3", "dunkl_apply"): "7187843dda81710766f8cacf8a182b8f63de929a04e0d329b58eefdaaefac5be",
+    ("d4", "dunkl_apply"): "1620933af1a43fd93339d9cdfe6415181dfa6f3252a40b103fa53649735ea21a",
+    ("z2^3", "pairing"): "4326efdaab194828e3b71cb745ef67fe16aa95aef49cb9917ad0f27f0e4b38d7",
+    ("a2", "pairing"): "cad8b52936184d4f34fd6158e3e0ccfa97f7e18a3c07b621826404efebe32b48",
+    ("b3", "pairing"): "a31b00d9c6a5bc7f6d922862ca4817228a5f064402fb4d15a1ade5db21ef8dbb",
+    ("d4", "pairing"): "69c3b37a48de2cc9629ec74f915ad05a6a8354ba2b054cb040139111d81839fb",
 }
 
 

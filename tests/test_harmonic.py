@@ -116,6 +116,21 @@ class TestCanonicalDecompose:
         assert len(calls) == 4  # Lap p, ..., Lap^4 p, one call each
         assert decomp.reconstruct() == p
 
+    def test_no_polynomial_products(self, d3, monkeypatch):
+        real = Poly.__mul__
+        products = []
+
+        def counted(self, other):
+            products.append(other)
+            return real(self, other)
+
+        p = parse("x1^8 + 3*x1^2*x2^4*x3^2 - x2^5*x3^3 + 2/3*x1*x2^4*x3^3", 3)
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        decomp = canonical_decompose(d3, p)
+        assert products == []
+        monkeypatch.undo()
+        assert decomp.reconstruct() == p
+
 
 class TestIsHHarmonic:
     def test_constants(self, b2):

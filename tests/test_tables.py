@@ -1,11 +1,12 @@
-"""The per-context monomial tables behind ``laplacian`` and ``sphere_integrate``.
+"""The per-context monomial tables behind ``laplacian``, ``dunkl_apply`` and ``sphere_integrate``.
 
-A missing Laplacian image is built from divided differences of the
-monomial, which take a closed form when the root's reflection is a signed
-permutation; every such image is checked here against the closed form of
-the Laplacian with the divided difference taken as a plain quotient.  The moments are built
-by a recurrence over those images and checked against the iterated-Laplacian
-definition.  The remaining tests pin down that the tables are reused.
+A missing Laplacian or Dunkl-operator image is built from divided
+differences of the monomial, which take a closed form when the root's
+reflection is a signed permutation; every such image is checked here
+against the defining formula with the divided difference taken as a plain
+quotient.  The moments are built by a recurrence over the Laplacian images
+and checked against the iterated-Laplacian definition.  The remaining tests
+pin down that the tables are reused.
 """
 
 import math
@@ -19,6 +20,7 @@ from dunkl_harmonics import (
     RootSystem,
     dirichlet_monomial,
     dunkl,
+    dunkl_apply,
     h_harmonic_basis,
     laplacian,
     make_context,
@@ -82,6 +84,50 @@ def test_miss_path_matches_the_closed_form(name):
             image = dunkl._monomial_image(ctx, mono)
             assert all(isinstance(v, Fraction) for v in image.values()), mono
             assert Poly(ctx.dim, image) == closed_form(ctx, p), mono
+
+
+def axis_reference(ctx, j, p):
+    """D_j p = d_j p + sum over roots of kappa alpha_j (p - p(r_alpha x)) / <alpha, x>,
+    with the quotient taken by plain division: the reference for the axis table."""
+    out = p.partial(j + 1)
+    for root, kappa in ctx.active_roots:
+        if root[j]:
+            out = out + divide_by_linear(p - p.reflect(root), root) * (kappa * root[j])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_axis_miss_path_matches_the_definition(name):
+    ctx = CONTEXTS[name]
+    for n in range(9):
+        for mono in monomials_of_degree(ctx.dim, n):
+            p = Poly.monomial(ctx.dim, mono)
+            images = dunkl._monomial_axes(ctx, mono)
+            assert len(images) == ctx.dim
+            for j, flat in enumerate(images):
+                image = dict(zip(flat[::2], flat[1::2]))
+                assert len(image) * 2 == len(flat), (mono, j)
+                assert all(isinstance(v, Fraction) for v in image.values()), (mono, j)
+                assert Poly(ctx.dim, image) == axis_reference(ctx, j, p), (mono, j)
+
+
+def test_seen_monomials_take_no_divided_difference(monkeypatch):
+    ctx = make_context("d", 4, [F(2, 3)])
+    p = Poly(4, {(4, 2, 0, 1): 3, (1, 1, 4, 1): F(-1, 2), (0, 0, 6, 1): 1, (7, 0, 0, 0): F(5, 3)})
+    first = dunkl_apply(ctx, [1, -2, 0, F(1, 3)], p)
+    assert set(ctx.tables.axis) == set(p.terms)
+    taken = []
+    real = Poly.divided_difference
+
+    def counted(self, alpha):
+        taken.append(alpha)
+        return real(self, alpha)
+
+    monkeypatch.setattr(Poly, "divided_difference", counted)
+    assert dunkl_apply(ctx, [2, -4, 0, F(2, 3)], p) == first * 2
+    q = Poly(4, {m: c for m, c in p.terms.items() if m != (7, 0, 0, 0)})
+    assert dunkl_apply(ctx, [0, 0, 1, 0], q) == axis_reference(ctx, 2, q)
+    assert taken == []
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
