@@ -10,7 +10,7 @@ profiles this builds the reproducing kernel of each harmonic space.
 from fractions import Fraction
 
 from dunkl_harmonics import (
-    UniPoly,
+    Poly,
     funk_hecke_check,
     funk_hecke_coeff,
     gegenbauer,
@@ -29,9 +29,10 @@ print("\nthe intertwiner on low-degree monomials:")
 for text in ("x1", "x2", "x3", "x1*x2", "x1^2"):
     print(f"  V[{text:6s}] = {intertwiner_apply(ctx, parse(text, 3))}")
 
-# zonal integral against a degree-1 harmonic: profile t^3
+# zonal integral against a degree-1 harmonic: the profile t^3, a polynomial
+# in one variable
 q = parse("x1", 3)
-result = funk_hecke_check(ctx, UniPoly.t_power(3), q)
+result = funk_hecke_check(ctx, Poly.monomial(1, (3,)), q)
 print(f"\nzonal identity for phi = t^3 against q = {q}:")
 print("  holds exactly?", result.holds)
 print("  eigenvalue a =", result.coefficient)

@@ -92,17 +92,22 @@ def _parse_radial(text: str) -> spherical.RadialPowerSum:
     return spherical.RadialPowerSum.from_pairs(pairs)
 
 
-def _parse_phi(text: str) -> intertwine.UniPoly:
+def _parse_phi(text: str) -> Poly:
+    """The profile phi(t) as a one-variable Poly; errors quote the text as typed."""
     if "x" in text:
         raise UsageError("--phi is a polynomial in t, not in x variables")
+    # t is parsed as "x1 ", whose space keeps a digit after t out of the variable
+    # index; typed_at maps each position of the rewritten text back to the typed one
+    typed_at = [i for i, ch in enumerate(text) for _ in ("x1 " if ch == "t" else ch)]
+    typed_at.append(len(text))
     try:
-        one_var = parse(text.replace("t", "x1"), 1)
+        return parse(text.replace("t", "x1 "), 1)
     except PolyParseError as exc:
-        raise UsageError(f"bad --phi: {exc}") from exc
-    size = one_var.degree() + 1
-    return intertwine.UniPoly.from_coefficients(
-        [one_var.coefficient((n,)) for n in range(max(size, 0))]
-    )
+        at = typed_at[exc.position]
+        message = exc.message
+        if message.startswith("unexpected character"):
+            message = f"unexpected character {text[at]!r}"
+        raise UsageError(f"bad --phi: {message} (at position {at})") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,8 @@ one square exact linear system that needs reflections only, no Dunkl
 operator, and the defining property is checked independently by the test
 suite and by verify.  On top of V sit the zonal-kernel constructions: the
 Funk-Hecke identity as an exact congruence modulo the sphere ideal, and
-the degree-n reproducing kernel.
+the degree-n reproducing kernel.  A profile phi(t) is a :class:`Poly` of
+dimension 1, its variable t being x1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import _linalg
 # unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
@@ -27,117 +28,39 @@ from .reflection import DunklContext
 from .spherical import sphere_integrate
 
 
-@dataclass(frozen=True)
+# perfbench/workloads.py builds its profiles as UniPoly.t_power(l); a profile is
+# a one-variable Poly, and this name goes once the benchmark builds t^l itself
 class UniPoly:
-    """Univariate polynomial in t with rational coefficients, dense form."""
-
-    coefficients: tuple[Fraction, ...]
-
-    @classmethod
-    def from_coefficients(cls, coeffs: Sequence[RationalLike]) -> UniPoly:
-        vals = [as_fraction(c) for c in coeffs]
-        while vals and not vals[-1]:
-            vals.pop()
-        return cls(tuple(vals))
-
-    @classmethod
-    def zero(cls) -> UniPoly:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> UniPoly:
-        return cls((Fraction(1),))
-
-    @classmethod
-    def t_power(cls, n: int) -> UniPoly:
-        return cls(tuple(Fraction(1 if i == n else 0) for i in range(n + 1)))
-
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient(self, n: int) -> Fraction:
-        if 0 <= n < len(self.coefficients):
-            return self.coefficients[n]
-        return Fraction(0)
-
-    def __add__(self, other: UniPoly) -> UniPoly:
-        size = max(len(self.coefficients), len(other.coefficients))
-        return UniPoly.from_coefficients(
-            [self.coefficient(i) + other.coefficient(i) for i in range(size)]
-        )
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        size = max(len(self.coefficients), len(other.coefficients))
-        return UniPoly.from_coefficients(
-            [self.coefficient(i) - other.coefficient(i) for i in range(size)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if not self.coefficients or not other.coefficients:
-                return UniPoly.zero()
-            out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-            for i, a in enumerate(self.coefficients):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-            return UniPoly.from_coefficients(out)
-        c = as_fraction(other)
-        return UniPoly.from_coefficients([v * c for v in self.coefficients])
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def derivative(self) -> UniPoly:
-        return UniPoly.from_coefficients(
-            [i * c for i, c in enumerate(self.coefficients)][1:]
-        )
-
-    def eval_rational(self, t: RationalLike) -> Fraction:
-        t = as_fraction(t)
-        total = Fraction(0)
-        for c in reversed(self.coefficients):
-            total = total * t + c
-        return total
-
-    def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        pieces = []
-        for n in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[n]
-            if not c:
-                continue
-            body = "t" if n == 1 else f"t^{n}" if n else ""
-            mag = abs(c)
-            text = body if body and mag == 1 else f"{mag}*{body}" if body else str(mag)
-            if not pieces:
-                pieces.append(text if c > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(pieces)
+    @staticmethod
+    def t_power(n: int) -> Poly:
+        """t^n as a one-variable profile."""
+        return Poly.monomial(1, (n,))
 
 
-def gegenbauer(m: int, lam: RationalLike) -> UniPoly:
-    """Gegenbauer polynomial C_m for index lam > 0, by the three-term recurrence."""
+def _require_profile(phi: Poly) -> None:
+    if phi.dim != 1:
+        raise ValueError("a profile phi(t) must be a polynomial in one variable")
+
+
+def gegenbauer(m: int, lam: RationalLike) -> Poly:
+    """Gegenbauer polynomial C_m(t) for index lam > 0, by the three-term recurrence."""
     lam = as_fraction(lam)
     if lam <= 0:
         raise ValueError("the Gegenbauer index must be positive")
     if m < 0:
         raise ValueError("the degree must be >= 0")
-    prev = UniPoly.one()
+    prev = Poly.const(1, 1)
     if m == 0:
         return prev
-    cur = UniPoly.from_coefficients([0, 2 * lam])
-    t = UniPoly.t_power(1)
+    t = Poly.variable(1, 1)
+    cur = t * (2 * lam)
     for n in range(2, m + 1):
         nxt = (t * cur * (2 * (n + lam - 1)) - prev * (n + 2 * lam - 2)) * Fraction(1, n)
         prev, cur = cur, nxt
     return cur
 
 
-def gegenbauer_rodrigues(m: int, lam: RationalLike) -> UniPoly:
+def gegenbauer_rodrigues(m: int, lam: RationalLike) -> Poly:
     """Gegenbauer polynomial via the Rodrigues-type derivative formula.
 
     The m-th derivative of (1-t^2)^(lam+m-1/2) equals (1-t^2)^(lam-1/2)
@@ -147,11 +70,12 @@ def gegenbauer_rodrigues(m: int, lam: RationalLike) -> UniPoly:
     lam = as_fraction(lam)
     if lam <= 0:
         raise ValueError("the Gegenbauer index must be positive")
-    one_minus_t2 = UniPoly.from_coefficients([1, 0, -1])
-    g = UniPoly.one()
+    t = Poly.variable(1, 1)
+    one_minus_t2 = Poly.const(1, 1) - t * t
+    g = Poly.const(1, 1)
     s = lam + m - Fraction(1, 2)
     for _ in range(m):
-        g = one_minus_t2 * g.derivative() - UniPoly.from_coefficients([0, 2 * s]) * g
+        g = one_minus_t2 * g.partial(1) - t * g * (2 * s)
         s -= 1
     front = (
         Fraction((-1) ** m)
@@ -260,15 +184,17 @@ class BiPoly:
         return cls(d, inner**exponent)
 
     @classmethod
-    def from_unipoly_inner(cls, block_dim: int, phi: UniPoly) -> BiPoly:
-        """phi(<x, y>) expanded as a two-block polynomial."""
+    def from_profile(cls, block_dim: int, phi: Poly) -> BiPoly:
+        """phi(<x, y>) expanded as a two-block polynomial, for a profile phi(t)."""
+        _require_profile(phi)
         d = block_dim
         acc = Poly.zero(2 * d)
         power = Poly.const(2 * d, 1)
         inner = cls.inner_power(d, 1).poly
-        for n, c in enumerate(phi.coefficients):
+        for n in range(phi.degree() + 1):
             if n:
                 power = power * inner
+            c = phi.terms.get((n,))
             if c:
                 acc = acc + power * c
         return cls(d, acc)
@@ -319,7 +245,7 @@ class BiPoly:
         return str(self.poly)
 
 
-def funk_hecke_coeff(ctx: DunklContext, m: int, phi: UniPoly) -> Fraction:
+def funk_hecke_coeff(ctx: DunklContext, m: int, phi: Poly) -> Fraction:
     """The zonal eigenvalue of a polynomial profile against degree-m harmonics.
 
     A monomial t^l contributes l! / (2^l n! (lam+1)_(m+n)) when l - m = 2n
@@ -328,11 +254,10 @@ def funk_hecke_coeff(ctx: DunklContext, m: int, phi: UniPoly) -> Fraction:
     """
     if m < 0:
         raise ValueError("the harmonic degree must be >= 0")
+    _require_profile(phi)
     lam = ctx.lambda_kappa
     total = Fraction(0)
-    for l, c in enumerate(phi.coefficients):
-        if not c:
-            continue
+    for (l,), c in phi.terms.items():
         gap = l - m
         if gap < 0 or gap % 2:
             continue
@@ -343,7 +268,7 @@ def funk_hecke_coeff(ctx: DunklContext, m: int, phi: UniPoly) -> Fraction:
     return total
 
 
-def funk_hecke_coeff_moments(ctx: DunklContext, m: int, phi: UniPoly) -> Fraction:
+def funk_hecke_coeff_moments(ctx: DunklContext, m: int, phi: Poly) -> Fraction:
     """The same eigenvalue through the exact one-dimensional weighted integral.
 
     The normalized even moments of the weight (1-t^2)^(lam-1/2) reduce to
@@ -354,10 +279,11 @@ def funk_hecke_coeff_moments(ctx: DunklContext, m: int, phi: UniPoly) -> Fractio
     lam = ctx.lambda_kappa
     if lam <= 0:
         raise ValueError("the moment route needs a positive spectral index")
+    _require_profile(phi)
     psi = phi * gegenbauer(m, lam)
     total = Fraction(0)
-    for l, c in enumerate(psi.coefficients):
-        if not c or l % 2:
+    for (l,), c in psi.terms.items():
+        if l % 2:
             continue
         s = l // 2
         total += c * pochhammer(Fraction(1, 2), s) / pochhammer(lam + 1, s)
@@ -374,7 +300,7 @@ class FunkHeckeResult:
     coefficient: Fraction
 
 
-def funk_hecke_check(ctx: DunklContext, phi: UniPoly, q: Poly) -> FunkHeckeResult:
+def funk_hecke_check(ctx: DunklContext, phi: Poly, q: Poly) -> FunkHeckeResult:
     """Check the zonal-kernel identity for a polynomial profile, exactly.
 
     The left side expands phi(<x, y>) in two blocks, pushes the intertwiner
@@ -383,7 +309,7 @@ def funk_hecke_check(ctx: DunklContext, phi: UniPoly, q: Poly) -> FunkHeckeResul
     sides are compared modulo the sphere ideal.
     """
     m = require_h_harmonic(ctx, q)
-    kernel = BiPoly.from_unipoly_inner(ctx.dim, phi)
+    kernel = BiPoly.from_profile(ctx.dim, phi)
     lhs_raw = (
         kernel.map_y(lambda part: intertwiner_apply(ctx, part)).mul_y(q).integrate_y(ctx)
     )
@@ -403,7 +329,7 @@ def reproducing_kernel(ctx: DunklContext, n: int) -> BiPoly:
     if lam <= 0:
         raise ValueError("the reproducing kernel needs a positive spectral index")
     profile = gegenbauer(n, lam)
-    kernel = BiPoly.from_unipoly_inner(ctx.dim, profile)
+    kernel = BiPoly.from_profile(ctx.dim, profile)
     kernel = kernel.map_y(lambda part: intertwiner_apply(ctx, part))
     return BiPoly(ctx.dim, kernel.poly * ((n + lam) / lam))
 

@@ -2,10 +2,10 @@
 
 A :class:`Poly` is an immutable map from exponent tuples to nonzero
 ``fractions.Fraction`` coefficients in a fixed ambient dimension.  All
-arithmetic is exact; floating point enters only through
-:meth:`Poly.eval_float`.  Text I/O follows a small grammar with variables
-``x1 .. xd`` (see :func:`parse`), and :meth:`Poly.__str__` emits terms in
-graded-lexicographic order so that formatting is canonical.
+arithmetic is exact, and no float enters: the float lane is
+:mod:`dunkl_harmonics.oracle`.  Text I/O follows a small grammar with
+variables ``x1 .. xd`` (see :func:`parse`), and :meth:`Poly.__str__`
+emits terms in graded-lexicographic order so that formatting is canonical.
 
 The reflection primitives live here too.  :meth:`Poly.reflect` takes the
 reflection ``r_a`` of a nonzero rational vector ``a`` from one memoized
@@ -34,6 +34,7 @@ class PolyParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -155,9 +156,6 @@ class Poly:
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.dim, Fraction(0))
 
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
-
     def _require_same_dim(self, other: Poly) -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -240,31 +238,6 @@ class Poly:
             if e:
                 out[mono[:j] + (e - 1,) + mono[j + 1:]] = c * e
         return Poly._raw(self.dim, out)
-
-    def eval_rational(self, point: Sequence[RationalLike]) -> Fraction:
-        if len(point) != self.dim:
-            raise ValueError("point length must equal the dimension")
-        xs = [as_fraction(v) for v in point]
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for x, e in zip(xs, mono):
-                if e:
-                    v *= x**e
-            total += v
-        return total
-
-    def eval_float(self, point: Sequence[float]) -> float:
-        if len(point) != self.dim:
-            raise ValueError("point length must equal the dimension")
-        total = 0.0
-        for mono, c in self.terms.items():
-            v = float(c)
-            for x, e in zip(point, mono):
-                if e:
-                    v *= x**e
-            total += v
-        return total
 
     def substitute_linear(self, matrix: Sequence[Sequence[RationalLike]]) -> Poly:
         """Return p(Mx), exactly, for a square rational matrix M."""

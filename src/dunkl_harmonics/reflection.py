@@ -59,19 +59,9 @@ class RootSystem:
         for idx, root in enumerate(self.positive_roots):
             if len(root) != self.dim or not any(root):
                 raise ValueError(f"root #{idx} is not a nonzero vector of dimension {self.dim}")
-        # reduced: positive roots pairwise non-parallel
-        for i in range(len(self.positive_roots)):
-            for j in range(i + 1, len(self.positive_roots)):
-                u, v = self.positive_roots[i], self.positive_roots[j]
-                if all(u[a] * v[b] == u[b] * v[a] for a in range(self.dim) for b in range(self.dim)):
-                    raise ValueError(f"roots #{i} and #{j} are parallel; the system must be reduced")
-        bad = root_closure_failure(self)
-        if bad is not None:
-            beta, alpha, image = bad
-            raise ValueError(
-                f"the reflection across {beta} maps {alpha} to {image}, "
-                "outside the root set or its orbit"
-            )
+        fault = _root_set_fault(self.positive_roots, self.orbit_ids)
+        if fault is not None:
+            raise ValueError(fault)
 
     def kappa_of(self, index: int) -> Fraction:
         return self.kappa_by_orbit[self.orbit_ids[index]]
@@ -227,14 +217,40 @@ def root_closure_failure(rs: RootSystem) -> tuple[Vector, Vector, Vector] | None
     Each reflection must map every root to a root of the same orbit, up to
     sign, so that it permutes the root set and preserves multiplicities.
     """
-    index = {root: i for i, root in enumerate(rs.positive_roots)}
-    for beta in rs.positive_roots:
+    return _closure_failure(rs.positive_roots, rs.orbit_ids)
+
+
+def _closure_failure(
+    roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]
+) -> tuple[Vector, Vector, Vector] | None:
+    index = {root: i for i, root in enumerate(roots)}
+    for beta in roots:
         r = _reflection(beta)
-        for i, alpha in enumerate(rs.positive_roots):
+        for i, alpha in enumerate(roots):
             image = r.apply(alpha)
             pos = image if image in index else tuple(-v for v in image)
-            if pos not in index or rs.orbit_ids[index[pos]] != rs.orbit_ids[i]:
+            if pos not in index or orbit_ids[index[pos]] != orbit_ids[i]:
                 return beta, alpha, image
+    return None
+
+
+@functools.lru_cache(maxsize=64)
+def _root_set_fault(roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]) -> str | None:
+    """Why the roots are not a reduced, reflection-closed system, or None.
+
+    The verdict depends on the roots and their orbits only, not on the
+    multiplicities, so it is computed once per root set: the O(R^2) checks
+    in Fractions otherwise dominate every ``make_context``.
+    """
+    for i, u in enumerate(roots):
+        for j in range(i + 1, len(roots)):
+            v = roots[j]
+            if all(u[a] * v[b] == u[b] * v[a] for a in range(len(u)) for b in range(len(u))):
+                return f"roots #{i} and #{j} are parallel; the system must be reduced"
+    bad = _closure_failure(roots, orbit_ids)
+    if bad is not None:
+        beta, alpha, image = bad
+        return f"the reflection across {beta} maps {alpha} to {image}, outside the root set or its orbit"
     return None
 
 

@@ -576,19 +576,18 @@ def check_funk_hecke(ctx: DunklContext, rng: random.Random, max_degree: int) -> 
         basis = harmonic.h_harmonic_basis(ctx, m)
         for q in basis[:2]:
             for l in range(top_l + 1):
-                result = intertwine.funk_hecke_check(ctx, intertwine.UniPoly.t_power(l), q)
+                result = intertwine.funk_hecke_check(ctx, Poly.monomial(1, (l,)), q)
                 if not result.holds:
                     return _fail(f"l<={top_l}, m<=2", phi=f"t^{l}", q=q,
                                  lhs=result.lhs, rhs=result.rhs)
     # linearity in the profile
     basis = harmonic.h_harmonic_basis(ctx, 1)
     q = basis[0]
-    phi = intertwine.UniPoly.from_coefficients(
-        [random_fraction(rng, zero_ok=True) for _ in range(top_l + 1)]
-    )
+    phi = Poly(1, {(l,): random_fraction(rng, zero_ok=True) for l in range(top_l + 1)})
     combined = intertwine.funk_hecke_check(ctx, phi, q)
     if not combined.holds:
-        return _fail(f"l<={top_l}, m<=2", phi=phi, q=q, lhs=combined.lhs, rhs=combined.rhs)
+        return _fail(f"l<={top_l}, m<=2", phi=str(phi).replace("x1", "t"), q=q,
+                     lhs=combined.lhs, rhs=combined.rhs)
     return _ok(f"l<={top_l}, m<=2")
 
 

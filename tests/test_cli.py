@@ -92,6 +92,19 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out) == {"a": "1/8", "holds": True}
 
+    @pytest.mark.parametrize(
+        "phi,a",
+        [("0", "0"), ("2*t^4 - 1/3*t^2 + 3", "7/72")],
+        ids=["zero", "rational-four-term"],
+    )
+    def test_funk_hecke_profiles(self, capsys, phi, a):
+        code, out, _ = run_cli(
+            capsys,
+            "funk-hecke", "--group", "z2^2", "--kappa", "1/2,1/2", "--phi", phi, "--q", "x1^2 - x2^2",
+        )
+        assert code == 0
+        assert json.loads(out) == {"a": a, "holds": True}
+
     def test_kernel(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--group", "z2^2", "--kappa", "1/2,1/2", "--n", "0")
         assert code == 0
@@ -178,9 +191,22 @@ class TestErrorPaths:
             ),
             (["apply", "--xi", "e0", "--poly", "x1"], "--xi axis e0 is out of range 1..2"),
             (["apply", "--xi", "e3", "--poly", "x1"], "--xi axis e3 exceeds dimension 2"),
+            (
+                ["funk-hecke", "--phi", "t^2 + t^", "--q", "x1"],
+                "bad --phi: expected an exponent (at position 8)",
+            ),
+            (
+                ["funk-hecke", "--phi", "t^2 t", "--q", "x1"],
+                "bad --phi: unexpected character 't' (at position 4)",
+            ),
+            (
+                ["funk-hecke", "--phi", "x1^2", "--q", "x1"],
+                "--phi is a polynomial in t, not in x variables",
+            ),
         ],
         ids=["decompose", "pizzetti", "hobson", "funk-hecke", "kernel", "mc-one-sample",
-             "verify-zero-samples", "verify-one-sample", "apply-axis-zero", "apply-axis-beyond"],
+             "verify-zero-samples", "verify-one-sample", "apply-axis-zero", "apply-axis-beyond",
+             "phi-missing-exponent", "phi-two-terms-without-sign", "phi-in-x"],
     )
     def test_invalid_input_exits_2(self, capsys, argv, message):
         context = [] if argv[0] == "verify" else ["--group", "z2^2", "--kappa", "0,0"]

@@ -19,6 +19,8 @@ from dunkl_harmonics import (
     canonical_decompose,
     dunkl_apply,
     extended_pizzetti,
+    funk_hecke_check,
+    funk_hecke_coeff_moments,
     h_harmonic_basis,
     hobson_apply,
     intertwiner_apply,
@@ -28,6 +30,7 @@ from dunkl_harmonics import (
     pairing,
     proj,
     reduce_mod_sphere,
+    reproducing_kernel,
     sphere_integrate,
 )
 from dunkl_harmonics.verify import random_poly
@@ -109,6 +112,26 @@ def _reduce(ctx, rng):
     return [reduce_mod_sphere(ctx, random_poly(rng, ctx.dim, 7, max_terms=8))]
 
 
+def _profile(rng):
+    # a degree-5 profile phi(t) with every coefficient nonzero, drawn for l = 0..5
+    coeffs = [rng.choice((-1, 1)) * Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(6)]
+    return sum((c * Poly.monomial(1, (l,)) for l, c in enumerate(coeffs)), Poly.zero(1))
+
+
+def _reproducing_kernel(ctx, rng):
+    return [reproducing_kernel(ctx, 3).poly]
+
+
+def _funk_hecke_check(ctx, rng):
+    result = funk_hecke_check(ctx, _profile(rng), h_harmonic_basis(ctx, 1)[0])
+    return [result.holds, result.lhs, result.rhs, result.coefficient]
+
+
+def _funk_hecke_moments(ctx, rng):
+    phi = _profile(rng)
+    return [funk_hecke_coeff_moments(ctx, m, phi) for m in range(5)]
+
+
 OPERATIONS = {
     "laplacian": _laplacian,
     "canonical_decompose": _decompose,
@@ -123,6 +146,9 @@ OPERATIONS = {
     "sphere_integrate": _sphere_integrate,
     "dunkl_apply": _dunkl_apply,
     "pairing": _pairing,
+    "reproducing_kernel_3": _reproducing_kernel,
+    "funk_hecke_check_5": _funk_hecke_check,
+    "funk_hecke_moments_5": _funk_hecke_moments,
 }
 
 
@@ -187,6 +213,18 @@ DIGESTS = {
     ("a2", "pairing"): "cad8b52936184d4f34fd6158e3e0ccfa97f7e18a3c07b621826404efebe32b48",
     ("b3", "pairing"): "a31b00d9c6a5bc7f6d922862ca4817228a5f064402fb4d15a1ade5db21ef8dbb",
     ("d4", "pairing"): "69c3b37a48de2cc9629ec74f915ad05a6a8354ba2b054cb040139111d81839fb",
+    ("z2^3", "reproducing_kernel_3"): "a230f1c28b548f623475388f936d5cb24ab3fa76f2065975401477961826c3e8",
+    ("a2", "reproducing_kernel_3"): "57b592331bc385ad0f5e8b983a2528d3e2662400710f2c43e227359e5eee77ea",
+    ("b3", "reproducing_kernel_3"): "5f73b091caa653defc99fecaf5bd402ca27e06ecc2d3dd5eccc2ccb375b01e2b",
+    ("d4", "reproducing_kernel_3"): "4b16c90250c0f01ff96929d347cda87d467892840d398e391bd3776eb15fd3ab",
+    ("z2^3", "funk_hecke_check_5"): "967b4542c9f38b1aad434513961f7d63aafbde9e4293398498d0718e8a0479de",
+    ("a2", "funk_hecke_check_5"): "e72163ee7504a830c9ef985e3426197b2ba93f82a928c7300dd54ea108c44b41",
+    ("b3", "funk_hecke_check_5"): "67a5cbc93a827881f2ebf7369945966d0d5306c9faf3784c53969a821cb4ff1f",
+    ("d4", "funk_hecke_check_5"): "1648e249d410bf4456712bbee12004fb78d3eb9d5c027ac154a20dfab16c9bce",
+    ("z2^3", "funk_hecke_moments_5"): "e7f2af4c7badd18a67c2f81fa28b45c066535a7c30ae6e816f36ab402b8009f3",
+    ("a2", "funk_hecke_moments_5"): "2655d4d094c6a65a1eb8c1b616e5bfdb24a7d162d456df2269abe39e2d7d2a5a",
+    ("b3", "funk_hecke_moments_5"): "fb4de840dc318173b91efffc8e2314c51b02fd2f7abecb37fff020dadf6ba1b4",
+    ("d4", "funk_hecke_moments_5"): "9681433da9f03e63d8c269b4880ea3aa06aa43f479b499e504eef80e3b31a372",
 }
 
 

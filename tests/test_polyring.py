@@ -53,18 +53,6 @@ class TestCalculus:
         with pytest.raises(ValueError):
             parse("x1", 2).partial(3)
 
-    def test_eval_rational(self):
-        p = parse("x1^2 + x2", 2)
-        assert p.eval_rational([F(1, 2), F(1, 4)]) == F(1, 2)
-        assert Poly.const(2, 1).eval_rational([F(7), F(-3, 5)]) == 1
-
-    def test_eval_float(self):
-        assert parse("x1", 2).eval_float([0.25, 0.0]) == 0.25
-
-    def test_eval_length_mismatch(self):
-        with pytest.raises(ValueError):
-            parse("x1", 2).eval_rational([F(1)])
-
 
 class TestSubstitution:
     def test_identity(self):

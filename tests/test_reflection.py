@@ -4,6 +4,7 @@ import pytest
 
 from dunkl_harmonics import (
     DunklContext,
+    polyring,
     RootSystem,
     context_from_descriptor,
     dunkl_apply,
@@ -11,6 +12,7 @@ from dunkl_harmonics import (
     reflection_matrix,
     sphere_integrate,
 )
+from dunkl_harmonics.reflection import root_closure_failure
 from dunkl_harmonics.verify import random_poly, random_vector
 
 
@@ -142,3 +144,29 @@ class TestInvariance:
         b2_roots = ((F(1), F(0)), (F(0), F(1)), (F(1), F(-1)), (F(1), F(1)))
         with pytest.raises(ValueError):
             RootSystem(2, b2_roots, (0, 0, 1, 2), (F(1), F(1), F(2)))
+
+
+class TestRootSetVerdict:
+    def test_faulty_systems_raise_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="roots #0 and #1 are parallel"):
+                RootSystem(2, ((F(1), F(0)), (F(2), F(0))), (0, 0), (F(1),))
+            with pytest.raises(ValueError, match="outside the root set or its orbit"):
+                RootSystem(2, ((F(1), F(0)), (F(1), F(1))), (0, 1), (F(1), F(1)))
+
+    def test_second_context_of_a_family_applies_no_reflection(self, monkeypatch):
+        make_context("d", 4, [F(1, 3)])
+        calls = []
+        apply = polyring._Reflection.apply
+
+        def counted(self, v):
+            calls.append(v)
+            return apply(self, v)
+
+        monkeypatch.setattr(polyring._Reflection, "apply", counted)
+        ctx = make_context("d", 4, [F(5, 7)])
+        assert calls == []
+        assert ctx.lambda_kappa == 1 + 12 * F(5, 7)
+        # the closure check that verify reports is recomputed on request
+        assert root_closure_failure(ctx.root_system) is None
+        assert calls
