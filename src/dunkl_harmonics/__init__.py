@@ -45,7 +45,6 @@ from .spherical import (
     sphere_integrate,
 )
 from .intertwine import (
-    BiPoly,
     FunkHeckeResult,
     UniPoly,
     funk_hecke_check,
@@ -63,7 +62,6 @@ from .verify import CheckResult, VerifyReport, verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly",
     "CheckResult",
     "DunklContext",
     "FunkHeckeResult",

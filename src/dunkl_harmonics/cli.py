@@ -251,7 +251,7 @@ def _run(args) -> int:
         if args.n < 0:
             raise UsageError("--n must be >= 0")
         kernel = intertwine.reproducing_kernel(ctx, args.n)
-        _emit({"n": args.n, "block_dim": ctx.dim, "result": format_poly(kernel.poly)})
+        _emit({"n": args.n, "block_dim": ctx.dim, "result": format_poly(kernel)})
     elif command == "mc":
         p = _poly(args.poly, ctx, "--poly")
         if args.samples < 2:

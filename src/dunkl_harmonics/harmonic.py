@@ -31,9 +31,6 @@ class HarmonicDecomposition:
     degree: int
     components: tuple[tuple[int, Poly], ...]
 
-    def component(self, i: int) -> Poly:
-        return self.components[i][1]
-
     def reconstruct(self) -> Poly:
         dim = self.components[0][1].dim
         norm2 = Poly.norm_squared(dim)

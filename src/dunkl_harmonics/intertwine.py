@@ -9,7 +9,10 @@ operator, and the defining property is checked independently by the test
 suite and by verify.  On top of V sit the zonal-kernel constructions: the
 Funk-Hecke identity as an exact congruence modulo the sphere ideal, and
 the degree-n reproducing kernel.  A profile phi(t) is a :class:`Poly` of
-dimension 1, its variable t being x1.
+dimension 1, its variable t being x1.  The zonal functions sum over the
+terms (l!/gamma!) x^gamma V y^gamma of phi(<x, y>) pushed through V in y,
+with V y^gamma read from the V table; there is no two-block polynomial
+type, and the reproducing kernel is a plain :class:`Poly` in 2d variables.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Iterator
 
 from . import _linalg
 # unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
@@ -158,91 +161,29 @@ def intertwiner_apply(ctx: DunklContext, p: Poly) -> Poly:
 # zonal kernels
 
 
-@dataclass(frozen=True)
-class BiPoly:
-    """Polynomial in two blocks of d variables: x = 1..d, y = d+1..2d."""
+def _zonal_terms(ctx: DunklContext, phi: Poly) -> Iterator[tuple[Monomial, Fraction, Poly]]:
+    """The terms (gamma, weight, V y^gamma) of phi(<x, y>) pushed through V in y.
 
-    block_dim: int
-    poly: Poly
+    <x, y>^l = sum over |gamma| = l of (l!/gamma!) x^gamma y^gamma, so V in y
+    sends phi(<x, y>) = sum_l c_l <x, y>^l to the sum of
+    c_l (l!/gamma!) x^gamma V y^gamma.  Each gamma occurs once.
+    """
+    _require_profile(phi)
+    for (l,), c in phi.terms.items():
+        for gamma, image in _intertwiner_table(ctx, l).items():
+            multinomial = math.factorial(l) // math.prod(math.factorial(e) for e in gamma)
+            yield gamma, c * multinomial, image
 
-    def __post_init__(self):
-        if self.poly.dim != 2 * self.block_dim:
-            raise ValueError("the underlying polynomial must live in twice the block dimension")
 
-    @classmethod
-    def inner_power(cls, block_dim: int, exponent: int) -> BiPoly:
-        """<x, y>^exponent as a two-block polynomial."""
-        d = block_dim
-        inner = Poly(
-            2 * d,
-            {
-                tuple((1 if k == i else 0) for k in range(d))
-                + tuple((1 if k == i else 0) for k in range(d)): Fraction(1)
-                for i in range(d)
-            },
-        )
-        return cls(d, inner**exponent)
-
-    @classmethod
-    def from_profile(cls, block_dim: int, phi: Poly) -> BiPoly:
-        """phi(<x, y>) expanded as a two-block polynomial, for a profile phi(t)."""
-        _require_profile(phi)
-        d = block_dim
-        acc = Poly.zero(2 * d)
-        power = Poly.const(2 * d, 1)
-        inner = cls.inner_power(d, 1).poly
-        for n in range(phi.degree() + 1):
-            if n:
-                power = power * inner
-            c = phi.terms.get((n,))
-            if c:
-                acc = acc + power * c
-        return cls(d, acc)
-
-    def _grouped_by_x(self) -> dict[Monomial, dict[Monomial, Fraction]]:
-        d = self.block_dim
-        groups: dict[Monomial, dict[Monomial, Fraction]] = {}
-        for mono, c in self.poly.terms.items():
-            groups.setdefault(mono[:d], {})[mono[d:]] = c
-        return groups
-
-    def map_y(self, func: Callable[[Poly], Poly]) -> BiPoly:
-        """Apply a linear map to the y-block, x-monomials passive."""
-        d = self.block_dim
-        out: dict[Monomial, Fraction] = {}
-        for x_mono, y_terms in self._grouped_by_x().items():
-            image = func(Poly(d, y_terms))
-            for m, c in image.terms.items():
-                key = x_mono + m
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-        return BiPoly(d, Poly(2 * d, out))
-
-    def mul_y(self, q: Poly) -> BiPoly:
-        """Multiply by q(y)."""
-        if q.dim != self.block_dim:
-            raise ValueError("q must live in the block dimension")
-        embedded = Poly(
-            2 * self.block_dim,
-            {(0,) * self.block_dim + mono: c for mono, c in q.terms.items()},
-        )
-        return BiPoly(self.block_dim, self.poly * embedded)
-
-    def integrate_y(self, ctx: DunklContext) -> Poly:
-        """Normalized weighted spherical integral over the y-block."""
-        if ctx.dim != self.block_dim:
-            raise ValueError("context dimension must equal the block dimension")
-        d = self.block_dim
-        out: dict[Monomial, Fraction] = {}
-        for x_mono, y_terms in self._grouped_by_x().items():
-            value = sphere_integrate(ctx, Poly(d, y_terms))
-            if value:
-                prev = out.get(x_mono)
-                out[x_mono] = value if prev is None else prev + value
-        return Poly(d, out)
-
-    def __str__(self) -> str:
-        return str(self.poly)
+def _y_integral(ctx: DunklContext, phi: Poly, q: Poly) -> Poly:
+    """The weighted spherical integral over y of (V_y phi(<x, y>)) q(y), a polynomial in x."""
+    return Poly(
+        ctx.dim,
+        {
+            gamma: weight * sphere_integrate(ctx, image * q)
+            for gamma, weight, image in _zonal_terms(ctx, phi)
+        },
+    )
 
 
 def funk_hecke_coeff(ctx: DunklContext, m: int, phi: Poly) -> Fraction:
@@ -303,43 +244,41 @@ class FunkHeckeResult:
 def funk_hecke_check(ctx: DunklContext, phi: Poly, q: Poly) -> FunkHeckeResult:
     """Check the zonal-kernel identity for a polynomial profile, exactly.
 
-    The left side expands phi(<x, y>) in two blocks, pushes the intertwiner
-    through the y-block, multiplies by q(y), and integrates the y-block over
-    the weighted sphere; the right side is the eigenvalue times q.  Both
-    sides are compared modulo the sphere ideal.
+    The left side pushes the intertwiner through phi(<x, y>) in y,
+    multiplies by q(y), and integrates over y on the weighted sphere; the
+    right side is the eigenvalue times q.  Both sides are compared modulo
+    the sphere ideal.
     """
     m = require_h_harmonic(ctx, q)
-    kernel = BiPoly.from_profile(ctx.dim, phi)
-    lhs_raw = (
-        kernel.map_y(lambda part: intertwiner_apply(ctx, part)).mul_y(q).integrate_y(ctx)
-    )
+    lhs_raw = _y_integral(ctx, phi, q)
     a = funk_hecke_coeff(ctx, m, phi)
     lhs = reduce_mod_sphere(ctx, lhs_raw)
     rhs = reduce_mod_sphere(ctx, q * a)
     return FunkHeckeResult(lhs == rhs, lhs, rhs, a)
 
 
-def reproducing_kernel(ctx: DunklContext, n: int) -> BiPoly:
-    """The degree-n zonal reproducing kernel.
-
-    (n + lam)/lam times the intertwined Gegenbauer profile of the inner
-    product; defined for lam > 0.
-    """
+def _reproducing_profile(ctx: DunklContext, n: int) -> Poly:
+    """(n + lam)/lam times the degree-n Gegenbauer profile; defined for lam > 0."""
     lam = ctx.lambda_kappa
     if lam <= 0:
         raise ValueError("the reproducing kernel needs a positive spectral index")
-    profile = gegenbauer(n, lam)
-    kernel = BiPoly.from_profile(ctx.dim, profile)
-    kernel = kernel.map_y(lambda part: intertwiner_apply(ctx, part))
-    return BiPoly(ctx.dim, kernel.poly * ((n + lam) / lam))
+    return gegenbauer(n, lam) * ((n + lam) / lam)
+
+
+def reproducing_kernel(ctx: DunklContext, n: int) -> Poly:
+    """The degree-n zonal reproducing kernel, the intertwined profile of <x, y>,
+    as a polynomial in 2d variables: x is variables 1..d and y is d+1..2d."""
+    out: dict[Monomial, Fraction] = {}
+    for gamma, weight, image in _zonal_terms(ctx, _reproducing_profile(ctx, n)):
+        for mono, c in image.terms.items():
+            out[gamma + mono] = weight * c
+    return Poly(2 * ctx.dim, out)
 
 
 def reproducing_check(ctx: DunklContext, n: int, q: Poly) -> bool:
     """Integrating the degree-n kernel against q reproduces q exactly when
     the degrees match and annihilates q otherwise, modulo the sphere ideal."""
     m = require_h_harmonic(ctx, q)
-    kernel = reproducing_kernel(ctx, n)
-    integral = kernel.mul_y(q).integrate_y(ctx)
-    lhs = reduce_mod_sphere(ctx, integral)
+    lhs = reduce_mod_sphere(ctx, _y_integral(ctx, _reproducing_profile(ctx, n), q))
     rhs = reduce_mod_sphere(ctx, q) if m == n else Poly.zero(ctx.dim)
     return lhs == rhs

@@ -38,7 +38,8 @@ class RootSystem:
     ``orbit_ids[k]`` is the orbit of ``positive_roots[k]``; ``kappa_by_orbit``
     assigns one multiplicity per orbit.  Construction checks that every
     reflection maps the roots onto roots of the same orbit, so the roots and
-    the multiplicities are invariant under the group.
+    the multiplicities are invariant under the group.  Root entries and
+    multiplicities are stored as Fractions, whatever exact type they came in.
     """
 
     dim: int
@@ -48,6 +49,15 @@ class RootSystem:
     family: str | None = None
 
     def __post_init__(self):
+        try:
+            roots = tuple(tuple(map(as_fraction, root)) for root in self.positive_roots)
+            kappas = tuple(map(as_fraction, self.kappa_by_orbit))
+        except TypeError as exc:
+            raise ValueError(f"roots and multiplicities must be exact: {exc}") from None
+        # an int root would otherwise reach the reflection cache, whose keys
+        # compare equal to the Fraction roots of other systems
+        object.__setattr__(self, "positive_roots", roots)
+        object.__setattr__(self, "kappa_by_orbit", kappas)
         if self.dim < 2:
             raise ValueError("dimension must be >= 2")
         if len(self.orbit_ids) != len(self.positive_roots):

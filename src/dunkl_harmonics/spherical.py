@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dunkl import _laplacian_powers, _monomial_laplacian, apply_operator_poly, laplacian
+from .dunkl import _laplacian_powers, _monomial_laplacian, apply_operator_poly
+# unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
+from .dunkl import laplacian
 from .harmonic import require_h_harmonic
 from .polyring import Monomial, Poly, RationalLike, as_fraction, pochhammer
 from .reflection import DunklContext
@@ -142,10 +144,7 @@ def pair_integral(ctx: DunklContext, q: Poly, p: Poly) -> Fraction:
     if gap < 0 or gap % 2:
         return Fraction(0)
     n = gap // 2
-    value = p
-    for _ in range(n):
-        value = laplacian(ctx, value)
-    value = apply_operator_poly(ctx, q, value)
+    value = apply_operator_poly(ctx, q, _laplacian_powers(ctx, p, n)[n])
     return value.constant_term() / (
         Fraction(2 ** (m + 2 * n)) * math.factorial(n) * pochhammer(ctx.lambda_kappa + 1, m + n)
     )

@@ -119,7 +119,7 @@ def _profile(rng):
 
 
 def _reproducing_kernel(ctx, rng):
-    return [reproducing_kernel(ctx, 3).poly]
+    return [reproducing_kernel(ctx, 3)]
 
 
 def _funk_hecke_check(ctx, rng):

@@ -63,19 +63,19 @@ class TestCanonicalDecompose:
     def test_norm_squared(self, nonzero_corpus):
         for ctx in nonzero_corpus:
             decomp = canonical_decompose(ctx, Poly.norm_squared(ctx.dim))
-            assert decomp.component(0).is_zero
-            assert decomp.component(1) == Poly.const(ctx.dim, 1)
+            assert decomp.components[0][1].is_zero
+            assert decomp.components[1][1] == Poly.const(ctx.dim, 1)
 
     def test_harmonic_input_single_component(self, a2):
         q = h_harmonic_basis(a2, 2)[1]
         decomp = canonical_decompose(a2, q)
-        assert decomp.component(0) == q
-        assert decomp.component(1).is_zero
+        assert decomp.components[0][1] == q
+        assert decomp.components[1][1].is_zero
 
     def test_classical_x1_squared(self, z2_2_zero):
         decomp = canonical_decompose(z2_2_zero, parse("x1^2", 2))
-        assert decomp.component(0) == parse("1/2*x1^2 - 1/2*x2^2", 2)
-        assert decomp.component(1) == Poly.const(2, F(1, 2))
+        assert decomp.components[0][1] == parse("1/2*x1^2 - 1/2*x2^2", 2)
+        assert decomp.components[1][1] == Poly.const(2, F(1, 2))
         assert decomp.reconstruct() == parse("x1^2", 2)
 
     def test_reconstruction_and_harmonicity(self, rng, nonzero_corpus):

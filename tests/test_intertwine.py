@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from dunkl_harmonics import (
-    BiPoly,
     DunklContext,
     Poly,
     RootSystem,
@@ -157,27 +156,6 @@ class TestFunkHeckeCoeff:
                     assert funk_hecke_coeff_moments(ctx, m, gegenbauer(n, lam)) == want
 
 
-class TestBiPoly:
-    def test_inner_power_diagonal(self):
-        bp = BiPoly.inner_power(2, 2)
-        # (x1 y1 + x2 y2)^2 with y-block as variables 3, 4
-        expected = parse("x1^2*x3^2 + 2*x1*x2*x3*x4 + x2^2*x4^2", 4)
-        assert bp.poly == expected
-
-    def test_integrate_y(self, z2_2):
-        bp = BiPoly.inner_power(2, 2)
-        got = bp.integrate_y(z2_2)
-        want = parse("x1^2", 2) * sphere_integrate(z2_2, parse("x1^2", 2)) + parse(
-            "x2^2", 2
-        ) * sphere_integrate(z2_2, parse("x2^2", 2))
-        assert got == want
-
-    def test_mul_y(self):
-        bp = BiPoly.inner_power(2, 1)
-        out = bp.mul_y(parse("x2", 2))
-        assert out.poly == parse("x1*x3*x4 + x2*x4^2", 4)
-
-
 class TestFunkHeckeCheck:
     def test_monomial_profiles(self, z2_2, b2):
         for ctx in (z2_2, b2):
@@ -235,12 +213,48 @@ class TestFunkHeckeCheck:
 class TestReproducing:
     def test_kernel_degree_zero(self, z2_2):
         kernel = reproducing_kernel(z2_2, 0)
-        assert kernel.poly == Poly.const(4, 1)
+        assert kernel == Poly.const(4, 1)
 
     def test_kernel_classical_linear(self):
         ctx = make_context("z2", 3, [0, 0, 0])
         kernel = reproducing_kernel(ctx, 1)
-        assert kernel.poly == parse("3*x1*x4 + 3*x2*x5 + 3*x3*x6", 6)
+        assert kernel == parse("3*x1*x4 + 3*x2*x5 + 3*x3*x6", 6)
+
+    def test_kernel_at_kappa_zero_is_the_gegenbauer_profile(self):
+        # V is the identity and lam = 1/2, so the kernel is (n + lam)/lam C_n(<x, y>),
+        # here built from powers of <x, y> rather than from the multinomial weights
+        for ctx in (make_context("z2", 3, [0, 0, 0]), make_context("a", 3, [0])):
+            lam = ctx.lambda_kappa
+            assert lam == F(1, 2)
+            d = ctx.dim
+            inner = sum(
+                (Poly.variable(2 * d, i) * Poly.variable(2 * d, d + i) for i in range(1, d + 1)),
+                Poly.zero(2 * d),
+            )
+            for n in range(5):
+                want = Poly.zero(2 * d)
+                for (l,), c in gegenbauer(n, lam).terms.items():
+                    want = want + inner**l * c
+                kernel = reproducing_kernel(ctx, n)
+                assert kernel.dim == 2 * d
+                assert kernel == want * ((n + lam) / lam)
+
+    def test_materialized_kernel_reproduces(self, z2_3, b2):
+        # integrate the kernel's y-block against q term by term, grouped by x-monomial
+        for ctx in (z2_3, b2):
+            d = ctx.dim
+            for n in range(3):
+                groups = {}
+                for mono, c in reproducing_kernel(ctx, n).terms.items():
+                    groups.setdefault(mono[:d], {})[mono[d:]] = c
+                for m in range(3):
+                    for q in h_harmonic_basis(ctx, m):
+                        integral = Poly(
+                            d,
+                            {x: sphere_integrate(ctx, Poly(d, y) * q) for x, y in groups.items()},
+                        )
+                        want = reduce_mod_sphere(ctx, q) if m == n else Poly.zero(d)
+                        assert reduce_mod_sphere(ctx, integral) == want
 
     def test_delta_behavior(self, z2_2, a2):
         for ctx in (z2_2, a2):

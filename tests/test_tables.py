@@ -26,6 +26,7 @@ from dunkl_harmonics import (
     make_context,
     monomials_of_degree,
     pochhammer,
+    reflection_matrix,
     sphere_integrate,
 )
 from dunkl_harmonics.polyring import divide_by_linear
@@ -180,3 +181,27 @@ def test_deep_moment_chain_is_iterative():
     ctx = make_context("z2", 2, [F(1, 2), F(1, 3)])
     value = sphere_integrate(ctx, Poly.monomial(2, (2400, 0)))
     assert value == dirichlet_monomial(ctx, (1200, 0))
+
+
+def test_int_roots_are_stored_exact_and_leave_the_reflection_cache_exact():
+    # roots that no other test uses, so the reflection cache first sees them
+    # from the int system, and whose reflections are exact even in floats;
+    # an int key equals the Fraction key of the same root
+    int_roots = ((1, 1, 1, 1), (1, -1, 1, -1))
+    frac_roots = tuple(tuple(F(v) for v in root) for root in int_roots)
+    int_ctx = DunklContext.from_root_system(RootSystem(4, int_roots, (0, 1), (1, 2)))
+    frac_ctx = DunklContext.from_root_system(RootSystem(4, frac_roots, (0, 1), (F(1, 2), F(3, 4))))
+    for ctx in (int_ctx, frac_ctx):
+        rs = ctx.root_system
+        assert all(type(v) is Fraction for root in rs.positive_roots for v in root)
+        assert all(type(k) is Fraction for k in rs.kappa_by_orbit)
+        for root in frac_roots:
+            assert all(type(v) is Fraction for row in reflection_matrix(ctx, root) for v in row)
+        for degree in range(1, 5):
+            for mono in monomials_of_degree(4, degree):
+                p = Poly.monomial(4, mono)
+                assert laplacian(ctx, p) == closed_form(ctx, p)
+    with pytest.raises(ValueError, match="exact"):
+        RootSystem(2, ((1.0, 2.0), (2, -1)), (0, 1), (1, 1))
+    with pytest.raises(ValueError, match="exact"):
+        RootSystem(2, int_roots, (0, 1), (0.5, 1))
