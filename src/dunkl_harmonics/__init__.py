@@ -57,7 +57,7 @@ from .intertwine import (
     reproducing_kernel,
 )
 from .oracle import McEstimate, bessel_phi, dirichlet_monomial, mc_sphere_integral
-from .verify import CheckResult, VerifyReport, verify
+from .verify import CheckResult, VerifyReport
 
 __version__ = "0.1.0"
 
@@ -112,5 +112,4 @@ __all__ = [
     "reproducing_check",
     "reproducing_kernel",
     "sphere_integrate",
-    "verify",
 ]

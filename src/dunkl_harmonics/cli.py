@@ -13,9 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from . import harmonic, intertwine, oracle, spherical
+from . import harmonic, intertwine, oracle, spherical, verify
 from .dunkl import dunkl_apply, laplacian, pairing
-from .verify import MC_SAMPLES_ERROR, verify as run_verify
 from .polyring import Poly, PolyParseError, format_poly, parse
 from .reflection import DunklContext, context_from_descriptor
 
@@ -168,10 +167,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("verify", help="run the full identity corpus")
-    p.add_argument("--max-degree", type=int, default=6, dest="max_degree")
+    p.add_argument("--max-degree", type=int, default=verify.DEFAULT_MAX_DEGREE, dest="max_degree")
     p.add_argument("--families", default="", help="comma-separated family filter: z2,a,b,d")
-    p.add_argument("--seed", type=int, default=20260801)
-    p.add_argument("--samples", type=int, default=200_000, help="Monte-Carlo samples per check")
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument(
+        "--samples", type=int, default=verify.DEFAULT_MC_SAMPLES, help="Monte-Carlo samples per check"
+    )
     p.add_argument("--out", default="", help="also write the JSON report to this path")
 
     return parser
@@ -181,7 +182,7 @@ def _run(args) -> int:
     command = args.command
     if command == "verify":
         families = [f.strip() for f in args.families.split(",") if f.strip()] or None
-        report = run_verify(
+        report = verify.verify(
             max_degree=args.max_degree,
             families=families,
             seed=args.seed,
@@ -255,7 +256,7 @@ def _run(args) -> int:
     elif command == "mc":
         p = _poly(args.poly, ctx, "--poly")
         if args.samples < 2:
-            raise UsageError(MC_SAMPLES_ERROR)
+            raise UsageError(verify.MC_SAMPLES_ERROR)
         estimate = oracle.mc_sphere_integral(ctx, p, seed=args.seed, samples=args.samples)
         _emit(
             {

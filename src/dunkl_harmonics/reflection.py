@@ -221,33 +221,12 @@ def make_context(family: str, d: int, kappa_by_orbit: Sequence[RationalLike]) ->
     return DunklContext.from_root_system(rs)
 
 
-def root_closure_failure(rs: RootSystem) -> tuple[Vector, Vector, Vector] | None:
-    """The first (beta, alpha, r_beta alpha) breaking closure, or None.
-
-    Each reflection must map every root to a root of the same orbit, up to
-    sign, so that it permutes the root set and preserves multiplicities.
-    """
-    return _closure_failure(rs.positive_roots, rs.orbit_ids)
-
-
-def _closure_failure(
-    roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]
-) -> tuple[Vector, Vector, Vector] | None:
-    index = {root: i for i, root in enumerate(roots)}
-    for beta in roots:
-        r = _reflection(beta)
-        for i, alpha in enumerate(roots):
-            image = r.apply(alpha)
-            pos = image if image in index else tuple(-v for v in image)
-            if pos not in index or orbit_ids[index[pos]] != orbit_ids[i]:
-                return beta, alpha, image
-    return None
-
-
 @functools.lru_cache(maxsize=64)
 def _root_set_fault(roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]) -> str | None:
     """Why the roots are not a reduced, reflection-closed system, or None.
 
+    Each reflection must map every root to a root of the same orbit, up to
+    sign, so that it permutes the root set and preserves multiplicities.
     The verdict depends on the roots and their orbits only, not on the
     multiplicities, so it is computed once per root set: the O(R^2) checks
     in Fractions otherwise dominate every ``make_context``.
@@ -257,10 +236,15 @@ def _root_set_fault(roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]) -> st
             v = roots[j]
             if all(u[a] * v[b] == u[b] * v[a] for a in range(len(u)) for b in range(len(u))):
                 return f"roots #{i} and #{j} are parallel; the system must be reduced"
-    bad = _closure_failure(roots, orbit_ids)
-    if bad is not None:
-        beta, alpha, image = bad
-        return f"the reflection across {beta} maps {alpha} to {image}, outside the root set or its orbit"
+    index = {root: i for i, root in enumerate(roots)}
+    for beta in roots:
+        r = _reflection(beta)
+        for i, alpha in enumerate(roots):
+            image = r.apply(alpha)
+            pos = image if image in index else tuple(-v for v in image)
+            if pos not in index or orbit_ids[index[pos]] != orbit_ids[i]:
+                return (f"the reflection across {beta} maps {alpha} to {image}, "
+                        "outside the root set or its orbit")
     return None
 
 

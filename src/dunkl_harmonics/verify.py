@@ -7,6 +7,10 @@ default corpus covers sign-flip groups in dimensions 2 and 3, the symmetric
 group on three coordinates, the square-symmetry group, and a
 demihyperoctahedral instance, each with a nonzero multiplicity choice and
 (where meaningful) the classical kappa = 0 reduction.
+
+``rows()`` is the single property registry: ``verify()`` and the test suite
+both run every row on every corpus context through ``run_row``, the suite at
+the defaults below, so a passing suite means a passing ``dunkl verify``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,11 @@ from typing import Callable, Sequence
 from . import harmonic, intertwine, oracle, spherical
 from .dunkl import apply_operator_poly, dunkl_apply, dunkl_axis, laplacian, pairing
 from .polyring import Poly, format_poly, monomials_of_degree, parse
-from .reflection import DunklContext, RootSystem, make_context, reflection_matrix, root_closure_failure
+from .reflection import FAMILY_ORBITS, DunklContext, RootSystem, make_context, reflection_matrix
+
+DEFAULT_MAX_DEGREE = 6
+DEFAULT_SEED = 20260801
+DEFAULT_MC_SAMPLES = 200_000
 
 
 @dataclass
@@ -99,7 +107,10 @@ def default_corpus() -> list[DunklContext]:
 def filter_corpus(corpus: Sequence[DunklContext], families: Sequence[str] | None) -> list[DunklContext]:
     if not families:
         return list(corpus)
-    wanted = {f.lower() for f in families}
+    wanted = [f.lower() for f in families]
+    for family in wanted:
+        if family not in FAMILY_ORBITS:
+            raise ValueError(f"unknown family {family!r}; expected one of z2, a, b, d")
     return [ctx for ctx in corpus if ctx.family in wanted]
 
 
@@ -153,6 +164,7 @@ def _counterexample(**kwargs) -> dict:
 # check implementations; each returns (status, counterexample, degrees)
 
 Outcome = tuple[str, dict | None, str]
+Check = Callable[..., Outcome]
 
 
 def _ok(degrees: str) -> Outcome:
@@ -228,10 +240,14 @@ def check_homogeneous_parts(ctx: DunklContext, rng: random.Random, max_degree: i
 
 
 def check_root_closure(ctx: DunklContext, rng: random.Random, max_degree: int) -> Outcome:
-    bad = root_closure_failure(ctx.root_system)
-    if bad is not None:
-        beta, alpha, image = bad
-        return _fail("all roots", beta=beta, alpha=alpha, image=image)
+    # r_beta alpha = alpha - 2<alpha, beta>/|beta|^2 beta, not the constructor's reflection table
+    orbit_of = dict(zip(ctx.root_system.positive_roots, ctx.root_system.orbit_ids))
+    for beta in ctx.root_system.positive_roots:
+        for alpha, orbit in orbit_of.items():
+            factor = 2 * sum(a * b for a, b in zip(alpha, beta)) / sum(v * v for v in beta)
+            image = tuple(a - factor * b for a, b in zip(alpha, beta))
+            if orbit_of.get(image, orbit_of.get(tuple(-v for v in image))) != orbit:
+                return _fail("all roots", beta=beta, alpha=alpha, image=image)
     for beta in ctx.root_system.positive_roots:
         m = reflection_matrix(ctx, beta)
         square = [
@@ -605,7 +621,7 @@ def check_reproducing(ctx: DunklContext, rng: random.Random, max_degree: int) ->
     return _ok(f"m,n<={top}")
 
 
-def check_mc_agreement(ctx: DunklContext, rng: random.Random, max_degree: int, samples: int = 200_000) -> Outcome:
+def check_mc_agreement(ctx: DunklContext, rng: random.Random, max_degree: int, samples: int) -> Outcome:
     if not ctx.active_roots and ctx.family != "z2":
         return _ok("skipped: covered by kappa=0 siblings")
     polys = [
@@ -673,7 +689,7 @@ def check_bessel_form(ctx: DunklContext, rng: random.Random, max_degree: int) ->
 # ---------------------------------------------------------------------------
 # the registry and the runner
 
-PER_FAMILY_CHECKS: list[tuple[str, Callable[..., Outcome]]] = [
+PER_FAMILY_CHECKS: list[tuple[str, Check]] = [
     ("polyring_ring_laws", check_ring_laws),
     ("polyring_parse_format_roundtrip", check_parse_roundtrip),
     ("polyring_divided_difference", check_divided_difference),
@@ -711,11 +727,28 @@ PER_FAMILY_CHECKS: list[tuple[str, Callable[..., Outcome]]] = [
 MC_SAMPLES_ERROR = "--samples must be >= 2: one sample has no standard error"
 
 
+def rows(mc_samples: int = DEFAULT_MC_SAMPLES) -> list[tuple[str, Check]]:
+    """Every named check verify runs, in report order: the registry."""
+    return PER_FAMILY_CHECKS + [
+        ("oracle_mc_agreement", functools.partial(check_mc_agreement, samples=mc_samples))
+    ]
+
+
+def run_row(name: str, check: Check, ctx: DunklContext, seed: int, max_degree: int) -> CheckResult:
+    """One report row: the check on one context, with an rng scoped to both."""
+    rng = _rng(seed, name, ctx.label())
+    try:
+        status, ce, degrees = check(ctx, rng, max_degree)
+    except Exception as exc:  # a crash is a failing check, not a crash of verify
+        status, ce, degrees = "fail", {"error": repr(exc)}, "-"
+    return CheckResult(name, ctx.group_name, ctx.kappa_text, degrees, status, ce)
+
+
 def verify(
-    max_degree: int = 6,
+    max_degree: int = DEFAULT_MAX_DEGREE,
     families: Sequence[str] | None = None,
-    seed: int = 20260801,
-    mc_samples: int = 200_000,
+    seed: int = DEFAULT_SEED,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
 ) -> VerifyReport:
     """Run the full check corpus and collect a deterministic report.
 
@@ -728,18 +761,5 @@ def verify(
     if mc_samples < 2:
         raise ValueError(MC_SAMPLES_ERROR)
     corpus = filter_corpus(default_corpus(), families)
-    report = VerifyReport()
-    checks = PER_FAMILY_CHECKS + [
-        ("oracle_mc_agreement", functools.partial(check_mc_agreement, samples=mc_samples))
-    ]
-    for name, func in checks:
-        for ctx in corpus:
-            rng = _rng(seed, name, ctx.label())
-            try:
-                status, ce, degrees = func(ctx, rng, max_degree)
-            except Exception as exc:  # a crash is a failing check, not a crash of verify
-                status, ce, degrees = "fail", {"error": repr(exc)}, "-"
-            report.checks.append(
-                CheckResult(name, ctx.group_name, ctx.kappa_text, degrees, status, ce)
-            )
-    return report
+    return VerifyReport([run_row(name, check, ctx, seed, max_degree)
+                         for name, check in rows(mc_samples) for ctx in corpus])

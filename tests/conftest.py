@@ -1,39 +1,44 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from dunkl_harmonics import make_context
+from dunkl_harmonics.verify import default_corpus
 
 
 @pytest.fixture(scope="session")
-def z2_2():
-    return make_context("z2", 2, [Fraction(1, 2), Fraction(1, 2)])
+def corpus():
+    """verify's corpus, built once: the registry rows and the unit tests share its tables."""
+    return default_corpus()
 
 
 @pytest.fixture(scope="session")
-def z2_2_zero():
-    return make_context("z2", 2, [0, 0])
+def z2_2(corpus):
+    return corpus[0]
 
 
 @pytest.fixture(scope="session")
-def z2_3():
-    return make_context("z2", 3, [1, Fraction(1, 2), 0])
+def z2_2_zero(corpus):
+    return corpus[1]
 
 
 @pytest.fixture(scope="session")
-def a2():
-    return make_context("a", 3, [1])
+def z2_3(corpus):
+    return corpus[2]
 
 
 @pytest.fixture(scope="session")
-def b2():
-    return make_context("b", 2, [Fraction(1, 2), Fraction(3, 2)])
+def a2(corpus):
+    return corpus[4]
 
 
 @pytest.fixture(scope="session")
-def d3():
-    return make_context("d", 3, [Fraction(2, 3)])
+def b2(corpus):
+    return corpus[6]
+
+
+@pytest.fixture(scope="session")
+def d3(corpus):
+    return corpus[8]
 
 
 @pytest.fixture(scope="session")

@@ -189,6 +189,7 @@ class TestErrorPaths:
                 ["verify", "--samples", "1"],
                 "--samples must be >= 2: one sample has no standard error",
             ),
+            (["verify", "--families", "q"], "unknown family 'q'; expected one of z2, a, b, d"),
             (["apply", "--xi", "e0", "--poly", "x1"], "--xi axis e0 is out of range 1..2"),
             (["apply", "--xi", "e3", "--poly", "x1"], "--xi axis e3 exceeds dimension 2"),
             (
@@ -205,8 +206,8 @@ class TestErrorPaths:
             ),
         ],
         ids=["decompose", "pizzetti", "hobson", "funk-hecke", "kernel", "mc-one-sample",
-             "verify-zero-samples", "verify-one-sample", "apply-axis-zero", "apply-axis-beyond",
-             "phi-missing-exponent", "phi-two-terms-without-sign", "phi-in-x"],
+             "verify-zero-samples", "verify-one-sample", "verify-unknown-family", "apply-axis-zero",
+             "apply-axis-beyond", "phi-missing-exponent", "phi-two-terms-without-sign", "phi-in-x"],
     )
     def test_invalid_input_exits_2(self, capsys, argv, message):
         context = [] if argv[0] == "verify" else ["--group", "z2^2", "--kappa", "0,0"]
@@ -277,3 +278,8 @@ class TestVerify:
     def test_invalid_max_degree(self):
         with pytest.raises(ValueError):
             verify(max_degree=1)
+
+    def test_submodule_import_binds_the_module(self):
+        import dunkl_harmonics.verify as v
+
+        assert len(v.PER_FAMILY_CHECKS) == 31

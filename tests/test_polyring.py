@@ -28,16 +28,6 @@ class TestArithmetic:
         assert p**3 == p * p * p
         assert p**0 == Poly.const(2, 1)
 
-    def test_ring_laws_random(self, rng):
-        for _ in range(25):
-            p = random_poly(rng, 3, 4)
-            q = random_poly(rng, 3, 4)
-            r = random_poly(rng, 3, 4)
-            assert (p + q) + r == p + (q + r)
-            assert p * q == q * p
-            assert p * (q + r) == p * q + p * r
-            assert (p * q) * r == p * (q * r)
-
 
 class TestCalculus:
     def test_partial_product(self):
@@ -138,15 +128,6 @@ class TestHomogeneousParts:
 
     def test_constant(self):
         assert Poly.const(2, 3).homogeneous_parts() == [(0, Poly.const(2, 3))]
-
-    def test_sum_reconstructs(self, rng):
-        for _ in range(10):
-            p = random_poly(rng, 3, 6, max_terms=10)
-            total = Poly.zero(3)
-            for n, part in p.homogeneous_parts():
-                assert part.is_homogeneous() and part.degree() == n
-                total = total + part
-            assert total == p
 
     def test_degree_sentinel(self):
         assert Poly.zero(4).degree() == -1
