@@ -17,7 +17,6 @@ from .polyring import (
 )
 from .reflection import (
     DunklContext,
-    RootSystem,
     context_from_descriptor,
     make_context,
     reflection_matrix,
@@ -72,7 +71,6 @@ __all__ = [
     "Poly",
     "PolyParseError",
     "RadialPowerSum",
-    "RootSystem",
     "UniPoly",
     "VerifyReport",
     "apply_operator_poly",

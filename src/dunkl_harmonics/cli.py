@@ -42,8 +42,6 @@ def _context(args) -> DunklContext:
 
 
 def _poly(args_value: str, ctx: DunklContext, flag: str) -> Poly:
-    if args_value is None:
-        raise UsageError(f"{flag} is required")
     try:
         return parse(args_value, ctx.dim)
     except PolyParseError as exc:

@@ -141,7 +141,7 @@ def _monomial_image(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fractio
     kappa_alpha (2 <grad p, alpha> - |alpha|^2 (p - p(r_alpha x)) / <alpha, x>) / <alpha, x>,
 
     which equals the sum of squares because the roots and multiplicities are
-    invariant under the group (:class:`RootSystem` checks it).  With
+    invariant under the group (:class:`DunklContext` checks it).  With
     delta_alpha the divided difference and d_alpha the derivative along
     alpha, each root's term is (delta_alpha d_alpha + d_alpha delta_alpha) p,
     so no linear division is left.  On a monomial both divided differences

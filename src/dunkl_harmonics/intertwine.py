@@ -117,16 +117,15 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     """
     monos = monomials_of_degree(ctx.dim, n)
     index = {m: i for i, m in enumerate(monos)}
-    shift = n + ctx.root_system.kappa_sum()
+    shift = n + sum(kappa for _, kappa in ctx.active_roots)
     t = [[Fraction(0)] * len(monos) for _ in monos]
     r = [[Fraction(0)] * len(monos) for _ in monos]
     for col, mono in enumerate(monos):
+        t[col][col] += shift
         unit = Poly.monomial(ctx.dim, mono)
-        image = unit * shift
         for root, kappa in ctx.active_roots:
-            image = image - unit.reflect(root) * kappa
-        for m, c in image.terms.items():
-            t[index[m]][col] = c
+            for m, c in unit.reflect(root).terms.items():
+                t[index[m]][col] -= kappa * c
         for j, e in enumerate(mono):
             if e:
                 for m, c in lower[mono[:j] + (e - 1,) + mono[j + 1:]].terms.items():

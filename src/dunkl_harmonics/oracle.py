@@ -126,10 +126,9 @@ def dirichlet_monomial(ctx: DunklContext, halved_exponents: Sequence[int]) -> Fr
     a = list(halved_exponents)
     if len(a) != ctx.dim or any(v < 0 for v in a):
         raise ValueError("need one non-negative half-exponent per coordinate")
-    rs = ctx.root_system
     numerator = Fraction(1)
     for i, ai in enumerate(a):
-        numerator *= pochhammer(rs.kappa_by_orbit[i] + Fraction(1, 2), ai)
+        numerator *= pochhammer(ctx.kappa_by_orbit[i] + Fraction(1, 2), ai)
     return numerator / pochhammer(ctx.lambda_kappa + 1, sum(a))
 
 

@@ -8,6 +8,10 @@ absent; ``b`` at d = 2 supplies the square-symmetry case.  Roots are kept
 in their integer-coordinate normalization: every exposed quantity is
 invariant under rescaling a root orbit by a positive rational.
 
+A :class:`DunklContext` is one reduced root system with its multiplicities,
+built by :func:`make_context` for the catalog or from its positive roots for
+any other system; it derives lambda_kappa and the active roots itself.
+
 Each context owns one :class:`ContextTables`, created on first use and
 dropped with the context, in which the operator layers memoize exact
 per-monomial data.
@@ -32,14 +36,20 @@ def _unit(dim: int, i: int, sign: int = 1) -> Vector:
 
 
 @dataclass(frozen=True, eq=False)
-class RootSystem:
-    """A reduced root system given by positive roots and orbit multiplicities.
+class DunklContext:
+    """A reduced root system with a group-invariant multiplicity.
 
     ``orbit_ids[k]`` is the orbit of ``positive_roots[k]``; ``kappa_by_orbit``
     assigns one multiplicity per orbit.  Construction checks that every
     reflection maps the roots onto roots of the same orbit, so the roots and
     the multiplicities are invariant under the group.  Root entries and
     multiplicities are stored as Fractions, whatever exact type they came in.
+
+    Construction also derives the rest, which no caller can set:
+    ``lambda_kappa`` is d/2 - 1 plus the sum of all positive-root
+    multiplicities, and ``active_roots`` pairs each root of nonzero
+    multiplicity with its multiplicity, in root order; only these enter the
+    difference part of the Dunkl operator.
     """
 
     dim: int
@@ -47,6 +57,8 @@ class RootSystem:
     orbit_ids: tuple[int, ...]
     kappa_by_orbit: tuple[Fraction, ...]
     family: str | None = None
+    lambda_kappa: Fraction = field(init=False)
+    active_roots: tuple[tuple[Vector, Fraction], ...] = field(init=False)
 
     def __post_init__(self):
         try:
@@ -72,45 +84,10 @@ class RootSystem:
         fault = _root_set_fault(self.positive_roots, self.orbit_ids)
         if fault is not None:
             raise ValueError(fault)
-
-    def kappa_of(self, index: int) -> Fraction:
-        return self.kappa_by_orbit[self.orbit_ids[index]]
-
-    def kappa_sum(self) -> Fraction:
-        return sum((self.kappa_of(i) for i in range(len(self.positive_roots))), Fraction(0))
-
-
-@dataclass(frozen=True, eq=False)
-class DunklContext:
-    """A root system together with its derived spectral constant.
-
-    ``lambda_kappa`` is d/2 - 1 plus the sum of all positive-root
-    multiplicities. ``active_roots`` pre-filters the roots with nonzero
-    multiplicity, which are the only ones entering the difference part of
-    the Dunkl operator.
-    """
-
-    root_system: RootSystem
-    lambda_kappa: Fraction
-    active_roots: tuple[tuple[Vector, Fraction], ...]
-
-    @classmethod
-    def from_root_system(cls, rs: RootSystem) -> DunklContext:
-        lam = Fraction(rs.dim, 2) - 1 + rs.kappa_sum()
-        active = tuple(
-            (root, rs.kappa_of(i))
-            for i, root in enumerate(rs.positive_roots)
-            if rs.kappa_of(i)
-        )
-        return cls(rs, lam, active)
-
-    @property
-    def dim(self) -> int:
-        return self.root_system.dim
-
-    @property
-    def family(self) -> str | None:
-        return self.root_system.family
+        root_kappas = [self.kappa_by_orbit[oid] for oid in self.orbit_ids]
+        active = tuple((root, kappa) for root, kappa in zip(self.positive_roots, root_kappas) if kappa)
+        object.__setattr__(self, "lambda_kappa", Fraction(self.dim, 2) - 1 + sum(root_kappas, Fraction(0)))
+        object.__setattr__(self, "active_roots", active)
 
     @property
     def group_name(self) -> str:
@@ -125,7 +102,7 @@ class DunklContext:
     @property
     def kappa_text(self) -> str:
         """The multiplicities, one per orbit, comma-separated."""
-        return ",".join(str(k) for k in self.root_system.kappa_by_orbit)
+        return ",".join(str(k) for k in self.kappa_by_orbit)
 
     def label(self) -> str:
         return f"{self.group_name}[kappa={self.kappa_text}]"
@@ -217,8 +194,7 @@ def make_context(family: str, d: int, kappa_by_orbit: Sequence[RationalLike]) ->
     if len(kappas) != n_orbits:
         raise ValueError(f"family {family!r} at d={d} takes {n_orbits} multiplicities, got {len(kappas)}")
     roots, orbits = _catalog_roots(family, d)
-    rs = RootSystem(d, tuple(roots), tuple(orbits), kappas, family=family)
-    return DunklContext.from_root_system(rs)
+    return DunklContext(d, tuple(roots), tuple(orbits), kappas, family=family)
 
 
 @functools.lru_cache(maxsize=64)
@@ -251,7 +227,7 @@ def _root_set_fault(roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]) -> st
 def reflection_matrix(ctx: DunklContext, alpha: Sequence[RationalLike]) -> list[list[Fraction]]:
     """Matrix of the reflection across alpha-perp, for a positive root alpha."""
     a = tuple(as_fraction(v) for v in alpha)
-    if a not in ctx.root_system.positive_roots:
+    if a not in ctx.positive_roots:
         raise ValueError(f"{a!r} is not a positive root of this context")
     return [list(row) for row in _reflection(a).matrix]
 

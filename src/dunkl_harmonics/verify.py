@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from . import harmonic, intertwine, oracle, spherical
 from .dunkl import apply_operator_poly, dunkl_apply, dunkl_axis, laplacian, pairing
 from .polyring import Poly, format_poly, monomials_of_degree, parse
-from .reflection import FAMILY_ORBITS, DunklContext, RootSystem, make_context, reflection_matrix
+from .reflection import FAMILY_ORBITS, DunklContext, make_context, reflection_matrix
 
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_SEED = 20260801
@@ -207,7 +207,7 @@ def check_parse_roundtrip(ctx: DunklContext, rng: random.Random, max_degree: int
 
 def check_divided_difference(ctx: DunklContext, rng: random.Random, max_degree: int) -> Outcome:
     deg = min(max_degree, 5)
-    roots = [root for root, _ in ctx.active_roots] or list(ctx.root_system.positive_roots)
+    roots = [root for root, _ in ctx.active_roots] or list(ctx.positive_roots)
     linear_forms = {
         root: Poly(ctx.dim, {tuple(1 if k == i else 0 for k in range(ctx.dim)): c
                              for i, c in enumerate(root)})
@@ -241,14 +241,14 @@ def check_homogeneous_parts(ctx: DunklContext, rng: random.Random, max_degree: i
 
 def check_root_closure(ctx: DunklContext, rng: random.Random, max_degree: int) -> Outcome:
     # r_beta alpha = alpha - 2<alpha, beta>/|beta|^2 beta, not the constructor's reflection table
-    orbit_of = dict(zip(ctx.root_system.positive_roots, ctx.root_system.orbit_ids))
-    for beta in ctx.root_system.positive_roots:
+    orbit_of = dict(zip(ctx.positive_roots, ctx.orbit_ids))
+    for beta in ctx.positive_roots:
         for alpha, orbit in orbit_of.items():
             factor = 2 * sum(a * b for a, b in zip(alpha, beta)) / sum(v * v for v in beta)
             image = tuple(a - factor * b for a, b in zip(alpha, beta))
             if orbit_of.get(image, orbit_of.get(tuple(-v for v in image))) != orbit:
                 return _fail("all roots", beta=beta, alpha=alpha, image=image)
-    for beta in ctx.root_system.positive_roots:
+    for beta in ctx.positive_roots:
         m = reflection_matrix(ctx, beta)
         square = [
             [sum(m[i][k] * m[k][j] for k in range(ctx.dim)) for j in range(ctx.dim)]
@@ -260,16 +260,13 @@ def check_root_closure(ctx: DunklContext, rng: random.Random, max_degree: int) -
 
 
 def check_scale_invariance(ctx: DunklContext, rng: random.Random, max_degree: int) -> Outcome:
-    rs = ctx.root_system
     factor = Fraction(3, 2)
-    scaled = RootSystem(
-        rs.dim,
-        tuple(tuple(factor * v for v in root) for root in rs.positive_roots),
-        rs.orbit_ids,
-        rs.kappa_by_orbit,
-        family=None,
+    scaled_ctx = DunklContext(
+        ctx.dim,
+        tuple(tuple(factor * v for v in root) for root in ctx.positive_roots),
+        ctx.orbit_ids,
+        ctx.kappa_by_orbit,
     )
-    scaled_ctx = DunklContext.from_root_system(scaled)
     if scaled_ctx.lambda_kappa != ctx.lambda_kappa:
         return _fail("deg<=4", lhs=scaled_ctx.lambda_kappa, rhs=ctx.lambda_kappa)
     deg = min(max_degree, 4)

@@ -34,7 +34,6 @@ from dunkl_harmonics import (
     mc_sphere_integral,
     monomials_of_degree,
     orthogonality_rhs,
-    pair_integral,
     pizzetti_from_hobson,
     pochhammer,
     sphere_integrate,

@@ -7,7 +7,6 @@ import pytest
 from dunkl_harmonics import (
     DunklContext,
     Poly,
-    RootSystem,
     apply_operator_poly,
     dunkl_apply,
     laplacian,
@@ -81,9 +80,7 @@ class TestOperatorSubstitution:
     def test_norm_squared_is_laplacian(self, rng, nonzero_corpus, d3):
         # the reflections of the roots (1, 2) and (2, -1) are not signed
         # permutations, so that system takes the dense reflection path
-        skew = DunklContext.from_root_system(
-            RootSystem(2, ((F(1), F(2)), (F(2), F(-1))), (0, 1), (F(1, 2), F(3, 4)))
-        )
+        skew = DunklContext(2, ((F(1), F(2)), (F(2), F(-1))), (0, 1), (F(1, 2), F(3, 4)))
         cases = [(ctx, 5) for ctx in nonzero_corpus] + [(d3, 8), (skew, 8)]
         for ctx, degree in cases:
             p = random_poly(rng, ctx.dim, degree)

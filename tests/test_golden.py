@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from dunkl_harmonics import (
+    DunklContext,
     Poly,
     RadialPowerSum,
     canonical_decompose,
@@ -40,6 +41,14 @@ CONTEXTS = {
     "a2": ("a", 3, [Fraction(1, 3)]),
     "b3": ("b", 3, [Fraction(1, 2), Fraction(3, 2)]),
     "d4": ("d", 4, [Fraction(2, 3)]),
+}
+
+# contexts outside the catalog, built from their roots
+CUSTOM_CONTEXTS = {
+    "dense": lambda: DunklContext(
+        2, ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(-1))), (0, 1), (Fraction(1, 2), Fraction(3, 4))),
+    "b2-scaled": lambda: DunklContext(  # the short roots of b2 rescaled by 2
+        2, ((2, 0), (0, 2), (1, 1), (1, -1)), (0, 0, 1, 1), (Fraction(1, 2), Fraction(3, 4))),
 }
 
 
@@ -153,8 +162,7 @@ OPERATIONS = {
 
 
 def digest(group: str, operation: str) -> str:
-    family, dim, kappas = CONTEXTS[group]
-    ctx = make_context(family, dim, kappas)
+    ctx = CUSTOM_CONTEXTS[group]() if group in CUSTOM_CONTEXTS else make_context(*CONTEXTS[group])
     rng = random.Random(f"golden:{group}:{operation}")
     text = "\n".join(str(x) for x in OPERATIONS[operation](ctx, rng))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -225,6 +233,18 @@ DIGESTS = {
     ("a2", "funk_hecke_moments_5"): "2655d4d094c6a65a1eb8c1b616e5bfdb24a7d162d456df2269abe39e2d7d2a5a",
     ("b3", "funk_hecke_moments_5"): "fb4de840dc318173b91efffc8e2314c51b02fd2f7abecb37fff020dadf6ba1b4",
     ("d4", "funk_hecke_moments_5"): "9681433da9f03e63d8c269b4880ea3aa06aa43f479b499e504eef80e3b31a372",
+    ("dense", "laplacian"): "da4771b62edbc3fd5b473424b293dcc6ad7a7577110d15e78808d0d0d8bb0288",
+    ("dense", "dunkl_apply"): "662240bfccdb5163bbd83ed5c9a59e42ccee3de5ed503c2052874f9945b019f2",
+    ("dense", "sphere_integrate"): "110d91f129062943f441b3a3a9d6f3e72f07deb928613e43fad0e3f46f6eac81",
+    ("dense", "canonical_decompose"): "65849ed0e3e2c96570c2a6e9bdcf41b0e1cae570dc1f0df954ba3f0f9c73a6f4",
+    ("dense", "h_harmonic_basis"): "3c2b2f06140b382e78aed24175e06d060ddbad7d5c4a5e929cab58d654a8f671",
+    ("dense", "intertwiner_apply"): "e33f998096373b8a4ff4f02b18486d734d10ce78f8ab95561137a47722d32056",
+    ("b2-scaled", "laplacian"): "dd15485636af235430100fe1f8622135b1be335e7cf291b386311e844f055f0d",
+    ("b2-scaled", "dunkl_apply"): "47ded7be06d9626f030645b698351b0884b44519b3de3ee734c40dc4f194c5ba",
+    ("b2-scaled", "sphere_integrate"): "37627444dff5bf8c7f68ec18b6fe689c4311e209e1973b90d0e72c4ec58b06f1",
+    ("b2-scaled", "canonical_decompose"): "55bd4dc544b585176e88c68f4f7342b0c1e91b6c65fba6e9b859da38cded7f96",
+    ("b2-scaled", "h_harmonic_basis"): "ab2da8db9e5e8a9711de413ce70170f0f9cee2e0566f97b50a264d4013ff396b",
+    ("b2-scaled", "intertwiner_apply"): "ab8ca51d49d7f6d6446932d11ae2b98808ffd2e4365b5b249685596f0ced8ffb",
 }
 
 

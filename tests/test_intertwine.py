@@ -5,7 +5,6 @@ import pytest
 from dunkl_harmonics import (
     DunklContext,
     Poly,
-    RootSystem,
     dunkl_axis,
     funk_hecke_check,
     funk_hecke_coeff,
@@ -69,9 +68,7 @@ class TestIntertwiner:
 
     def test_defining_property(self, rng, nonzero_corpus, d3):
         # the reflections of the roots (1, 2) and (2, -1) take the dense path
-        skew = DunklContext.from_root_system(
-            RootSystem(2, ((F(1), F(2)), (F(2), F(-1))), (0, 1), (F(1, 3), F(2)))
-        )
+        skew = DunklContext(2, ((F(1), F(2)), (F(2), F(-1))), (0, 1), (F(1, 3), F(2)))
         for ctx in list(nonzero_corpus) + [d3, skew]:
             for _ in range(4):
                 n = rng.randint(1, 5)

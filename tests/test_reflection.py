@@ -1,10 +1,11 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 
 from dunkl_harmonics import (
+    DunklContext,
     polyring,
-    RootSystem,
     context_from_descriptor,
     make_context,
     reflection_matrix,
@@ -34,10 +35,10 @@ class TestMakeContext:
         assert ctx.lambda_kappa == F(2, 2) - 1 + 2 * F(1, 2) + 2 * F(3, 2)
 
     def test_root_counts(self):
-        assert len(make_context("z2", 4, [0, 0, 0, 0]).root_system.positive_roots) == 4
-        assert len(make_context("a", 4, [0]).root_system.positive_roots) == 6
-        assert len(make_context("b", 3, [0, 0]).root_system.positive_roots) == 9
-        assert len(make_context("d", 3, [0]).root_system.positive_roots) == 6
+        assert len(make_context("z2", 4, [0, 0, 0, 0]).positive_roots) == 4
+        assert len(make_context("a", 4, [0]).positive_roots) == 6
+        assert len(make_context("b", 3, [0, 0]).positive_roots) == 9
+        assert len(make_context("d", 3, [0]).positive_roots) == 6
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
@@ -80,7 +81,7 @@ class TestReflectionMatrix:
         # substitution by the same matrix is the second route
         for ctx in list(nonzero_corpus) + [d3]:
             p = random_poly(rng, ctx.dim, 5)
-            for root in ctx.root_system.positive_roots:
+            for root in ctx.positive_roots:
                 assert p.reflect(root) == p.substitute_linear(reflection_matrix(ctx, root))
 
     def test_not_a_root(self, z2_2):
@@ -88,28 +89,47 @@ class TestReflectionMatrix:
             reflection_matrix(z2_2, (1, 1))
 
 
+class TestDerivedValues:
+    # b2 with its orbits interleaved in root order and the coordinate orbit at kappa 0
+    ROOTS = ((F(1), F(0)), (F(1), F(1)), (F(0), F(1)), (F(1), F(-1)))
+
+    def test_custom_context_derives_lambda_and_active_roots(self):
+        ctx = DunklContext(2, self.ROOTS, (0, 1, 0, 1), (0, F(3, 4)))
+        # 2/2 - 1 + (0 + 3/4 + 0 + 3/4), by hand
+        assert ctx.lambda_kappa == F(3, 2)
+        assert ctx.active_roots == (((F(1), F(1)), F(3, 4)), ((F(1), F(-1)), F(3, 4)))
+        assert ctx.label() == "custom[kappa=0,3/4]"
+
+    def test_derived_values_are_not_parameters(self):
+        params = list(inspect.signature(DunklContext).parameters)
+        assert params == ["dim", "positive_roots", "orbit_ids", "kappa_by_orbit", "family"]
+        for name in ("lambda_kappa", "active_roots"):
+            with pytest.raises(TypeError):
+                DunklContext(2, self.ROOTS, (0, 1, 0, 1), (0, F(3, 4)), **{name: ()})
+
+
 class TestInvariance:
     def test_parallel_roots_rejected(self):
         with pytest.raises(ValueError):
-            RootSystem(2, ((F(1), F(0)), (F(2), F(0))), (0, 0), (F(1),))
+            DunklContext(2, ((F(1), F(0)), (F(2), F(0))), (0, 0), (F(1),))
 
     def test_unclosed_roots_rejected(self):
         # the reflection across (1, 0) maps (1, 1) to (-1, 1), which is not a root
         with pytest.raises(ValueError):
-            RootSystem(2, ((F(1), F(0)), (F(1), F(1))), (0, 1), (F(1), F(1)))
+            DunklContext(2, ((F(1), F(0)), (F(1), F(1))), (0, 1), (F(1), F(1)))
         # closed, but the orbit assignment splits the orbit of (1, 1) and (1, -1)
         b2_roots = ((F(1), F(0)), (F(0), F(1)), (F(1), F(-1)), (F(1), F(1)))
         with pytest.raises(ValueError):
-            RootSystem(2, b2_roots, (0, 0, 1, 2), (F(1), F(1), F(2)))
+            DunklContext(2, b2_roots, (0, 0, 1, 2), (F(1), F(1), F(2)))
 
 
 class TestRootSetVerdict:
     def test_faulty_systems_raise_every_time(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="roots #0 and #1 are parallel"):
-                RootSystem(2, ((F(1), F(0)), (F(2), F(0))), (0, 0), (F(1),))
+                DunklContext(2, ((F(1), F(0)), (F(2), F(0))), (0, 0), (F(1),))
             with pytest.raises(ValueError, match="outside the root set or its orbit"):
-                RootSystem(2, ((F(1), F(0)), (F(1), F(1))), (0, 1), (F(1), F(1)))
+                DunklContext(2, ((F(1), F(0)), (F(1), F(1))), (0, 1), (F(1), F(1)))
 
     def test_second_context_of_a_family_applies_no_reflection(self, monkeypatch):
         make_context("d", 4, [F(1, 3)])

@@ -17,7 +17,6 @@ import pytest
 from dunkl_harmonics import (
     DunklContext,
     Poly,
-    RootSystem,
     dirichlet_monomial,
     dunkl,
     dunkl_apply,
@@ -36,26 +35,20 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
-def _contexts():
-    b2_scaled = RootSystem(  # the short roots of b2 rescaled by 2
+CONTEXTS = {
+    "z2^3": make_context("z2", 3, [1, F(1, 2), F(2, 3)]),
+    "a2": make_context("a", 3, [F(1, 3)]),
+    "b3": make_context("b", 3, [F(1, 2), F(3, 2)]),
+    "d4": make_context("d", 4, [F(2, 3)]),
+    "b4": make_context("b", 4, [F(1, 2), F(3, 2)]),
+    "b2-scaled": DunklContext(  # the short roots of b2 rescaled by 2
         2,
         ((F(2), F(0)), (F(0), F(2)), (F(1), F(1)), (F(1), F(-1))),
         (0, 0, 1, 1),
         (F(1, 2), F(3, 4)),
-    )
-    dense = RootSystem(2, ((F(1), F(2)), (F(2), F(-1))), (0, 1), (F(1, 2), F(3, 4)))
-    return {
-        "z2^3": make_context("z2", 3, [1, F(1, 2), F(2, 3)]),
-        "a2": make_context("a", 3, [F(1, 3)]),
-        "b3": make_context("b", 3, [F(1, 2), F(3, 2)]),
-        "d4": make_context("d", 4, [F(2, 3)]),
-        "b4": make_context("b", 4, [F(1, 2), F(3, 2)]),
-        "b2-scaled": DunklContext.from_root_system(b2_scaled),
-        "dense": DunklContext.from_root_system(dense),
-    }
-
-
-CONTEXTS = _contexts()
+    ),
+    "dense": DunklContext(2, ((F(1), F(2)), (F(2), F(-1))), (0, 1), (F(1, 2), F(3, 4))),
+}
 
 
 def closed_form(ctx, p):
@@ -189,12 +182,11 @@ def test_int_roots_are_stored_exact_and_leave_the_reflection_cache_exact():
     # an int key equals the Fraction key of the same root
     int_roots = ((1, 1, 1, 1), (1, -1, 1, -1))
     frac_roots = tuple(tuple(F(v) for v in root) for root in int_roots)
-    int_ctx = DunklContext.from_root_system(RootSystem(4, int_roots, (0, 1), (1, 2)))
-    frac_ctx = DunklContext.from_root_system(RootSystem(4, frac_roots, (0, 1), (F(1, 2), F(3, 4))))
+    int_ctx = DunklContext(4, int_roots, (0, 1), (1, 2))
+    frac_ctx = DunklContext(4, frac_roots, (0, 1), (F(1, 2), F(3, 4)))
     for ctx in (int_ctx, frac_ctx):
-        rs = ctx.root_system
-        assert all(type(v) is Fraction for root in rs.positive_roots for v in root)
-        assert all(type(k) is Fraction for k in rs.kappa_by_orbit)
+        assert all(type(v) is Fraction for root in ctx.positive_roots for v in root)
+        assert all(type(k) is Fraction for k in ctx.kappa_by_orbit)
         for root in frac_roots:
             assert all(type(v) is Fraction for row in reflection_matrix(ctx, root) for v in row)
         for degree in range(1, 5):
@@ -202,6 +194,6 @@ def test_int_roots_are_stored_exact_and_leave_the_reflection_cache_exact():
                 p = Poly.monomial(4, mono)
                 assert laplacian(ctx, p) == closed_form(ctx, p)
     with pytest.raises(ValueError, match="exact"):
-        RootSystem(2, ((1.0, 2.0), (2, -1)), (0, 1), (1, 1))
+        DunklContext(2, ((1.0, 2.0), (2, -1)), (0, 1), (1, 1))
     with pytest.raises(ValueError, match="exact"):
-        RootSystem(2, int_roots, (0, 1), (0.5, 1))
+        DunklContext(2, int_roots, (0, 1), (0.5, 1))
