@@ -6,8 +6,6 @@ with each layer annihilated by the deformed Laplacian.  The split is
 computed from a closed formula and checked here by direct reconstruction.
 """
 
-from fractions import Fraction
-
 from dunkl_harmonics import (
     canonical_decompose,
     h_harmonic_basis,

@@ -20,7 +20,6 @@ from dunkl_harmonics import (
     pizzetti,
     pizzetti_from_hobson,
     sphere_integrate,
-    Poly,
 )
 
 ctx = make_context("b", 2, [Fraction(1, 2), Fraction(3, 2)])

@@ -50,7 +50,6 @@ from .intertwine import (
     funk_hecke_coeff,
     funk_hecke_coeff_moments,
     gegenbauer,
-    gegenbauer_rodrigues,
     intertwiner_apply,
     reproducing_check,
     reproducing_kernel,
@@ -87,7 +86,6 @@ __all__ = [
     "funk_hecke_coeff",
     "funk_hecke_coeff_moments",
     "gegenbauer",
-    "gegenbauer_rodrigues",
     "h_harmonic_basis",
     "harmonic_radial_power",
     "hobson_apply",

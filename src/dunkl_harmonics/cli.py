@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("verify", help="run the full identity corpus")
+    p = sub.add_parser("verify", help="run the full identity corpus")
     p.add_argument("--max-degree", type=int, default=verify.DEFAULT_MAX_DEGREE, dest="max_degree")
     p.add_argument("--families", default="", help="comma-separated family filter: z2,a,b,d")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)

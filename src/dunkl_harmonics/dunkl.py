@@ -12,19 +12,19 @@ degrees the context has been asked about; they are dropped with the
 context, and the results are the same as those of the formulas applied to
 the whole input.  :func:`apply_operator_poly` and :func:`pairing` reach the
 axis table through :func:`dunkl_axis`.
-:func:`_laplacian_powers` is the one place that iterates the
-Laplacian over a whole sequence p, Lap p, Lap^2 p, ...; the decomposition and
-the radius expansions read that sequence.  For a homogeneous input of degree
-n the operator output is homogeneous of degree n - 1 (zero when n = 0) and
-the Laplacian output of degree n - 2; both facts fall out of the
-difference-quotient form and are exercised by the test suite rather than
-asserted per call.
+:func:`_laplacian_powers` is the one place that iterates the Laplacian over
+a sequence p, Lap p, Lap^2 p, ..., and the one place that decides where it
+ends; the decomposition and the radius expansions read it.  For a
+homogeneous input of degree n the operator output is homogeneous of degree
+n - 1 (zero when n = 0) and the Laplacian output of degree n - 2; both
+facts fall out of the difference-quotient form and are exercised by the
+test suite rather than asserted per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .polyring import Monomial, Poly, RationalLike, as_fraction
 from .reflection import DunklContext
@@ -186,12 +186,18 @@ def _shifted(mono: Monomial, i: int, e: int) -> Monomial:
     return mono[:i] + (e,) + mono[i + 1:]
 
 
-def _laplacian_powers(ctx: DunklContext, p: Poly, count: int) -> list[Poly]:
-    """[p, Lap p, ..., Lap^count p], each power computed once."""
-    powers = [p]
-    for _ in range(count):
-        powers.append(laplacian(ctx, powers[-1]))
-    return powers
+def _laplacian_powers(ctx: DunklContext, p: Poly) -> Iterator[Poly]:
+    """p, Lap p, Lap^2 p, ... up to the last nonzero power, each computed when it is read.
+
+    Lap lowers the degree by 2, so for p of degree n the sequence ends by
+    Lap^(n // 2) p; a power of degree < 2 ends it without another Laplacian,
+    and a zero p yields nothing.
+    """
+    while not p.is_zero:
+        yield p
+        if p.degree() < 2:
+            return
+        p = laplacian(ctx, p)
 
 
 def apply_operator_poly(ctx: DunklContext, q: Poly, p: Poly) -> Poly:

@@ -76,26 +76,25 @@ def proj(ctx: DunklContext, n: int, p: Poly) -> Poly:
     deg = _require_homogeneous(p, "projection input")
     if deg != n:
         raise ValueError(f"input has degree {deg}, expected {n}")
-    return _project(ctx, n, _laplacian_powers(ctx, p, n // 2))
+    return _project(ctx, n, list(_laplacian_powers(ctx, p)))
 
 
 def _project(ctx: DunklContext, n: int, powers: list[Poly], scale: Fraction = Fraction(1)) -> Poly:
-    """scale times the projection of powers[0], of degree n, given powers[j] = Lap^j powers[0].
+    """scale times the projection of p, of degree n, given powers = [p, Lap p, ..., Lap^k p].
 
     The sum of c_j |x|^(2j) Lap^j p, c_j = scale / (4^j j! (-lam - n + 1)_j),
     is taken by Horner's rule in |x|^2: out = c_k Lap^k p, then
     out = |x|^2 out + c_j Lap^j p for j = k - 1 .. 0, where multiplying by
-    |x|^2 adds 2 to each exponent in turn.  The powers past the first zero
-    are zero, so k is the last nonzero power.
+    |x|^2 adds 2 to each exponent in turn.  The powers end at the last
+    nonzero one (see ``_laplacian_powers``), and an empty list is the
+    sequence of p = 0, whose projection is 0.
     """
     lam = ctx.lambda_kappa
     coeffs = [scale]
-    for j in range(1, n // 2 + 1):
-        if powers[j].is_zero:
-            break
+    for j in range(1, len(powers)):
         coeffs.append(coeffs[-1] / (4 * j * (-lam - n + j)))
     out: dict[Monomial, Fraction] = {}
-    for j in range(len(coeffs) - 1, -1, -1):
+    for j in range(len(powers) - 1, -1, -1):
         shifted: dict[Monomial, Fraction] = {}
         for mono, c in out.items():
             for i, e in enumerate(mono):
@@ -114,10 +113,10 @@ def _project(ctx: DunklContext, n: int, powers: list[Poly], scale: Fraction = Fr
 def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
     """Split a homogeneous p as sum of |x|^(2i) p_(n-2i), all components h-harmonic.
 
-    p_(n-2i) = proj(Lap^i p) / (4^i i! (lam + 1 + n - 2i)_i).  Each Lap^k p,
-    k = 1..n // 2, is computed once and shared by every component's
-    projection, and each component's scale enters the projection's
-    coefficients.
+    p_(n-2i) = proj(Lap^i p) / (4^i i! (lam + 1 + n - 2i)_i).  Each nonzero
+    Lap^k p is computed once and shared by every component's projection,
+    and each component's scale enters the projection's coefficients; past
+    the last nonzero power the tail is empty and the component is 0.
     """
     if p.dim != ctx.dim:
         raise ValueError("polynomial dimension does not match the context")
@@ -125,7 +124,7 @@ def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
         return HarmonicDecomposition(0, ((0, p),))
     n = _require_homogeneous(p, "decomposition input")
     lam = ctx.lambda_kappa
-    powers = _laplacian_powers(ctx, p, n // 2)
+    powers = list(_laplacian_powers(ctx, p))
     comps = []
     for i in range(n // 2 + 1):
         denom = Fraction(4**i) * math.factorial(i) * pochhammer(lam + 1 + n - 2 * i, i)

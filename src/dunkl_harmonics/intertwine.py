@@ -63,31 +63,6 @@ def gegenbauer(m: int, lam: RationalLike) -> Poly:
     return cur
 
 
-def gegenbauer_rodrigues(m: int, lam: RationalLike) -> Poly:
-    """Gegenbauer polynomial via the Rodrigues-type derivative formula.
-
-    The m-th derivative of (1-t^2)^(lam+m-1/2) equals (1-t^2)^(lam-1/2)
-    times a polynomial computed by the exact product-rule recursion below;
-    an independent route used to validate the recurrence in tests.
-    """
-    lam = as_fraction(lam)
-    if lam <= 0:
-        raise ValueError("the Gegenbauer index must be positive")
-    t = Poly.variable(1, 1)
-    one_minus_t2 = Poly.const(1, 1) - t * t
-    g = Poly.const(1, 1)
-    s = lam + m - Fraction(1, 2)
-    for _ in range(m):
-        g = one_minus_t2 * g.partial(1) - t * g * (2 * s)
-        s -= 1
-    front = (
-        Fraction((-1) ** m)
-        * pochhammer(2 * lam, m)
-        / (Fraction(2**m) * math.factorial(m) * pochhammer(lam + Fraction(1, 2), m))
-    )
-    return g * front
-
-
 # ---------------------------------------------------------------------------
 # the intertwining operator
 

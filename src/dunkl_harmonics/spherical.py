@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .dunkl import _laplacian_powers, _monomial_laplacian, apply_operator_poly
@@ -132,20 +133,19 @@ def pair_integral(ctx: DunklContext, q: Poly, p: Poly) -> Fraction:
 
     q must be h-harmonic homogeneous of degree m and p homogeneous of
     degree l; the value is q(D) Lap^n p / (2^(m+2n) n! (lam+1)_(m+n)) when
-    l - m = 2n >= 0, and zero when l - m is negative or odd.
+    l - m = 2n >= 0, and zero when l - m is negative or odd or Lap^n p is 0.
     """
     m = require_h_harmonic(ctx, q)
     if not p.is_homogeneous():
         raise ValueError("p must be homogeneous")
-    l = p.degree()
-    if l < 0:
-        return Fraction(0)
-    gap = l - m
+    gap = p.degree() - m
     if gap < 0 or gap % 2:
         return Fraction(0)
     n = gap // 2
-    value = apply_operator_poly(ctx, q, _laplacian_powers(ctx, p, n)[n])
-    return value.constant_term() / (
+    power = next(islice(_laplacian_powers(ctx, p), n, None), None)
+    if power is None:
+        return Fraction(0)
+    return apply_operator_poly(ctx, q, power).constant_term() / (
         Fraction(2 ** (m + 2 * n)) * math.factorial(n) * pochhammer(ctx.lambda_kappa + 1, m + n)
     )
 
@@ -155,7 +155,8 @@ def extended_pizzetti(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> Pizz
 
     c_n = (q(D) Lap^n f)(0) / (n! (lam+1)_(m+n) 2^(m+2n)) for n = 0..n_terms.
     For polynomial f the expansion is exact once m + 2 n_terms reaches the
-    degree of f; beyond that every coefficient is zero.
+    degree of f; beyond that every coefficient is an exact zero, and no
+    power of Lap f past the last nonzero one is computed.
     """
     m = require_h_harmonic(ctx, q)
     if f.dim != ctx.dim:
@@ -165,10 +166,11 @@ def extended_pizzetti(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> Pizz
     lam = ctx.lambda_kappa
     coeffs = []
     denominator = pochhammer(lam + 1, m) * 2**m
-    for n, g in enumerate(_laplacian_powers(ctx, f, n_terms)):
+    for n, g in enumerate(islice(_laplacian_powers(ctx, f), n_terms + 1)):
         if n:
             denominator *= 4 * n * (lam + m + n)
         coeffs.append(apply_operator_poly(ctx, q, g).constant_term() / denominator)
+    coeffs += [Fraction(0)] * (n_terms + 1 - len(coeffs))
     return PizzettiSeries(m, tuple(coeffs))
 
 
@@ -197,14 +199,10 @@ def hobson_apply(ctx: DunklContext, p: Poly, f0: RadialPowerSum) -> Poly:
         raise ValueError("polynomial dimension does not match the context")
     if not p.is_homogeneous():
         raise ValueError("p must be homogeneous")
-    if p.is_zero:
-        return p
     m = p.degree()
     norm2 = Poly.norm_squared(ctx.dim)
     out = Poly.zero(ctx.dim)
-    for i, lap in enumerate(_laplacian_powers(ctx, p, m // 2)):
-        if lap.is_zero:
-            break
+    for i, lap in enumerate(_laplacian_powers(ctx, p)):
         radial = Poly.zero(ctx.dim)
         for j, c in f0.terms:
             coeff, half = _radial_derivative_power(j, m - i)
@@ -280,10 +278,9 @@ def bessel_form_eval(
         raise ValueError(f"unknown prefactor variant {variant!r}")
     alpha = float(lam + m)
     half_r = r / 2.0
-    n_max = max(0, (f.degree() - m + 1) // 2) if not f.is_zero else 0
     total = 0.0
     term = 1.0
-    for n, g in enumerate(_laplacian_powers(ctx, f, n_max)):
+    for n, g in enumerate(_laplacian_powers(ctx, f)):
         if n:
             term *= half_r * half_r / (n * (alpha + n))
         moment = float(apply_operator_poly(ctx, q, g).constant_term())

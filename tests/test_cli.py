@@ -275,6 +275,16 @@ class TestVerify:
         inputs = failing[0].counterexample
         assert "p" in inputs and ("reconstructed" in inputs or "component" in inputs)
 
+    @pytest.mark.parametrize("flag,value", [("--group", "b2"), ("--kappa", "1/2,3/2")])
+    def test_context_flags_rejected(self, capsys, flag, value):
+        # verify runs its own corpus: it neither takes nor advertises a context
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag, value, "--max-degree", "2", "--families", "z2", "--samples", "5000"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert flag not in capsys.readouterr().out
+
     def test_invalid_max_degree(self):
         with pytest.raises(ValueError):
             verify(max_degree=1)

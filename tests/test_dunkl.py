@@ -16,6 +16,7 @@ from dunkl_harmonics import (
     pochhammer,
     sphere_integrate,
 )
+from dunkl_harmonics import dunkl
 from dunkl_harmonics.verify import random_poly
 
 
@@ -70,6 +71,18 @@ class TestLaplacian:
         p = random_poly(rng, 3, 5, homogeneous=True)
         out = laplacian(d3, p)
         assert out.is_zero or out.degree() == 3
+
+
+    def test_powers_end_at_the_last_nonzero_one(self, rng, b2):
+        p = random_poly(rng, 2, 5, max_terms=8)
+        powers = list(dunkl._laplacian_powers(b2, p))
+        assert powers[0] == p and len(powers) <= 3 and not powers[-1].is_zero
+        for lower, upper in zip(powers[1:], powers):
+            assert lower == laplacian(b2, upper)
+        assert laplacian(b2, powers[-1]).is_zero
+        harmonic = parse("x1*x2", 2)
+        assert list(dunkl._laplacian_powers(b2, harmonic)) == [harmonic]
+        assert list(dunkl._laplacian_powers(b2, Poly.zero(2))) == []
 
 
 class TestOperatorSubstitution:

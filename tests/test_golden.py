@@ -17,6 +17,7 @@ from dunkl_harmonics import (
     DunklContext,
     Poly,
     RadialPowerSum,
+    bessel_form_eval,
     canonical_decompose,
     dunkl_apply,
     extended_pizzetti,
@@ -28,6 +29,7 @@ from dunkl_harmonics import (
     laplacian,
     make_context,
     monomials_of_degree,
+    pair_integral,
     pairing,
     proj,
     reduce_mod_sphere,
@@ -85,6 +87,28 @@ def _pizzetti(ctx, rng):
     )
     series = extended_pizzetti(ctx, q, f, 4)
     return [series.m, *series.coefficients]
+
+
+def _pair_integral(ctx, rng):
+    # q from the degree-m basis, m <= 3, against p of degree m + 2k, k = 0, 1, 2; the
+    # last p of each m is h-harmonic of degree m + 2, so Lap p is already zero
+    values = []
+    for m in range(4):
+        q = rng.choice(h_harmonic_basis(ctx, m))
+        for k in range(3):
+            values.append(pair_integral(ctx, q, random_poly(rng, ctx.dim, m + 2 * k, homogeneous=True)))
+        values.append(pair_integral(ctx, q, rng.choice(h_harmonic_basis(ctx, m + 2))))
+    return values
+
+
+def _bessel_form_eval(ctx, rng):
+    # the repr of each float, so the digest pins every bit
+    values = []
+    for m in range(3):
+        q = rng.choice(h_harmonic_basis(ctx, m))
+        f = q * random_poly(rng, ctx.dim, 6 - m, max_terms=4) + random_poly(rng, ctx.dim, 6, max_terms=6)
+        values.extend(repr(bessel_form_eval(ctx, q, f, r)) for r in (0.1, 0.5, 1.0))
+    return values
 
 
 def _hobson(ctx, rng):
@@ -150,6 +174,8 @@ OPERATIONS = {
     "canonical_decompose_8": lambda ctx, rng: _decompose(ctx, rng, 8),
     "extended_pizzetti": _pizzetti,
     "hobson_apply": _hobson,
+    "pair_integral": _pair_integral,
+    "bessel_form_eval": _bessel_form_eval,
     "reduce_mod_sphere": _reduce,
     "intertwiner_monomials_6": _intertwiner_monomials,
     "sphere_integrate": _sphere_integrate,
@@ -245,6 +271,14 @@ DIGESTS = {
     ("b2-scaled", "canonical_decompose"): "55bd4dc544b585176e88c68f4f7342b0c1e91b6c65fba6e9b859da38cded7f96",
     ("b2-scaled", "h_harmonic_basis"): "ab2da8db9e5e8a9711de413ce70170f0f9cee2e0566f97b50a264d4013ff396b",
     ("b2-scaled", "intertwiner_apply"): "ab8ca51d49d7f6d6446932d11ae2b98808ffd2e4365b5b249685596f0ced8ffb",
+    ("z2^3", "pair_integral"): "77ce2375c9874c88e1f5712a827f3cc170efa0e4eac94908ca3f637cacd7916a",
+    ("a2", "pair_integral"): "1d3d90606b462a3045f047bff8982ce58e6167f85f438cbada74313e49fca0b1",
+    ("b3", "pair_integral"): "bf7465edb1e246af79ea3e85e6ef58525bfa4bd3f4fd4432e052086b39062e80",
+    ("d4", "pair_integral"): "45cc0d9ea48adcb5c43deb65e9c060b77afce31b0a48acd20d001e8e3444e33c",
+    ("z2^3", "bessel_form_eval"): "8516a90d6d3a80392fb77e02db602eff68edeffba31480ab2d03eaebbb3a8992",
+    ("a2", "bessel_form_eval"): "63d95581bfe08bf504a81046e6c637a374d7bcbe87e0797973885336dde90fb6",
+    ("b3", "bessel_form_eval"): "d8f739b8c9e795144fe17b03dd222b3c9c13b7c9e430dba969ca74ef95355d60",
+    ("d4", "bessel_form_eval"): "252d756be9c0637da2ae12ded47590f9dbb6c533cfbe9173a73046380fdd6e93",
 }
 
 

@@ -10,7 +10,6 @@ from dunkl_harmonics import (
     funk_hecke_coeff,
     funk_hecke_coeff_moments,
     gegenbauer,
-    gegenbauer_rodrigues,
     h_harmonic_basis,
     intertwiner_apply,
     make_context,
@@ -45,16 +44,9 @@ class TestGegenbauer:
         # 2 lam (lam + 1) t^2 - lam, from the recurrence by hand
         assert gegenbauer(2, lam) == Poly(1, {(2,): 2 * lam * (lam + 1), (0,): -lam})
 
-    def test_rodrigues_route_agrees(self):
-        for lam in (F(1, 2), F(1), F(7, 3)):
-            for m in range(5):
-                assert gegenbauer(m, lam) == gegenbauer_rodrigues(m, lam)
-
     def test_nonpositive_index_rejected(self):
         with pytest.raises(ValueError):
             gegenbauer(2, 0)
-        with pytest.raises(ValueError):
-            gegenbauer_rodrigues(2, F(-1, 2))
 
 
 class TestIntertwiner:

@@ -20,7 +20,7 @@ from dunkl_harmonics import (
     pizzetti_from_hobson,
     sphere_integrate,
 )
-from dunkl_harmonics import spherical
+from dunkl_harmonics import dunkl, spherical
 from dunkl_harmonics.verify import random_poly
 
 
@@ -130,6 +130,28 @@ class TestExtendedPizzetti:
         series = extended_pizzetti(z2_2, parse("x1", 2), parse("x1^3 + x1*x2^2", 2), 200)
         assert len(series.coefficients) == 201
         assert len(calls) <= 1
+
+    def test_laplacian_calls_stop_at_the_input_degree(self, monkeypatch, b2):
+        # Lap lowers the degree by 2, so a degree-6 f takes 3 Laplacians however
+        # many terms are asked for; dunkl.laplacian is what _laplacian_powers calls
+        calls = []
+        real = dunkl.laplacian
+
+        def counting(ctx, p):
+            calls.append(p)
+            return real(ctx, p)
+
+        monkeypatch.setattr(dunkl, "laplacian", counting)
+        q = parse("x1*x2", 2)
+        f = parse("x1^4*x2^2 + 3*x2^6 - x1^3*x2", 2)
+        series = extended_pizzetti(b2, q, f, 10**5)
+        assert len(calls) == 3
+        head = extended_pizzetti(b2, q, f, 3).coefficients
+        assert series.coefficients == head + (F(0),) * (10**5 - 3)
+        assert all(type(c) is Fraction for c in series.coefficients)
+        calls.clear()
+        series = extended_pizzetti(b2, q, parse("x1^40 + x1^20*x2^20", 2), 0)
+        assert series.coefficients == (F(0),) and not calls
 
     def test_eval_matches_coefficients(self, z2_2):
         series = PizzettiSeries(1, (F(1, 2), F(3)))
