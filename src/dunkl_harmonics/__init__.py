@@ -27,7 +27,6 @@ from .harmonic import (
     canonical_decompose,
     h_harmonic_basis,
     is_h_harmonic,
-    orthogonality_rhs,
     proj,
     reduce_mod_sphere,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "make_context",
     "mc_sphere_integral",
     "monomials_of_degree",
-    "orthogonality_rhs",
     "pair_integral",
     "pairing",
     "parse",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .dunkl import _laplacian_powers, laplacian, pairing
+from .dunkl import _laplacian_powers, laplacian
 from .polyring import Monomial, Poly, monomials_of_degree, pochhammer
 from .reflection import DunklContext
 
@@ -71,6 +71,8 @@ def proj(ctx: DunklContext, n: int, p: Poly) -> Poly:
     the denominators never vanish for dimension >= 2 and kappa >= 0.
     The projection fixes every h-harmonic of degree n.
     """
+    if p.dim != ctx.dim:
+        raise ValueError("polynomial dimension does not match the context")
     if p.is_zero:
         return p
     deg = _require_homogeneous(p, "projection input")
@@ -174,25 +176,6 @@ def _primitive(p: Poly) -> Poly:
     if p.terms[lead] < 0:
         scale = -scale
     return p * scale
-
-
-def orthogonality_rhs(ctx: DunklContext, p: Poly, q: Poly) -> Fraction:
-    """Pairing-side value of the spherical orthogonality relation.
-
-    For h-harmonic homogeneous p, q of degrees l, m this equals the
-    normalized weighted spherical integral of p q: the pairing divided by
-    2^m (lam + 1)_m, and zero when l differs from m.
-    """
-    for name, poly in (("p", p), ("q", q)):
-        if not is_h_harmonic(ctx, poly):
-            raise ValueError(f"{name} must be h-harmonic")
-        _require_homogeneous(poly, name)
-    if p.degree() != q.degree():
-        return Fraction(0)
-    m = q.degree()
-    if m < 0:
-        return Fraction(0)
-    return pairing(ctx, p, q) / (Fraction(2**m) * pochhammer(ctx.lambda_kappa + 1, m))
 
 
 def reduce_mod_sphere(ctx: DunklContext, p: Poly) -> Poly:

@@ -13,7 +13,9 @@ degrees the context has seen; it is dropped with the context, and the
 values are those of the iterated-Laplacian formula.  The radius expansions
 (plain and with an h-harmonic factor) and Hobson's expansion of p(D)
 applied to radial polynomials are finite, exact objects here because inputs
-are polynomials.
+are polynomials.  The n-th coefficient of the mean of q(y) f(ry), q
+h-harmonic of degree m, is (q(D) Lap^n f)(0) / (2^(m+2n) n! (lam+1)_(m+n)),
+and it comes from one homogeneous part of f, f_(m+2n) (``_numerator``).
 """
 
 from __future__ import annotations
@@ -128,49 +130,62 @@ def _moment(ctx: DunklContext, mono: Monomial) -> Fraction:
     return moments[mono]
 
 
+def _numerator(ctx: DunklContext, q: Poly, m: int, part: Poly) -> tuple[int, Fraction] | None:
+    """n and (q(D) Lap^n part)(0) for a homogeneous part of degree m + 2n, else None.
+
+    (q(D) g)(0) reads only the degree-m part of g, and that of Lap^n f is Lap^n f_(m+2n).
+    """
+    n, odd = divmod(part.degree() - m, 2)
+    if n < 0 or odd:
+        return None
+    power = next(islice(_laplacian_powers(ctx, part), n, None), None)
+    if power is None:
+        return n, Fraction(0)
+    return n, apply_operator_poly(ctx, q, power).constant_term()
+
+
+def _denominator(lam: Fraction, m: int, n: int) -> Fraction:
+    """2^(m+2n) n! (lam+1)_(m+n), the denominator of the n-th coefficient."""
+    return Fraction(2 ** (m + 2 * n)) * math.factorial(n) * pochhammer(lam + 1, m + n)
+
+
 def pair_integral(ctx: DunklContext, q: Poly, p: Poly) -> Fraction:
     """Normalized integral of q p over the weighted sphere.
 
     q must be h-harmonic homogeneous of degree m and p homogeneous of
     degree l; the value is q(D) Lap^n p / (2^(m+2n) n! (lam+1)_(m+n)) when
     l - m = 2n >= 0, and zero when l - m is negative or odd or Lap^n p is 0.
+    For h-harmonic p it is the orthogonality relation of the h-harmonics.
     """
     m = require_h_harmonic(ctx, q)
+    if p.dim != ctx.dim:
+        raise ValueError("p dimension does not match the context")
     if not p.is_homogeneous():
         raise ValueError("p must be homogeneous")
-    gap = p.degree() - m
-    if gap < 0 or gap % 2:
+    term = _numerator(ctx, q, m, p)
+    if term is None:
         return Fraction(0)
-    n = gap // 2
-    power = next(islice(_laplacian_powers(ctx, p), n, None), None)
-    if power is None:
-        return Fraction(0)
-    return apply_operator_poly(ctx, q, power).constant_term() / (
-        Fraction(2 ** (m + 2 * n)) * math.factorial(n) * pochhammer(ctx.lambda_kappa + 1, m + n)
-    )
+    n, value = term
+    return value / _denominator(ctx.lambda_kappa, m, n)
 
 
 def extended_pizzetti(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> PizzettiSeries:
     """Radius expansion of the weighted spherical mean of q(y) f(ry).
 
     c_n = (q(D) Lap^n f)(0) / (n! (lam+1)_(m+n) 2^(m+2n)) for n = 0..n_terms.
-    For polynomial f the expansion is exact once m + 2 n_terms reaches the
-    degree of f; beyond that every coefficient is an exact zero, and no
-    power of Lap f past the last nonzero one is computed.
+    Each c_n comes from the part of f of degree m + 2n, so a part of degree
+    below m, of the wrong parity or above m + 2 n_terms costs nothing.  The
+    expansion is exact once m + 2 n_terms reaches the degree of f.
     """
     m = require_h_harmonic(ctx, q)
     if f.dim != ctx.dim:
         raise ValueError("f dimension does not match the context")
     if n_terms < 0:
         raise ValueError("the number of series terms must be >= 0")
-    lam = ctx.lambda_kappa
-    coeffs = []
-    denominator = pochhammer(lam + 1, m) * 2**m
-    for n, g in enumerate(islice(_laplacian_powers(ctx, f), n_terms + 1)):
-        if n:
-            denominator *= 4 * n * (lam + m + n)
-        coeffs.append(apply_operator_poly(ctx, q, g).constant_term() / denominator)
-    coeffs += [Fraction(0)] * (n_terms + 1 - len(coeffs))
+    coeffs = [Fraction(0)] * (n_terms + 1)
+    parts = (part for degree, part in f.homogeneous_parts() if degree <= m + 2 * n_terms)
+    for n, value in filter(None, (_numerator(ctx, q, m, part) for part in parts)):
+        coeffs[n] = value / _denominator(ctx.lambda_kappa, m, n)
     return PizzettiSeries(m, tuple(coeffs))
 
 
@@ -276,13 +291,14 @@ def bessel_form_eval(
         prefactor = 1.0 / float(base)
     else:
         raise ValueError(f"unknown prefactor variant {variant!r}")
+    # n -> (q(D) Lap^n f)(0), from the parts of degree m + 2n
+    values = dict(filter(None, (_numerator(ctx, q, m, part) for _, part in f.homogeneous_parts())))
     alpha = float(lam + m)
     half_r = r / 2.0
     total = 0.0
     term = 1.0
-    for n, g in enumerate(_laplacian_powers(ctx, f)):
+    for n in range(max(values, default=-1) + 1):
         if n:
             term *= half_r * half_r / (n * (alpha + n))
-        moment = float(apply_operator_poly(ctx, q, g).constant_term())
-        total += moment * term
+        total += float(values.get(n, 0)) * term
     return prefactor * half_r**m * total

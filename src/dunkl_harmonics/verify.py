@@ -424,7 +424,7 @@ def check_orthogonality_vs_integral(ctx: DunklContext, rng: random.Random, max_d
         for m in range(top + 1):
             for p in bases[l][:3]:
                 for q in bases[m][:3]:
-                    lhs = harmonic.orthogonality_rhs(ctx, p, q)
+                    lhs = spherical.pair_integral(ctx, q, p)
                     rhs = spherical.sphere_integrate(ctx, p * q)
                     if lhs != rhs:
                         return _fail(f"l,m<={top}", p=p, q=q, lhs=lhs, rhs=rhs)

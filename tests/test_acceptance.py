@@ -33,7 +33,7 @@ from dunkl_harmonics import (
     make_context,
     mc_sphere_integral,
     monomials_of_degree,
-    orthogonality_rhs,
+    pair_integral,
     pizzetti_from_hobson,
     pochhammer,
     sphere_integrate,
@@ -109,7 +109,7 @@ def test_c02_decomposition_and_dimensions(decomposition_corpus):
 
 
 def test_c03_orthogonality_vs_integral(nonzero_corpus):
-    """Criterion 3: pairing-normalized values equal product integrals, l,m <= 4."""
+    """Criterion 3: the orthogonality relation (pair_integral) equals product integrals, l,m <= 4."""
     checked = 0
     for ctx in nonzero_corpus:
         bases = {m: h_harmonic_basis(ctx, m) for m in range(5)}
@@ -117,7 +117,7 @@ def test_c03_orthogonality_vs_integral(nonzero_corpus):
             for m in range(5):
                 for p in bases[l]:
                     for q in bases[m]:
-                        assert orthogonality_rhs(ctx, p, q) == sphere_integrate(ctx, p * q)
+                        assert pair_integral(ctx, q, p) == sphere_integrate(ctx, p * q)
                         checked += 1
     print(f"\nACCEPTANCE C3 PASS: orthogonality relation vs quadrature on {checked} basis pairs")
 

@@ -279,6 +279,12 @@ DIGESTS = {
     ("a2", "bessel_form_eval"): "63d95581bfe08bf504a81046e6c637a374d7bcbe87e0797973885336dde90fb6",
     ("b3", "bessel_form_eval"): "d8f739b8c9e795144fe17b03dd222b3c9c13b7c9e430dba969ca74ef95355d60",
     ("d4", "bessel_form_eval"): "252d756be9c0637da2ae12ded47590f9dbb6c533cfbe9173a73046380fdd6e93",
+    ("dense", "extended_pizzetti"): "8e7339b613651471e98b3352a2a9b3fa31d115a0919a716aa28fda78f96b1124",
+    ("dense", "pair_integral"): "f6e9fb63ac00ebfb67c7da3090e920a3af2a13f7556f7d4d3868dc1efc448548",
+    ("dense", "bessel_form_eval"): "a551f15e5faa3fd94da3ede8cfda70e4d9203f33b49b798d4f250a58b53e775e",
+    ("b2-scaled", "extended_pizzetti"): "74aeb6e13e756a9f7852866074719cfadee24544c0a6a3b9321bff89da62cb12",
+    ("b2-scaled", "pair_integral"): "637652b5c47b9d39b55687f48a498ee3fcf44839225d9811a407c7eb747bc605",
+    ("b2-scaled", "bessel_form_eval"): "ad16b100162afd0573bd5800e001519739ad3b0c5af10d85991039c2692e9ba6",
 }
 
 

@@ -9,7 +9,6 @@ from dunkl_harmonics import (
     h_harmonic_basis,
     is_h_harmonic,
     laplacian,
-    orthogonality_rhs,
     parse,
     proj,
     reduce_mod_sphere,
@@ -48,6 +47,12 @@ class TestProj:
     def test_non_homogeneous_rejected(self, z2_2):
         with pytest.raises(ValueError):
             proj(z2_2, 2, parse("x1^2 + x2", 2))
+
+    def test_dimension_mismatch_rejected(self, b2):
+        # a zero of the wrong dimension is refused too, not handed back
+        for p in (parse("x3", 3), Poly.zero(3)):
+            with pytest.raises(ValueError, match="polynomial dimension does not match the context"):
+                proj(b2, 1, p)
 
 
 class TestCanonicalDecompose:
@@ -143,26 +148,6 @@ class TestBasis:
 
     def test_deterministic(self, b2):
         assert h_harmonic_basis(b2, 4) == h_harmonic_basis(b2, 4)
-
-
-class TestOrthogonalityRhs:
-    def test_constants(self, z2_2):
-        one = Poly.const(2, 1)
-        assert orthogonality_rhs(z2_2, one, one) == 1
-
-    def test_classical_coordinate(self, z2_2_zero):
-        # (1/2pi) integral of cos^2 is 1/2
-        x1 = parse("x1", 2)
-        assert orthogonality_rhs(z2_2_zero, x1, x1) == F(1, 2)
-
-    def test_cross_degree_zero(self, a2):
-        p = h_harmonic_basis(a2, 1)[0]
-        q = h_harmonic_basis(a2, 2)[0]
-        assert orthogonality_rhs(a2, p, q) == 0
-
-    def test_rejects_non_harmonic(self, z2_2):
-        with pytest.raises(ValueError):
-            orthogonality_rhs(z2_2, Poly.norm_squared(2), Poly.const(2, 1))
 
 
 class TestReduceModSphere:

@@ -13,7 +13,6 @@ from dunkl_harmonics import (
     harmonic_radial_power,
     hobson_apply,
     laplacian,
-    orthogonality_rhs,
     pair_integral,
     parse,
     pizzetti,
@@ -77,12 +76,24 @@ class TestPairIntegral:
         q = h_harmonic_basis(a2, 2)[0]
         assert pair_integral(a2, q, parse("x1", 3)) == 0
 
-    def test_recovers_orthogonality_relation(self, nonzero_corpus):
-        for ctx in nonzero_corpus:
-            for m in range(3):
-                for q in h_harmonic_basis(ctx, m)[:2]:
-                    for p in h_harmonic_basis(ctx, m)[:2]:
-                        assert pair_integral(ctx, q, p) == orthogonality_rhs(ctx, q, p)
+    def test_constants(self, z2_2):
+        one = Poly.const(2, 1)
+        assert pair_integral(z2_2, one, one) == 1
+
+    def test_classical_coordinate(self, z2_2_zero):
+        # (1/2pi) integral of cos^2 is 1/2
+        x1 = parse("x1", 2)
+        assert pair_integral(z2_2_zero, x1, x1) == F(1, 2)
+
+    def test_cross_degree_zero(self, a2):
+        q = h_harmonic_basis(a2, 1)[0]
+        p = h_harmonic_basis(a2, 2)[0]
+        assert pair_integral(a2, q, p) == 0
+
+    def test_dimension_mismatch_rejected(self, b2):
+        # the gap 2 - 1 is odd, so only the dimension check can refuse it
+        with pytest.raises(ValueError, match="p dimension does not match the context"):
+            pair_integral(b2, parse("x1", 2), parse("x1*x3", 3))
 
     def test_rejects_non_harmonic_factor(self, z2_2):
         with pytest.raises(ValueError):
@@ -152,6 +163,36 @@ class TestExtendedPizzetti:
         calls.clear()
         series = extended_pizzetti(b2, q, parse("x1^40 + x1^20*x2^20", 2), 0)
         assert series.coefficients == (F(0),) and not calls
+
+    def test_each_coefficient_reads_one_homogeneous_part(self, monkeypatch, b2):
+        # (q(D) g)(0) reads only the degree-m part of g, so q(D) meets nothing
+        # but Lap^n f_(m+2n), of degree m, and a part of the wrong parity costs
+        # neither a Laplacian nor a q(D)
+        laplacian_inputs, operator_inputs = [], []
+        real_laplacian, real_apply = dunkl.laplacian, spherical.apply_operator_poly
+
+        def counting_laplacian(ctx, p):
+            laplacian_inputs.append(p)
+            return real_laplacian(ctx, p)
+
+        def counting_apply(ctx, q, p):
+            operator_inputs.append(p)
+            return real_apply(ctx, q, p)
+
+        monkeypatch.setattr(dunkl, "laplacian", counting_laplacian)
+        monkeypatch.setattr(spherical, "apply_operator_poly", counting_apply)
+        q = parse("x1*x2", 2)
+        f = parse("x1^4*x2^2 + 3*x2^6 - x1^3*x2 + x1^2", 2)
+        for run in (lambda: bessel_form_eval(b2, q, f, 0.5), lambda: extended_pizzetti(b2, q, f, 10)):
+            operator_inputs.clear()
+            run()
+            assert operator_inputs
+            assert all(p.is_homogeneous() and p.degree() == 2 for p in operator_inputs)
+        laplacian_inputs.clear()
+        operator_inputs.clear()
+        series = extended_pizzetti(b2, q, parse("x1^7 + x1^5*x2^2 + x1", 2), 5)
+        assert series.coefficients == (F(0),) * 6
+        assert not laplacian_inputs and not operator_inputs
 
     def test_eval_matches_coefficients(self, z2_2):
         series = PizzettiSeries(1, (F(1, 2), F(3)))
