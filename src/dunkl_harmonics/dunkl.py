@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .polyring import Monomial, Poly, RationalLike, as_fraction
+from .polyring import Monomial, Poly, RationalLike, as_fraction, radial_sum
 from .reflection import DunklContext
 
 
@@ -209,19 +209,13 @@ def apply_operator_poly(ctx: DunklContext, q: Poly, p: Poly) -> Poly:
     """
     _require_ctx_dim(ctx, q)
     _require_ctx_dim(ctx, p)
-    out = Poly.zero(ctx.dim)
+    images = []
     for mono, coeff in q.terms.items():
         r = p
-        for j, e in enumerate(mono):
-            for _ in range(e):
-                if r.is_zero:
-                    break
-                r = dunkl_axis(ctx, j + 1, r)
-            if r.is_zero:
-                break
-        if not r.is_zero:
-            out = out + r * coeff
-    return out
+        for axis in (j + 1 for j, e in enumerate(mono) for _ in range(e)):
+            r = dunkl_axis(ctx, axis, r)
+        images.append((0, coeff, r))
+    return radial_sum(ctx.dim, images)
 
 
 def pairing(ctx: DunklContext, p: Poly, q: Poly) -> Fraction:

@@ -7,9 +7,9 @@ coefficients of that splitting are implemented verbatim; the reconstruction
 identity is the independent check, exercised by the tests.  Both the
 projection and the splitting read the sequence p, Lap p, Lap^2 p, ...; the
 splitting computes each Lap^k p once and shares it among its components.
-The projection sums that sequence by Horner's rule in |x|^2, whose
-multiplication is a shift of exponents, so neither makes a product of two
-polynomials.
+The projection, the reconstruction and the reduction modulo the sphere are
+sums of c |x|^(2k) g, taken by ``polyring.radial_sum`` with Horner's rule in
+|x|^2, so none of them makes a product of two polynomials.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .dunkl import _laplacian_powers, laplacian
-from .polyring import Monomial, Poly, monomials_of_degree, pochhammer
+from .polyring import Poly, monomials_of_degree, pochhammer, radial_sum
 from .reflection import DunklContext
 
 
@@ -32,13 +32,7 @@ class HarmonicDecomposition:
     components: tuple[tuple[int, Poly], ...]
 
     def reconstruct(self) -> Poly:
-        dim = self.components[0][1].dim
-        norm2 = Poly.norm_squared(dim)
-        total = Poly.zero(dim)
-        for i, part in self.components:
-            if not part.is_zero:
-                total = total + (norm2**i) * part
-        return total
+        return radial_sum(self.components[0][1].dim, ((i, 1, part) for i, part in self.components))
 
 
 def is_h_harmonic(ctx: DunklContext, p: Poly) -> bool:
@@ -84,32 +78,17 @@ def proj(ctx: DunklContext, n: int, p: Poly) -> Poly:
 def _project(ctx: DunklContext, n: int, powers: list[Poly], scale: Fraction = Fraction(1)) -> Poly:
     """scale times the projection of p, of degree n, given powers = [p, Lap p, ..., Lap^k p].
 
-    The sum of c_j |x|^(2j) Lap^j p, c_j = scale / (4^j j! (-lam - n + 1)_j),
-    is taken by Horner's rule in |x|^2: out = c_k Lap^k p, then
-    out = |x|^2 out + c_j Lap^j p for j = k - 1 .. 0, where multiplying by
-    |x|^2 adds 2 to each exponent in turn.  The powers end at the last
-    nonzero one (see ``_laplacian_powers``), and an empty list is the
-    sequence of p = 0, whose projection is 0.
+    The projection is the sum of c_j |x|^(2j) Lap^j p with
+    c_j = scale / (4^j j! (-lam - n + 1)_j), each c_j carried from c_(j-1),
+    and :func:`radial_sum` takes it by Horner's rule in |x|^2.  The powers
+    end at the last nonzero one (see ``_laplacian_powers``), and an empty
+    list is the sequence of p = 0, whose projection is 0.
     """
     lam = ctx.lambda_kappa
     coeffs = [scale]
     for j in range(1, len(powers)):
         coeffs.append(coeffs[-1] / (4 * j * (-lam - n + j)))
-    out: dict[Monomial, Fraction] = {}
-    for j in range(len(powers) - 1, -1, -1):
-        shifted: dict[Monomial, Fraction] = {}
-        for mono, c in out.items():
-            for i, e in enumerate(mono):
-                m = mono[:i] + (e + 2,) + mono[i + 1:]
-                s = shifted.get(m)
-                shifted[m] = c if s is None else s + c
-        out = shifted
-        c = coeffs[j]
-        terms = powers[j].terms if c == 1 else {m: c * v for m, v in powers[j].terms.items()}
-        for m, v in terms.items():
-            s = out.get(m)
-            out[m] = v if s is None else s + v
-    return Poly._raw(ctx.dim, {m: v for m, v in out.items() if v})
+    return radial_sum(ctx.dim, zip(range(len(powers)), coeffs, powers))
 
 
 def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
@@ -185,8 +164,7 @@ def reduce_mod_sphere(ctx: DunklContext, p: Poly) -> Poly:
     factor replaced by 1, giving equality of polynomials as functions on
     the sphere.
     """
-    out = Poly.zero(ctx.dim)
-    for _, part in p.homogeneous_parts():
-        for _, comp in canonical_decompose(ctx, part).components:
-            out = out + comp
-    return out
+    if p.dim != ctx.dim:
+        raise ValueError("polynomial dimension does not match the context")
+    decomps = (canonical_decompose(ctx, part) for _, part in p.homogeneous_parts())
+    return radial_sum(ctx.dim, [(0, 1, comp) for d in decomps for _, comp in d.components])

@@ -26,7 +26,7 @@ from . import _linalg
 # unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
 from .dunkl import dunkl_axis
 from .harmonic import reduce_mod_sphere, require_h_harmonic
-from .polyring import Monomial, Poly, RationalLike, as_fraction, monomials_of_degree, pochhammer
+from .polyring import Monomial, Poly, RationalLike, as_fraction, monomials_of_degree, pochhammer, radial_sum
 from .reflection import DunklContext
 from .spherical import sphere_integrate
 
@@ -123,12 +123,8 @@ def intertwiner_apply(ctx: DunklContext, p: Poly) -> Poly:
     """
     if p.dim != ctx.dim:
         raise ValueError("polynomial dimension does not match the context")
-    out = Poly.zero(ctx.dim)
-    for degree, part in p.homogeneous_parts():
-        table = _intertwiner_table(ctx, degree)
-        for mono, c in part.terms.items():
-            out = out + table[mono] * c
-    return out
+    tables = {n: _intertwiner_table(ctx, n) for n in {sum(mono) for mono in p.terms}}
+    return radial_sum(ctx.dim, [(0, c, tables[sum(mono)][mono]) for mono, c in p.terms.items()])
 
 
 # ---------------------------------------------------------------------------

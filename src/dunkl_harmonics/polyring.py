@@ -6,6 +6,8 @@ arithmetic is exact, and no float enters: the float lane is
 :mod:`dunkl_harmonics.oracle`.  Text I/O follows a small grammar with
 variables ``x1 .. xd`` (see :func:`parse`), and :meth:`Poly.__str__`
 emits terms in graded-lexicographic order so that formatting is canonical.
+:func:`radial_sum` is the one routine for a sum of c |x|^(2k) g: Horner's
+rule in |x|^2, whose multiplication is a shift of exponents.
 
 The reflection primitives live here too.  :meth:`Poly.reflect` takes the
 reflection ``r_a`` of a nonzero rational vector ``a`` from one memoized
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Monomial = tuple[int, ...]
 RationalLike = Fraction | int
@@ -123,11 +125,7 @@ class Poly:
     @classmethod
     def norm_squared(cls, dim: int) -> Poly:
         """x1^2 + ... + xd^2."""
-        terms = {}
-        for i in range(dim):
-            mono = tuple(2 if j == i else 0 for j in range(dim))
-            terms[mono] = Fraction(1)
-        return cls(dim, terms)
+        return cls(dim, {tuple(2 if j == i else 0 for j in range(dim)): 1 for i in range(dim)})
 
     @classmethod
     def _raw(cls, dim: int, clean_terms: dict[Monomial, Fraction]) -> Poly:
@@ -249,15 +247,10 @@ class Poly:
                             for j in range(self.dim)})
             for i in range(self.dim)
         ]
-        power_cache: dict[tuple[int, int], Poly] = {}
 
+        @functools.cache
         def image_power(i: int, e: int) -> Poly:
-            key = (i, e)
-            got = power_cache.get(key)
-            if got is None:
-                got = images[i] ** e
-                power_cache[key] = got
-            return got
+            return images[i] ** e
 
         acc = Poly.zero(self.dim)
         for mono, c in self.terms.items():
@@ -347,6 +340,34 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.dim}, {format_poly(self)!r})"
+
+
+def radial_sum(dim: int, terms: Iterable[tuple[int, RationalLike, Poly]]) -> Poly:
+    """The sum of c |x|^(2k) g over triples (k, c, g) of dimension ``dim``, by Horner's rule in |x|^2.
+
+    out = |x|^2 out + (the terms with k) for k = K .. 0, where multiplying by
+    |x|^2 adds 2 to each exponent in turn: one dict, and no product of two polynomials.
+    """
+    buckets: dict[int, list[tuple[RationalLike, Poly]]] = {}
+    for k, c, g in terms:
+        buckets.setdefault(k, []).append((c, g))
+    out: dict[Monomial, Fraction] = {}
+    for k in range(max(buckets, default=-1), -1, -1):
+        if out:
+            shifted: dict[Monomial, Fraction] = {}
+            for mono, c in out.items():
+                for i, e in enumerate(mono):
+                    m = mono[:i] + (e + 2,) + mono[i + 1:]
+                    s = shifted.get(m)
+                    shifted[m] = c if s is None else s + c
+            out = shifted
+        for c, g in buckets.get(k, ()):
+            one = c == 1
+            for m, v in g.terms.items():
+                v = v if one else c * v
+                s = out.get(m)
+                out[m] = v if s is None else s + v
+    return Poly._raw(dim, {m: v for m, v in out.items() if v})
 
 
 class _Reflection(NamedTuple):

@@ -16,22 +16,41 @@ applied to radial polynomials are finite, exact objects here because inputs
 are polynomials.  The n-th coefficient of the mean of q(y) f(ry), q
 h-harmonic of degree m, is (q(D) Lap^n f)(0) / (2^(m+2n) n! (lam+1)_(m+n)),
 and it comes from one homogeneous part of f, f_(m+2n) (``_numerator``).
+Hobson's expansion, q(D)|x|^(2j) and ``RadialPowerSum.to_poly`` are sums of
+c |x|^(2k) g, taken by ``polyring.radial_sum``.  ``eval_float`` and
+``bessel_form_eval`` refuse a value that is not finite in floating point with
+``ValueError``, as the oracle does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .dunkl import _laplacian_powers, _monomial_laplacian, apply_operator_poly
 # unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
 from .dunkl import laplacian
 from .harmonic import require_h_harmonic
-from .polyring import Monomial, Poly, RationalLike, as_fraction, pochhammer
+from .polyring import Monomial, Poly, RationalLike, as_fraction, pochhammer, radial_sum
 from .reflection import DunklContext
+
+
+def _finite(evaluate: Callable[..., float]) -> Callable[..., float]:
+    """evaluate, refusing with ValueError inf, nan and the OverflowError of a float power."""
+    @functools.wraps(evaluate)
+    def checked(*args, **kwargs) -> float:
+        try:
+            value = evaluate(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{evaluate.__name__} is not finite in floating point")
+        return value
+    return checked
 
 
 @dataclass(frozen=True)
@@ -43,11 +62,9 @@ class PizzettiSeries:
 
     def eval_rational(self, r: RationalLike) -> Fraction:
         r = as_fraction(r)
-        return sum(
-            (c * r ** (self.m + 2 * n) for n, c in enumerate(self.coefficients)),
-            Fraction(0),
-        )
+        return sum((c * r ** (self.m + 2 * n) for n, c in enumerate(self.coefficients)), Fraction(0))
 
+    @_finite
     def eval_float(self, r: float) -> float:
         return sum(float(c) * r ** (self.m + 2 * n) for n, c in enumerate(self.coefficients))
 
@@ -72,11 +89,7 @@ class RadialPowerSum:
         return cls(tuple(sorted((j, c) for j, c in acc.items() if c)))
 
     def to_poly(self, dim: int) -> Poly:
-        norm2 = Poly.norm_squared(dim)
-        out = Poly.zero(dim)
-        for j, c in self.terms:
-            out = out + (norm2**j) * c
-        return out
+        return radial_sum(dim, [(j, c, Poly.const(dim, 1)) for j, c in self.terms])
 
 
 def sphere_integrate(ctx: DunklContext, p: Poly) -> Fraction:
@@ -215,17 +228,12 @@ def hobson_apply(ctx: DunklContext, p: Poly, f0: RadialPowerSum) -> Poly:
     if not p.is_homogeneous():
         raise ValueError("p must be homogeneous")
     m = p.degree()
-    norm2 = Poly.norm_squared(ctx.dim)
-    out = Poly.zero(ctx.dim)
+    terms = []
     for i, lap in enumerate(_laplacian_powers(ctx, p)):
-        radial = Poly.zero(ctx.dim)
         for j, c in f0.terms:
-            coeff, half = _radial_derivative_power(j, m - i)
-            if coeff:
-                radial = radial + (norm2**half) * (c * coeff)
-        if not radial.is_zero:
-            out = out + radial * lap * Fraction(1, 2**i * math.factorial(i))
-    return out
+            coeff, k = _radial_derivative_power(j, m - i)
+            terms.append((k, c * coeff / (2**i * math.factorial(i)), lap))
+    return radial_sum(ctx.dim, terms)
 
 
 def harmonic_radial_power(ctx: DunklContext, q: Poly, j: int) -> Poly:
@@ -236,10 +244,8 @@ def harmonic_radial_power(ctx: DunklContext, q: Poly, j: int) -> Poly:
     m = require_h_harmonic(ctx, q)
     if j < 0:
         raise ValueError("the radial exponent must be >= 0")
-    if j < m:
-        return Poly.zero(ctx.dim)
-    coeff = Fraction(2**m) * Fraction(math.factorial(j), math.factorial(j - m))
-    return (Poly.norm_squared(ctx.dim) ** (j - m)) * q * coeff
+    coeff, k = _radial_derivative_power(j, m)
+    return radial_sum(ctx.dim, [(k, coeff, q)])
 
 
 def pizzetti_from_hobson(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> PizzettiSeries:
@@ -261,6 +267,7 @@ def pizzetti_from_hobson(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> P
     return PizzettiSeries(m, base.coefficients[m : m + n_terms + 1])
 
 
+@_finite
 def bessel_form_eval(
     ctx: DunklContext,
     q: Poly,

@@ -17,6 +17,7 @@ from dunkl_harmonics import (
     DunklContext,
     Poly,
     RadialPowerSum,
+    apply_operator_poly,
     bessel_form_eval,
     canonical_decompose,
     dunkl_apply,
@@ -24,6 +25,7 @@ from dunkl_harmonics import (
     funk_hecke_check,
     funk_hecke_coeff_moments,
     h_harmonic_basis,
+    harmonic_radial_power,
     hobson_apply,
     intertwiner_apply,
     laplacian,
@@ -141,6 +143,25 @@ def _pairing(ctx, rng):
     return [pairing(ctx, p, q)]
 
 
+def _apply_operator_poly(ctx, rng):
+    # q(D) p for q of degree <= 3 and p of degree <= 7, both inhomogeneous
+    return [
+        apply_operator_poly(
+            ctx, random_poly(rng, ctx.dim, 3, max_terms=4), random_poly(rng, ctx.dim, 7, max_terms=8)
+        )
+        for _ in range(3)
+    ]
+
+
+def _harmonic_radial_power(ctx, rng):
+    # q(D) |x|^(2j) for q from the degree-m basis, m <= 3, and j = 0..6, zero for j < m
+    values = []
+    for m in range(4):
+        q = rng.choice(h_harmonic_basis(ctx, m))
+        values.extend(harmonic_radial_power(ctx, q, j) for j in range(7))
+    return values
+
+
 def _reduce(ctx, rng):
     return [reduce_mod_sphere(ctx, random_poly(rng, ctx.dim, 7, max_terms=8))]
 
@@ -181,6 +202,8 @@ OPERATIONS = {
     "sphere_integrate": _sphere_integrate,
     "dunkl_apply": _dunkl_apply,
     "pairing": _pairing,
+    "apply_operator_poly": _apply_operator_poly,
+    "harmonic_radial_power": _harmonic_radial_power,
     "reproducing_kernel_3": _reproducing_kernel,
     "funk_hecke_check_5": _funk_hecke_check,
     "funk_hecke_moments_5": _funk_hecke_moments,
@@ -285,6 +308,22 @@ DIGESTS = {
     ("b2-scaled", "extended_pizzetti"): "74aeb6e13e756a9f7852866074719cfadee24544c0a6a3b9321bff89da62cb12",
     ("b2-scaled", "pair_integral"): "637652b5c47b9d39b55687f48a498ee3fcf44839225d9811a407c7eb747bc605",
     ("b2-scaled", "bessel_form_eval"): "ad16b100162afd0573bd5800e001519739ad3b0c5af10d85991039c2692e9ba6",
+    ("z2^3", "apply_operator_poly"): "b6b35b4a0471437e3f9b295b18c9806c92ce9f15685a867ec6b52422aa38f186",
+    ("z2^3", "harmonic_radial_power"): "a7b6e3b82731970f989f382acf71773ff7825270da360102f20b98e9248af0bc",
+    ("a2", "apply_operator_poly"): "cbe0e2b369efaa47e782bce4a3b31e34f3e249a1e8b71ad96e9c0cadf73a6d68",
+    ("a2", "harmonic_radial_power"): "3adf0c00f06f1689d4efce3e92f5b8e53803ae1231c80ae5857082b6cb156d89",
+    ("b3", "apply_operator_poly"): "7c94703f77779606e3847a1cfd5058f88587e3840882d0734b3e37a132f1ab9a",
+    ("b3", "harmonic_radial_power"): "9039eb55ed6b14222a06c34541596595f20800ebafa8f7f79309f4f9108f8de1",
+    ("d4", "apply_operator_poly"): "52faab0b1eb5c027bd0274d28db7a6b3726e409cf884aa66e8d705e66359a8be",
+    ("d4", "harmonic_radial_power"): "f8338fe9396ff2bbebcf5b8fdd161eaa4e467ba06e38309827cb635c93fb20fb",
+    ("dense", "apply_operator_poly"): "6c26add9740ec53966e8b77fd8fa051c2fa4a6374839157cd5a9b9022a24a6e0",
+    ("dense", "harmonic_radial_power"): "cfff7e86508cbbc4e1275955173b7cb7f3974b2f9d2060c5a199560dae559c0c",
+    ("dense", "hobson_apply"): "f5530a1236de6215b209ba6618f0a6215fcfff3a79bf4e71041c4b046f6a9212",
+    ("dense", "reduce_mod_sphere"): "992ded11f6058e450402f97536998452d109f89e9f5d604e2b5d8d7f212cdac4",
+    ("b2-scaled", "apply_operator_poly"): "c6ca7f763719d9a91436f02d6da6f6775f40a50c24bf2b4676ceed8a9bbc8df4",
+    ("b2-scaled", "harmonic_radial_power"): "07271fcf56b4730763f771ceb9019bef08c356c1201ba4f98f2d8aa12a7ffc4a",
+    ("b2-scaled", "hobson_apply"): "3a3a4822b22e2268479b76d8b4d63c8c0a85ef948f8ab2224306307c7601d9b3",
+    ("b2-scaled", "reduce_mod_sphere"): "884963de4fd23a2fc943f908569fbd1db2b2fe7d834a92724f2bede19865ba3c",
 }
 
 

@@ -5,8 +5,13 @@ import pytest
 from dunkl_harmonics import dunkl, harmonic
 from dunkl_harmonics import (
     Poly,
+    RadialPowerSum,
+    apply_operator_poly,
     canonical_decompose,
     h_harmonic_basis,
+    harmonic_radial_power,
+    hobson_apply,
+    intertwiner_apply,
     is_h_harmonic,
     laplacian,
     parse,
@@ -53,6 +58,38 @@ class TestProj:
         for p in (parse("x3", 3), Poly.zero(3)):
             with pytest.raises(ValueError, match="polynomial dimension does not match the context"):
                 proj(b2, 1, p)
+
+
+# every site that sums c |x|^(2k) g, through polyring.radial_sum
+RADIAL_SUM_SITES = (
+    "canonical_decompose",
+    "reconstruct",
+    "to_poly",
+    "hobson_apply",
+    "harmonic_radial_power",
+    "apply_operator_poly",
+    "intertwiner_apply",
+    "reduce_mod_sphere",
+)
+
+
+def radial_sum_calls(ctx):
+    """One call of each of RADIAL_SUM_SITES on a context of dimension 3."""
+    p = parse("x1^8 + 3*x1^2*x2^4*x3^2 - x2^5*x3^3 + 2/3*x1*x2^4*x3^3", 3)
+    f = p + parse("x1^3 - 1/2*x2*x3 + 4", 3)
+    q = h_harmonic_basis(ctx, 2)[0]
+    f0 = RadialPowerSum.from_pairs([(0, 1), (2, F(-1, 3)), (5, 2)])
+    decomp = canonical_decompose(ctx, p)
+    return {
+        "canonical_decompose": lambda: canonical_decompose(ctx, p),
+        "reconstruct": decomp.reconstruct,
+        "to_poly": lambda: f0.to_poly(3),
+        "hobson_apply": lambda: hobson_apply(ctx, p, f0),
+        "harmonic_radial_power": lambda: harmonic_radial_power(ctx, q, 5),
+        "apply_operator_poly": lambda: apply_operator_poly(ctx, q, f),
+        "intertwiner_apply": lambda: intertwiner_apply(ctx, f),
+        "reduce_mod_sphere": lambda: reduce_mod_sphere(ctx, f),
+    }
 
 
 class TestCanonicalDecompose:
@@ -103,20 +140,29 @@ class TestCanonicalDecompose:
         assert len(calls) == 4  # Lap p, ..., Lap^4 p, one call each
         assert decomp.reconstruct() == p
 
-    def test_no_polynomial_products(self, d3, monkeypatch):
-        real = Poly.__mul__
-        products = []
+    @pytest.mark.parametrize("site", RADIAL_SUM_SITES)
+    def test_no_polynomial_products(self, d3, monkeypatch, site):
+        # with the tables warm, a sum of c |x|^(2k) g shifts exponents and adds
+        # into one dict: no Poly sum, product or power
+        run = radial_sum_calls(d3)[site]
+        expected = run()
+        calls = []
 
-        def counted(self, other):
-            products.append(other)
-            return real(self, other)
+        def counting(name):
+            real = getattr(Poly, name)
 
-        p = parse("x1^8 + 3*x1^2*x2^4*x3^2 - x2^5*x3^3 + 2/3*x1*x2^4*x3^3", 3)
-        monkeypatch.setattr(Poly, "__mul__", counted)
-        decomp = canonical_decompose(d3, p)
-        assert products == []
+            def counted(self, other):
+                calls.append(name)
+                return real(self, other)
+
+            return counted
+
+        for name in ("__add__", "__mul__", "__pow__"):
+            monkeypatch.setattr(Poly, name, counting(name))
+        got = run()
+        assert calls == []
         monkeypatch.undo()
-        assert decomp.reconstruct() == p
+        assert got == expected
 
 
 class TestIsHHarmonic:
@@ -157,6 +203,12 @@ class TestReduceModSphere:
     def test_harmonic_fixed(self, a2):
         q = h_harmonic_basis(a2, 2)[0]
         assert reduce_mod_sphere(a2, q) == q
+
+    def test_dimension_mismatch_rejected(self, b2):
+        # a zero of the wrong dimension is refused too, not handed back
+        for p in (parse("x3", 3), Poly.zero(3)):
+            with pytest.raises(ValueError, match="polynomial dimension does not match the context"):
+                reduce_mod_sphere(b2, p)
 
     def test_multiple_of_sphere_ideal_dies(self, rng, b2):
         norm2 = Poly.norm_squared(2)

@@ -199,6 +199,12 @@ class TestExtendedPizzetti:
         assert series.eval_rational(F(2)) == F(1, 2) * 2 + 3 * 2**3
         assert series.eval_float(0.5) == pytest.approx(0.5 * 0.5 + 3 * 0.125)
 
+    @pytest.mark.parametrize("r", [1e160, float("inf"), float("nan")])
+    def test_eval_float_refuses_a_value_that_is_not_finite(self, r):
+        # r**2 overflows at 1e160 and raises, inf and nan pass through a float power
+        with pytest.raises(ValueError, match="not finite in floating point"):
+            PizzettiSeries(2, (F(1),)).eval_float(r)
+
 
 class TestPizzetti:
     def test_constant(self, z2_2):
@@ -296,6 +302,13 @@ class TestBesselForm:
         bad = bessel_form_eval(z2_2, q, f, 1.0, variant="lambda")
         assert abs(good - exact) <= 1e-12 * abs(exact)
         assert abs(bad - exact) > 1e-3 * abs(exact)
+
+    @pytest.mark.parametrize("r", [1e160, float("inf"), float("nan")])
+    def test_refuses_a_value_that_is_not_finite(self, b2, r):
+        q = parse("x1*x2", 2)
+        f = parse("x1^4*x2^2 + 3*x2^6 - x1^3*x2 + x1^2", 2)
+        with pytest.raises(ValueError, match="not finite in floating point"):
+            bessel_form_eval(b2, q, f, r)
 
     def test_unknown_variant_rejected(self, z2_2):
         with pytest.raises(ValueError):
