@@ -18,7 +18,8 @@ ends; the decomposition and the radius expansions read it.  For a
 homogeneous input of degree n the operator output is homogeneous of degree
 n - 1 (zero when n = 0) and the Laplacian output of degree n - 2; both
 facts fall out of the difference-quotient form and are exercised by the
-test suite rather than asserted per call.
+test suite rather than asserted per call.  Inputs of another dimension
+are refused by :meth:`DunklContext.check_dim`, as in every other module.
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ from typing import Iterator, Sequence
 
 from .polyring import Monomial, Poly, RationalLike, as_fraction, radial_sum
 from .reflection import DunklContext
-
-
-def _require_ctx_dim(ctx: DunklContext, p: Poly) -> None:
-    if p.dim != ctx.dim:
-        raise ValueError(f"polynomial dimension {p.dim} does not match context dimension {ctx.dim}")
 
 
 def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
@@ -45,7 +41,7 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
     D_j x^beta is read from the context's table (all d axes of a monomial
     are built together on a miss by ``_monomial_axes``).
     """
-    _require_ctx_dim(ctx, p)
+    ctx.check_dim(p)
     v = [as_fraction(c) for c in xi]
     if len(v) != ctx.dim or not any(v):
         raise ValueError("xi must be a nonzero vector of the ambient dimension")
@@ -116,7 +112,7 @@ def laplacian(ctx: DunklContext, p: Poly) -> Poly:
     terms of p, and each monomial image is read from the context's table
     (built on a miss by ``_monomial_image``).
     """
-    _require_ctx_dim(ctx, p)
+    ctx.check_dim(p)
     out: dict[Monomial, Fraction] = {}
     for mono, c in p.terms.items():
         for m, v in _monomial_laplacian(ctx, mono).items():
@@ -207,8 +203,8 @@ def apply_operator_poly(ctx: DunklContext, q: Poly, p: Poly) -> Poly:
     the operators commute, so the fixed ascending axis order is immaterial
     (and that commutation is itself a verified property).
     """
-    _require_ctx_dim(ctx, q)
-    _require_ctx_dim(ctx, p)
+    ctx.check_dim(q)
+    ctx.check_dim(p)
     images = []
     for mono, coeff in q.terms.items():
         r = p

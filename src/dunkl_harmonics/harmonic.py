@@ -9,7 +9,8 @@ projection and the splitting read the sequence p, Lap p, Lap^2 p, ...; the
 splitting computes each Lap^k p once and shares it among its components.
 The projection, the reconstruction and the reduction modulo the sphere are
 sums of c |x|^(2k) g, taken by ``polyring.radial_sum`` with Horner's rule in
-|x|^2, so none of them makes a product of two polynomials.
+|x|^2, so none of them makes a product of two polynomials.  The spherical
+layer shares the homogeneity and h-harmonic checks kept here.
 """
 
 from __future__ import annotations
@@ -41,15 +42,13 @@ def is_h_harmonic(ctx: DunklContext, p: Poly) -> bool:
 
 def require_h_harmonic(ctx: DunklContext, q: Poly) -> int:
     """Validate a nonzero homogeneous h-harmonic factor and return its degree."""
-    if q.dim != ctx.dim:
-        raise ValueError("q dimension does not match the context")
+    ctx.check_dim(q, "q")
     if q.is_zero:
         raise ValueError("the harmonic factor q must be nonzero")
-    if not q.is_homogeneous():
-        raise ValueError("q must be homogeneous")
+    m = _require_homogeneous(q, "q")
     if not is_h_harmonic(ctx, q):
         raise ValueError("q must be h-harmonic")
-    return q.degree()
+    return m
 
 
 def _require_homogeneous(p: Poly, what: str) -> int:
@@ -65,8 +64,7 @@ def proj(ctx: DunklContext, n: int, p: Poly) -> Poly:
     the denominators never vanish for dimension >= 2 and kappa >= 0.
     The projection fixes every h-harmonic of degree n.
     """
-    if p.dim != ctx.dim:
-        raise ValueError("polynomial dimension does not match the context")
+    ctx.check_dim(p)
     if p.is_zero:
         return p
     deg = _require_homogeneous(p, "projection input")
@@ -99,8 +97,7 @@ def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
     and each component's scale enters the projection's coefficients; past
     the last nonzero power the tail is empty and the component is 0.
     """
-    if p.dim != ctx.dim:
-        raise ValueError("polynomial dimension does not match the context")
+    ctx.check_dim(p)
     if p.is_zero:
         return HarmonicDecomposition(0, ((0, p),))
     n = _require_homogeneous(p, "decomposition input")
@@ -164,7 +161,6 @@ def reduce_mod_sphere(ctx: DunklContext, p: Poly) -> Poly:
     factor replaced by 1, giving equality of polynomials as functions on
     the sphere.
     """
-    if p.dim != ctx.dim:
-        raise ValueError("polynomial dimension does not match the context")
+    ctx.check_dim(p)
     decomps = (canonical_decompose(ctx, part) for _, part in p.homogeneous_parts())
     return radial_sum(ctx.dim, [(0, 1, comp) for d in decomps for _, comp in d.components])

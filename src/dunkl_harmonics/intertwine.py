@@ -28,7 +28,7 @@ from .dunkl import dunkl_axis
 from .harmonic import reduce_mod_sphere, require_h_harmonic
 from .polyring import Monomial, Poly, RationalLike, as_fraction, monomials_of_degree, pochhammer, radial_sum
 from .reflection import DunklContext
-from .spherical import sphere_integrate
+from .spherical import _denominator, sphere_integrate
 
 
 # perfbench/workloads.py builds its profiles as UniPoly.t_power(l); a profile is
@@ -121,8 +121,7 @@ def intertwiner_apply(ctx: DunklContext, p: Poly) -> Poly:
     solved exactly from the Euler identity (see ``_build_degree``) and cached
     per context; that last property is checked independently of the build.
     """
-    if p.dim != ctx.dim:
-        raise ValueError("polynomial dimension does not match the context")
+    ctx.check_dim(p)
     tables = {n: _intertwiner_table(ctx, n) for n in {sum(mono) for mono in p.terms}}
     return radial_sum(ctx.dim, [(0, c, tables[sum(mono)][mono]) for mono, c in p.terms.items()])
 
@@ -172,10 +171,7 @@ def funk_hecke_coeff(ctx: DunklContext, m: int, phi: Poly) -> Fraction:
         gap = l - m
         if gap < 0 or gap % 2:
             continue
-        n = gap // 2
-        total += c * Fraction(math.factorial(l)) / (
-            Fraction(2**l) * math.factorial(n) * pochhammer(lam + 1, m + n)
-        )
+        total += c * math.factorial(l) / _denominator(lam, m, gap // 2)
     return total
 
 
@@ -220,10 +216,9 @@ def funk_hecke_check(ctx: DunklContext, phi: Poly, q: Poly) -> FunkHeckeResult:
     the sphere ideal.
     """
     m = require_h_harmonic(ctx, q)
-    lhs_raw = _y_integral(ctx, phi, q)
     a = funk_hecke_coeff(ctx, m, phi)
-    lhs = reduce_mod_sphere(ctx, lhs_raw)
-    rhs = reduce_mod_sphere(ctx, q * a)
+    lhs = reduce_mod_sphere(ctx, _y_integral(ctx, phi, q))
+    rhs = q * a  # homogeneous and h-harmonic, so already its own reduction
     return FunkHeckeResult(lhs == rhs, lhs, rhs, a)
 
 
@@ -250,5 +245,5 @@ def reproducing_check(ctx: DunklContext, n: int, q: Poly) -> bool:
     the degrees match and annihilates q otherwise, modulo the sphere ideal."""
     m = require_h_harmonic(ctx, q)
     lhs = reduce_mod_sphere(ctx, _y_integral(ctx, _reproducing_profile(ctx, n), q))
-    rhs = reduce_mod_sphere(ctx, q) if m == n else Poly.zero(ctx.dim)
+    rhs = q if m == n else Poly.zero(ctx.dim)
     return lhs == rhs

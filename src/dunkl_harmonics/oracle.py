@@ -19,6 +19,7 @@ import numpy as np
 
 from .polyring import Poly, pochhammer
 from .reflection import DunklContext
+from .spherical import _finite
 
 CHUNK_SIZE = 4096
 
@@ -72,8 +73,7 @@ def mc_sphere_integral(ctx: DunklContext, p: Poly, seed: int, samples: int) -> M
     gives an infinite error.  A mean that is not finite, or an error that is
     NaN, is refused with ``ValueError``.
     """
-    if p.dim != ctx.dim:
-        raise ValueError("polynomial dimension does not match the context")
+    ctx.check_dim(p)
     if samples < 1:
         raise ValueError("need at least one sample")
     exponents, coeffs = _poly_term_arrays(p)
@@ -132,12 +132,13 @@ def dirichlet_monomial(ctx: DunklContext, halved_exponents: Sequence[int]) -> Fr
     return numerator / pochhammer(ctx.lambda_kappa + 1, sum(a))
 
 
+@_finite
 def bessel_phi(alpha: float, z: float, max_terms: int | None = None) -> float:
     """Normalized Bessel series: Gamma(a+1) J_a(z) / (z/2)^a by its power series.
 
     Term recurrence t_(n+1) = -t_n (z/2)^2 / ((n+1)(a+n+1)); alternating, so
     the truncation error is bounded by the first omitted term.  Accurate to
-    about 1e-12 relative for |z| <= 10.
+    about 1e-12 relative for |z| <= 10.  A value that is not finite is refused.
     """
     if alpha < -0.5:
         raise ValueError("the index must be >= -1/2")

@@ -31,6 +31,14 @@ Vector = tuple[Fraction, ...]
 FAMILY_ORBITS = {"z2": None, "a": 1, "b": 2, "d": 1}
 
 
+def _exact(values: Sequence[RationalLike]) -> Vector:
+    """The values as Fractions, refusing a root entry or multiplicity that is not exact."""
+    try:
+        return tuple(map(as_fraction, values))
+    except TypeError as exc:
+        raise ValueError(f"roots and multiplicities must be exact: {exc}") from None
+
+
 def _unit(dim: int, i: int, sign: int = 1) -> Vector:
     return tuple(Fraction(sign if j == i else 0) for j in range(dim))
 
@@ -50,6 +58,9 @@ class DunklContext:
     multiplicities, and ``active_roots`` pairs each root of nonzero
     multiplicity with its multiplicity, in root order; only these enter the
     difference part of the Dunkl operator.
+
+    It is also the one argument gate: every public function that takes a
+    context and a polynomial checks the dimension with :meth:`check_dim`.
     """
 
     dim: int
@@ -61,11 +72,8 @@ class DunklContext:
     active_roots: tuple[tuple[Vector, Fraction], ...] = field(init=False)
 
     def __post_init__(self):
-        try:
-            roots = tuple(tuple(map(as_fraction, root)) for root in self.positive_roots)
-            kappas = tuple(map(as_fraction, self.kappa_by_orbit))
-        except TypeError as exc:
-            raise ValueError(f"roots and multiplicities must be exact: {exc}") from None
+        roots = tuple(map(_exact, self.positive_roots))
+        kappas = _exact(self.kappa_by_orbit)
         # an int root would otherwise reach the reflection cache, whose keys
         # compare equal to the Fraction roots of other systems
         object.__setattr__(self, "positive_roots", roots)
@@ -88,6 +96,11 @@ class DunklContext:
         active = tuple((root, kappa) for root, kappa in zip(self.positive_roots, root_kappas) if kappa)
         object.__setattr__(self, "lambda_kappa", Fraction(self.dim, 2) - 1 + sum(root_kappas, Fraction(0)))
         object.__setattr__(self, "active_roots", active)
+
+    def check_dim(self, p: Poly, name: str = "polynomial") -> None:
+        """Refuse p, called ``name`` in the message, unless its dimension is this context's."""
+        if p.dim != self.dim:
+            raise ValueError(f"{name} dimension does not match the context")
 
     @property
     def group_name(self) -> str:
@@ -184,7 +197,7 @@ def make_context(family: str, d: int, kappa_by_orbit: Sequence[RationalLike]) ->
     family = family.lower()
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    kappas = tuple(as_fraction(k) for k in kappa_by_orbit)
+    kappas = _exact(kappa_by_orbit)
     if any(k < 0 for k in kappas):
         raise ValueError("multiplicities must be non-negative")
     expected = FAMILY_ORBITS.get(family)

@@ -17,9 +17,8 @@ are polynomials.  The n-th coefficient of the mean of q(y) f(ry), q
 h-harmonic of degree m, is (q(D) Lap^n f)(0) / (2^(m+2n) n! (lam+1)_(m+n)),
 and it comes from one homogeneous part of f, f_(m+2n) (``_numerator``).
 Hobson's expansion, q(D)|x|^(2j) and ``RadialPowerSum.to_poly`` are sums of
-c |x|^(2k) g, taken by ``polyring.radial_sum``.  ``eval_float`` and
-``bessel_form_eval`` refuse a value that is not finite in floating point with
-``ValueError``, as the oracle does.
+c |x|^(2k) g, taken by ``polyring.radial_sum``.  ``_finite`` refuses a float
+value that is not finite with ``ValueError``, here and in the oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Callable, Sequence
 from .dunkl import _laplacian_powers, _monomial_laplacian, apply_operator_poly
 # unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
 from .dunkl import laplacian
-from .harmonic import require_h_harmonic
+from .harmonic import _require_homogeneous, require_h_harmonic
 from .polyring import Monomial, Poly, RationalLike, as_fraction, pochhammer, radial_sum
 from .reflection import DunklContext
 
@@ -100,8 +99,7 @@ def sphere_integrate(ctx: DunklContext, p: Poly) -> Fraction:
     (see ``_moment``).  Odd-degree parts vanish by antipodal symmetry of the
     squared weight.
     """
-    if p.dim != ctx.dim:
-        raise ValueError("polynomial dimension does not match the context")
+    ctx.check_dim(p)
     total = Fraction(0)
     for mono, c in p.terms.items():
         if not sum(mono) % 2:
@@ -171,15 +169,22 @@ def pair_integral(ctx: DunklContext, q: Poly, p: Poly) -> Fraction:
     For h-harmonic p it is the orthogonality relation of the h-harmonics.
     """
     m = require_h_harmonic(ctx, q)
-    if p.dim != ctx.dim:
-        raise ValueError("p dimension does not match the context")
-    if not p.is_homogeneous():
-        raise ValueError("p must be homogeneous")
+    ctx.check_dim(p, "p")
+    _require_homogeneous(p, "p")
     term = _numerator(ctx, q, m, p)
     if term is None:
         return Fraction(0)
     n, value = term
     return value / _denominator(ctx.lambda_kappa, m, n)
+
+
+def _require_series(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> int:
+    """Validate the arguments of an extended radius expansion and return the degree of q."""
+    m = require_h_harmonic(ctx, q)
+    ctx.check_dim(f, "f")
+    if n_terms < 0:
+        raise ValueError("the number of series terms must be >= 0")
+    return m
 
 
 def extended_pizzetti(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> PizzettiSeries:
@@ -190,11 +195,7 @@ def extended_pizzetti(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> Pizz
     below m, of the wrong parity or above m + 2 n_terms costs nothing.  The
     expansion is exact once m + 2 n_terms reaches the degree of f.
     """
-    m = require_h_harmonic(ctx, q)
-    if f.dim != ctx.dim:
-        raise ValueError("f dimension does not match the context")
-    if n_terms < 0:
-        raise ValueError("the number of series terms must be >= 0")
+    m = _require_series(ctx, q, f, n_terms)
     coeffs = [Fraction(0)] * (n_terms + 1)
     parts = (part for degree, part in f.homogeneous_parts() if degree <= m + 2 * n_terms)
     for n, value in filter(None, (_numerator(ctx, q, m, part) for part in parts)):
@@ -223,11 +224,8 @@ def hobson_apply(ctx: DunklContext, p: Poly, f0: RadialPowerSum) -> Poly:
     2^(m-i) j!/(j-m+i)! rho^(2j-2m+2i), dropping out when j - m + i < 0.
     Must agree with the direct operator substitution p(D) f0(|x|).
     """
-    if p.dim != ctx.dim:
-        raise ValueError("polynomial dimension does not match the context")
-    if not p.is_homogeneous():
-        raise ValueError("p must be homogeneous")
-    m = p.degree()
+    ctx.check_dim(p)
+    m = _require_homogeneous(p, "p")
     terms = []
     for i, lap in enumerate(_laplacian_powers(ctx, p)):
         for j, c in f0.terms:
@@ -257,7 +255,7 @@ def pizzetti_from_hobson(ctx: DunklContext, q: Poly, f: Poly, n_terms: int) -> P
     reindexed by m, must match :func:`extended_pizzetti` exactly.  This is
     the strongest internal cross-check between the two expansion routes.
     """
-    m = require_h_harmonic(ctx, q)
+    m = _require_series(ctx, q, f, n_terms)
     base = pizzetti(ctx, q * f, m + n_terms)
     for j in range(m):
         if base.coefficients[j]:
@@ -286,8 +284,7 @@ def bessel_form_eval(
     expansion (the default), and the tests pin that resolution down.
     """
     m = require_h_harmonic(ctx, q)
-    if f.dim != ctx.dim:
-        raise ValueError("f dimension does not match the context")
+    ctx.check_dim(f, "f")
     lam = ctx.lambda_kappa
     if variant == "lambda_plus_one":
         prefactor = 1.0 / float(pochhammer(lam + 1, m))

@@ -33,6 +33,7 @@ from dunkl_harmonics import (
     monomials_of_degree,
     pair_integral,
     pairing,
+    pizzetti_from_hobson,
     proj,
     reduce_mod_sphere,
     reproducing_kernel,
@@ -82,12 +83,12 @@ def _proj(ctx, rng):
     return [proj(ctx, 8, random_poly(rng, ctx.dim, 8, homogeneous=True, max_terms=6))]
 
 
-def _pizzetti(ctx, rng):
+def _pizzetti(ctx, rng, expansion=extended_pizzetti):
     q = h_harmonic_basis(ctx, 2)[0]
     f = q * random_poly(rng, ctx.dim, 6, homogeneous=True, max_terms=4) + random_poly(
         rng, ctx.dim, 8, max_terms=6
     )
-    series = extended_pizzetti(ctx, q, f, 4)
+    series = expansion(ctx, q, f, 4)
     return [series.m, *series.coefficients]
 
 
@@ -194,6 +195,7 @@ OPERATIONS = {
     "proj": _proj,
     "canonical_decompose_8": lambda ctx, rng: _decompose(ctx, rng, 8),
     "extended_pizzetti": _pizzetti,
+    "pizzetti_from_hobson": lambda ctx, rng: _pizzetti(ctx, rng, pizzetti_from_hobson),
     "hobson_apply": _hobson,
     "pair_integral": _pair_integral,
     "bessel_form_eval": _bessel_form_eval,
@@ -324,6 +326,12 @@ DIGESTS = {
     ("b2-scaled", "harmonic_radial_power"): "07271fcf56b4730763f771ceb9019bef08c356c1201ba4f98f2d8aa12a7ffc4a",
     ("b2-scaled", "hobson_apply"): "3a3a4822b22e2268479b76d8b4d63c8c0a85ef948f8ab2224306307c7601d9b3",
     ("b2-scaled", "reduce_mod_sphere"): "884963de4fd23a2fc943f908569fbd1db2b2fe7d834a92724f2bede19865ba3c",
+    ("z2^3", "pizzetti_from_hobson"): "2bf8a3e76abe24d46ea6437d14cefb2c21527b3367baa52a36223d9d5918e807",
+    ("a2", "pizzetti_from_hobson"): "ad30ff18382731de4563d2de724ae2152e60750dd0e6e0e0534d3d3f0de1d230",
+    ("b3", "pizzetti_from_hobson"): "17d1c51104f90d40a003675b890eb6e8b05213c9c1f75125946acd80cdc79700",
+    ("d4", "pizzetti_from_hobson"): "e14907f26ef7de9c9409ffa418304d6b5ea38395b0934db9e42098f6aff4a82a",
+    ("dense", "pairing"): "46cb75c5519182240cd2430c2317673598c94c6c52f69710db4f4549fdc5ca9e",
+    ("b2-scaled", "pairing"): "2adfae663d7db37ea9f9959859d22fec8ece3e96c3abb8b05ba70120fce00850",
 }
 
 

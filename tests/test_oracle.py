@@ -93,3 +93,9 @@ class TestBesselPhi:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             bessel_phi(-0.75, 1.0)
+
+    @pytest.mark.parametrize("z", [1e200, float("inf"), float("nan")])
+    def test_refuses_a_value_that_is_not_finite(self, z):
+        # (z/2)**2 overflows at 1e200 and raises, inf and nan pass through the series
+        with pytest.raises(ValueError, match="not finite in floating point"):
+            bessel_phi(0.5, z)

@@ -58,6 +58,15 @@ class TestMakeContext:
         with pytest.raises(ValueError):
             make_context("h", 3, [1])
 
+    def test_inexact_multiplicity_rejected_as_by_the_constructor(self):
+        # both ways to build a context refuse a float with one message
+        roots = make_context("z2", 2, [0, 0]).positive_roots
+        message = "^roots and multiplicities must be exact: expected an exact rational, got float$"
+        with pytest.raises(ValueError, match=message):
+            make_context("z2", 2, [0.5, 0.5])
+        with pytest.raises(ValueError, match=message):
+            DunklContext(2, roots, (0, 1), (0.5, 0.5))
+
     def test_descriptors(self):
         assert context_from_descriptor("z2^3", [0, 0, 0]).dim == 3
         assert context_from_descriptor("a2", [1]).dim == 3

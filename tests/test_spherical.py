@@ -286,6 +286,15 @@ class TestSeriesRouteAgreement:
         assert series.coefficients[1] == pair_integral(z2_2_zero, parse("x1", 2), parse("x1^3", 2))
         assert series.coefficients[1] == F(3, 8)
 
+    @pytest.mark.parametrize("n_terms", [-1, -2])
+    def test_negative_term_count_rejected(self, b2, n_terms):
+        # refused before q f is formed, with extended_pizzetti's message
+        q = parse("x1*x2", 2)
+        f = parse("x1^4*x2^2 + 3*x2^6 - x1^3*x2 + x1^2", 2)
+        for expansion in (extended_pizzetti, pizzetti_from_hobson):
+            with pytest.raises(ValueError, match="the number of series terms must be >= 0"):
+                expansion(b2, q, f, n_terms)
+
 
 class TestBesselForm:
     def test_zero_function(self, z2_2):
