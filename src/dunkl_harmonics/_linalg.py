@@ -1,14 +1,33 @@
-"""Exact dense linear algebra over Fraction: RREF, nullspaces, solves.
+"""Exact dense linear algebra over the rationals: RREF, nullspaces, solves.
 
 Pivoting is first-nonzero in row order within each column, scanned left to
 right, so every result is deterministic for a deterministic input ordering.
+
+The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes,
+Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).  Each
+row is scaled once to a primitive integer row; a row is reduced against
+the pivot row by row = (a/g) row - (f/g) lead with g = gcd(a, f), a the
+pivot and f the row's entry, and divided by its content.  Fractions are
+built only at the end.  The results are those of Gauss-Jordan over
+Fraction: every integer row is a nonzero multiple of the row the same
+steps give over Fraction, the pivot rule does not change under a nonzero
+row scaling, so the pivots match, and the reduced row echelon form is
+unique.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
+
+_ZERO = Fraction(0)
+
+
+def _content_free(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def rref(matrix: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
@@ -17,35 +36,43 @@ def rref(matrix: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
     ``ncols`` restricts pivot search to the leading columns, which turns the
     routine into an augmented-system solver.
     """
-    rows = [list(row) for row in matrix]
+    rows = []
+    for row in matrix:
+        scale = math.lcm(*(v.denominator for v in row))
+        rows.append(_content_free([v.numerator * (scale // v.denominator) for v in row]))
     if not rows:
         return rows, []
     width = len(rows[0])
     if ncols is None:
         ncols = width
+    order = list(range(len(rows)))
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
+        order[r], order[pivot_row] = order[pivot_row], order[r]
         lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        a = lead[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(a, f)
+                p, q = a // g, f // g
+                rows[i] = _content_free([p * x - q * y for x, y in zip(row, lead)])
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots
+    reduced = [[Fraction(v, row[c]) if v else _ZERO for v in row] for row, c in zip(rows, pivots)]
+    for row, orig in zip(rows[r:], (matrix[i] for i in order[r:])):
+        # row is a multiple of the row over Fraction: the original less the one
+        # combination of the pivot rows that matches it on the leading columns
+        reduced.append([orig[j] - sum(orig[c] * lead[j] for lead, c in zip(reduced, pivots)) if v else _ZERO
+                        for j, v in enumerate(row)])
+    return reduced, pivots
 
 
 def nullspace(matrix: Matrix, ncols: int) -> list[list[Fraction]]:

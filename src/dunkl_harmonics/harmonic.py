@@ -114,9 +114,9 @@ def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
     """Exact rational basis of the degree-n h-harmonics.
 
     Computed as the kernel of the Laplacian from degree n to degree n - 2 by
-    rational Gaussian elimination over the graded-lex monomial basis; the
-    result is deterministic and each vector is scaled to a primitive integer
-    form with positive leading coefficient.
+    exact fraction-free Gauss-Jordan elimination (``_linalg``) over the
+    graded-lex monomial basis; the result is deterministic and each vector
+    is scaled to a primitive integer form with positive leading coefficient.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")

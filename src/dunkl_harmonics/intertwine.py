@@ -26,7 +26,9 @@ from . import _linalg
 # unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
 from .dunkl import dunkl_axis
 from .harmonic import reduce_mod_sphere, require_h_harmonic
-from .polyring import Monomial, Poly, RationalLike, as_fraction, monomials_of_degree, pochhammer, radial_sum
+from .polyring import (
+    Monomial, Poly, RationalLike, _reflection, as_fraction, monomials_of_degree, pochhammer, radial_sum,
+)
 from .reflection import DunklContext
 from .spherical import _denominator, sphere_integrate
 
@@ -89,17 +91,20 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     with T = n + sum_a kappa_a (1 - r_a).  Each 1 - r_a is positive
     semidefinite in the O(d)-invariant Fischer product, so T is positive
     definite for kappa >= 0 and the square system has V as its one solution.
+    Each active root's reflection is looked up once and applied to every
+    monomial; the system is solved by fraction-free elimination in ``_linalg``.
     """
     monos = monomials_of_degree(ctx.dim, n)
     index = {m: i for i, m in enumerate(monos)}
     shift = n + sum(kappa for _, kappa in ctx.active_roots)
+    reflections = [(_reflection(root), kappa) for root, kappa in ctx.active_roots]
     t = [[Fraction(0)] * len(monos) for _ in monos]
     r = [[Fraction(0)] * len(monos) for _ in monos]
     for col, mono in enumerate(monos):
         t[col][col] += shift
-        unit = Poly.monomial(ctx.dim, mono)
-        for root, kappa in ctx.active_roots:
-            for m, c in unit.reflect(root).terms.items():
+        unit = Poly._raw(ctx.dim, {mono: Fraction(1)})
+        for reflection, kappa in reflections:
+            for m, c in reflection.image(unit).terms.items():
                 t[index[m]][col] -= kappa * c
         for j, e in enumerate(mono):
             if e:
@@ -108,8 +113,8 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
 
     x = _linalg.solve_unique(t, r)
     return {
-        mono: Poly(ctx.dim, {monos[row]: x[row][col] for row in range(len(monos))})
-        for col, mono in enumerate(monos)
+        mono: Poly._raw(ctx.dim, {monos[row]: v for row, v in enumerate(column) if v})
+        for mono, column in zip(monos, zip(*x))
     }
 
 

@@ -138,10 +138,13 @@ def bessel_phi(alpha: float, z: float, max_terms: int | None = None) -> float:
 
     Term recurrence t_(n+1) = -t_n (z/2)^2 / ((n+1)(a+n+1)); alternating, so
     the truncation error is bounded by the first omitted term.  Accurate to
-    about 1e-12 relative for |z| <= 10.  A value that is not finite is refused.
+    about 1e-12 relative for |z| <= 10.  A value that is not finite, or a
+    negative ``max_terms``, is refused.
     """
     if alpha < -0.5:
         raise ValueError("the index must be >= -1/2")
+    if max_terms is not None and max_terms < 0:
+        raise ValueError("the term count must be >= 0")
     q = (z / 2.0) ** 2
     term = 1.0
     total = 1.0

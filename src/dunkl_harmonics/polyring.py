@@ -12,7 +12,9 @@ rule in |x|^2, whose multiplication is a shift of exponents.
 The reflection primitives live here too.  :meth:`Poly.reflect` takes the
 reflection ``r_a`` of a nonzero rational vector ``a`` from one memoized
 builder, which records r_a as a signed permutation whenever it is one (every
-catalog root) and as a dense matrix otherwise.  :meth:`Poly.divided_difference`
+catalog root) and as a dense matrix otherwise, and applies it with
+``_Reflection.image``; a caller that reflects many polynomials across one
+root looks r_a up once and calls ``image`` itself.  :meth:`Poly.divided_difference`
 is the exact quotient (p(x) - p(r_a x)) / <a, x>, term by term in closed form
 when r_a is a signed permutation.  Otherwise the numerator vanishes on the
 hyperplane orthogonal to ``a``, so :func:`divide_by_linear` leaves no
@@ -266,17 +268,7 @@ class Poly:
         a = tuple(as_fraction(v) for v in alpha)
         if len(a) != self.dim:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
-        r = _reflection(a)
-        if r.perm is None:
-            return self.substitute_linear(r.matrix)
-        # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
-        # exponent of x_k is e_perm[k], and no two terms merge
-        perm, flips = r.perm, r.flips
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            odd = sum(mono[i] for i in flips) & 1
-            out[tuple(mono[i] for i in perm)] = -c if odd else c
-        return Poly._raw(self.dim, out)
+        return _reflection(a).image(self)
 
     def divided_difference(self, alpha: Sequence[RationalLike]) -> Poly:
         """Exact quotient (p(x) - p(r_a x)) / <a, x> for nonzero ``alpha``.
@@ -292,7 +284,7 @@ class Poly:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
         r = _reflection(a)
         if r.perm is None:
-            return divide_by_linear(self - self.reflect(a), a)
+            return divide_by_linear(self - r.image(self), a)
         moved = [i for i, j in enumerate(r.perm) if i != j]
         if not moved:
             # a = c e_i: x^b - r x^b is 2 x^b for odd b_i and 0 for even b_i
@@ -380,6 +372,19 @@ class _Reflection(NamedTuple):
         if self.perm is None:
             return tuple(sum((m * x for m, x in zip(row, v)), Fraction(0)) for row in self.matrix)
         return tuple(-v[j] if i in self.flips else v[j] for i, j in enumerate(self.perm))
+
+    def image(self, p: Poly) -> Poly:
+        """The polynomial p(r x)."""
+        if self.perm is None:
+            return p.substitute_linear(self.matrix)
+        # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
+        # exponent of x_k is e_perm[k], and no two terms merge
+        perm, flips = self.perm, self.flips
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in p.terms.items():
+            odd = sum(mono[i] for i in flips) & 1
+            out[tuple(mono[i] for i in perm)] = -c if odd else c
+        return Poly._raw(p.dim, out)
 
 
 @functools.lru_cache(maxsize=1024)

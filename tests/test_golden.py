@@ -46,6 +46,7 @@ CONTEXTS = {
     "a2": ("a", 3, [Fraction(1, 3)]),
     "b3": ("b", 3, [Fraction(1, 2), Fraction(3, 2)]),
     "d4": ("d", 4, [Fraction(2, 3)]),
+    "a3": ("a", 4, [Fraction(1, 3)]),
 }
 
 # contexts outside the catalog, built from their roots
@@ -66,8 +67,8 @@ def _decompose(ctx, rng, degree=6):
     return [comp for _, comp in canonical_decompose(ctx, p).components]
 
 
-def _basis(ctx, rng):
-    return h_harmonic_basis(ctx, 3)
+def _basis(ctx, rng, degree=3):
+    return h_harmonic_basis(ctx, degree)
 
 
 def _intertwiner(ctx, rng):
@@ -191,6 +192,8 @@ OPERATIONS = {
     "laplacian": _laplacian,
     "canonical_decompose": _decompose,
     "h_harmonic_basis": _basis,
+    "h_harmonic_basis_6": lambda ctx, rng: _basis(ctx, rng, 6),
+    "h_harmonic_basis_8": lambda ctx, rng: _basis(ctx, rng, 8),
     "intertwiner_apply": _intertwiner,
     "proj": _proj,
     "canonical_decompose_8": lambda ctx, rng: _decompose(ctx, rng, 8),
@@ -332,6 +335,10 @@ DIGESTS = {
     ("d4", "pizzetti_from_hobson"): "e14907f26ef7de9c9409ffa418304d6b5ea38395b0934db9e42098f6aff4a82a",
     ("dense", "pairing"): "46cb75c5519182240cd2430c2317673598c94c6c52f69710db4f4549fdc5ca9e",
     ("b2-scaled", "pairing"): "2adfae663d7db37ea9f9959859d22fec8ece3e96c3abb8b05ba70120fce00850",
+    # the exact solver's gate: a large A3 kernel, and mixed-denominator rows from the dense root
+    ("a3", "h_harmonic_basis_8"): "763a82c37cd6c5ea324d22addd08ca9d21d6cd91a151058bc9c70b30341204fc",
+    ("dense", "h_harmonic_basis_6"): "de354fdf7cf252c909a964a5227ed69ef63c8f860f5262c2d3ad5f27e378bf01",
+    ("b2-scaled", "h_harmonic_basis_6"): "b2884e3fc2abb97b2a2fa7782c05a6d612330cba9eee3c3ebe5fce22fab28bcc",
 }
 
 

@@ -94,6 +94,13 @@ class TestBesselPhi:
         with pytest.raises(ValueError):
             bessel_phi(-0.75, 1.0)
 
+    def test_refuses_a_negative_term_count(self):
+        # the empty sum would read 1.0 against 0.0470 for the full series
+        for n_terms in (-1, -5):
+            with pytest.raises(ValueError, match="term count"):
+                bessel_phi(0.5, 3.0, max_terms=n_terms)
+        assert bessel_phi(0.5, 3.0, max_terms=0) == 1.0
+
     @pytest.mark.parametrize("z", [1e200, float("inf"), float("nan")])
     def test_refuses_a_value_that_is_not_finite(self, z):
         # (z/2)**2 overflows at 1e200 and raises, inf and nan pass through the series
