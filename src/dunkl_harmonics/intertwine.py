@@ -113,8 +113,8 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
 
     x = _linalg.solve_unique(t, r)
     return {
-        mono: Poly._raw(ctx.dim, {monos[row]: v for row, v in enumerate(column) if v})
-        for mono, column in zip(monos, zip(*x))
+        mono: Poly._raw(ctx.dim, {m: row[col] for m, row in zip(monos, x) if row[col]})
+        for col, mono in enumerate(monos)
     }
 
 

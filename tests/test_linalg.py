@@ -107,7 +107,7 @@ def test_nullspace_is_the_kernel_in_column_order():
     for _ in range(30):
         matrix = random_matrix(rng, 5, 7, rng.randint(1, 4))
         basis = _linalg.nullspace(matrix, 7)
-        reduced, pivots = gauss_jordan(matrix)
+        pivots = gauss_jordan(matrix)[1]
         assert len(basis) == 7 - len(pivots)
         for vec in basis:
             assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
