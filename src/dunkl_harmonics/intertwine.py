@@ -27,7 +27,7 @@ from . import _linalg
 from .dunkl import dunkl_axis
 from .harmonic import reduce_mod_sphere, require_h_harmonic
 from .polyring import (
-    Monomial, Poly, RationalLike, _reflection, as_fraction, monomials_of_degree, pochhammer, radial_sum,
+    Monomial, Poly, RationalLike, as_fraction, monomials_of_degree, pochhammer, radial_sum,
 )
 from .reflection import DunklContext
 from .spherical import _denominator, sphere_integrate
@@ -91,20 +91,19 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     with T = n + sum_a kappa_a (1 - r_a).  Each 1 - r_a is positive
     semidefinite in the O(d)-invariant Fischer product, so T is positive
     definite for kappa >= 0 and the square system has V as its one solution.
-    Each active root's reflection is looked up once and applied to every
+    Each active root carries its reflection, which is applied to every
     monomial; the system is solved by fraction-free elimination in ``_linalg``.
     """
     monos = monomials_of_degree(ctx.dim, n)
     index = {m: i for i, m in enumerate(monos)}
     shift = n + sum(kappa for _, kappa in ctx.active_roots)
-    reflections = [(_reflection(root), kappa) for root, kappa in ctx.active_roots]
     t = [[Fraction(0)] * len(monos) for _ in monos]
     r = [[Fraction(0)] * len(monos) for _ in monos]
     for col, mono in enumerate(monos):
         t[col][col] += shift
         unit = Poly._raw(ctx.dim, {mono: Fraction(1)})
-        for reflection, kappa in reflections:
-            for m, c in reflection.image(unit).terms.items():
+        for root, kappa in ctx.active_roots:
+            for m, c in root.image(unit).terms.items():
                 t[index[m]][col] -= kappa * c
         for j, e in enumerate(mono):
             if e:

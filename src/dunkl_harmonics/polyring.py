@@ -9,12 +9,13 @@ emits terms in graded-lexicographic order so that formatting is canonical.
 :func:`radial_sum` is the one routine for a sum of c |x|^(2k) g: Horner's
 rule in |x|^2, whose multiplication is a shift of exponents.
 
-The reflection primitives live here too.  :meth:`Poly.reflect` takes the
-reflection ``r_a`` of a nonzero rational vector ``a`` from one memoized
-builder, which records r_a as a signed permutation whenever it is one (every
-catalog root) and as a dense matrix otherwise, and applies it with
-``_Reflection.image``; a caller that reflects many polynomials across one
-root looks r_a up once and calls ``image`` itself.  :meth:`Poly.divided_difference`
+The reflection primitives live here too.  A :class:`Root` is a nonzero
+rational vector ``a`` that carries its reflection ``r_a``, classified once
+when the root is built: a signed permutation whenever it is one (every
+catalog root), a dense matrix built on first use otherwise.  A context's
+roots are Roots, so :meth:`Poly.reflect` (which applies ``Root.image``) and
+:meth:`Poly.divided_difference` use their reflection as it is, and classify
+any other exact vector they are given.  :meth:`Poly.divided_difference`
 is the exact quotient (p(x) - p(r_a x)) / <a, x>, term by term in closed form
 when r_a is a signed permutation.  Otherwise the numerator vanishes on the
 hyperplane orthogonal to ``a``, so :func:`divide_by_linear` leaves no
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 RationalLike = Fraction | int
@@ -264,11 +265,11 @@ class Poly:
         return acc
 
     def reflect(self, alpha: Sequence[RationalLike]) -> Poly:
-        """Return p(r_a x) where r_a is the reflection across a-perp."""
-        a = tuple(as_fraction(v) for v in alpha)
+        """Return p(r_a x), r_a the reflection across a-perp, for a Root or any nonzero exact a."""
+        a = Root(alpha)
         if len(a) != self.dim:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
-        return _reflection(a).image(self)
+        return a.image(self)
 
     def divided_difference(self, alpha: Sequence[RationalLike]) -> Poly:
         """Exact quotient (p(x) - p(r_a x)) / <a, x> for nonzero ``alpha``.
@@ -277,18 +278,17 @@ class Poly:
         with w = +-1, and each term's quotient has a closed form: no
         reflected copy of p and no division, and for c = 1 (every catalog
         root) integer coefficients stay integers.  Any other root divides
-        p - p(r_a x) by <a, x>.
+        p - p(r_a x) by <a, x>.  ``alpha`` is taken as in :meth:`reflect`.
         """
-        a = tuple(as_fraction(v) for v in alpha)
+        a = Root(alpha)
         if len(a) != self.dim:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
-        r = _reflection(a)
-        if r.perm is None:
-            return divide_by_linear(self - r.image(self), a)
-        moved = [i for i, j in enumerate(r.perm) if i != j]
+        if a.perm is None:
+            return divide_by_linear(self - a.image(self), a)
+        moved = [i for i, j in enumerate(a.perm) if i != j]
         if not moved:
             # a = c e_i: x^b - r x^b is 2 x^b for odd b_i and 0 for even b_i
-            i = r.flips[0]
+            i = a.flips[0]
             scale = 2 if a[i] == 1 else 2 / a[i]
             return Poly._raw(self.dim, {
                 mono[:i] + (mono[i] - 1,) + mono[i + 1:]: c * scale
@@ -301,7 +301,7 @@ class Poly:
         # u^(min(e, f) + k) v^(max(e, f) - 1 - k)
         i, j = moved
         inv = 1 if a[i] == 1 else 1 / a[i]
-        w_odd = bool(r.flips)
+        w_odd = bool(a.flips)
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
             e, f = mono[i], mono[j]
@@ -362,19 +362,52 @@ def radial_sum(dim: int, terms: Iterable[tuple[int, RationalLike, Poly]]) -> Pol
     return Poly._raw(dim, {m: v for m, v in out.items() if v})
 
 
-class _Reflection(NamedTuple):
-    matrix: tuple[tuple[Fraction, ...], ...]
+class Root(tuple):
+    """A nonzero vector a of Fractions that carries its reflection r_a = I - 2 a a^T / |a|^2.
+
+    r_a is classified once, from the support of a: it is a signed permutation
+    exactly when a is c e_i or c (e_i +- e_j) with |a_i| = |a_j| (every
+    catalog root), and dense (``perm`` None) otherwise.  ``matrix`` is built
+    on first use, and ``Root(a)`` returns a itself when it is already a Root.
+    """
+
     perm: tuple[int, ...] | None  # column of row i's single nonzero, or None if dense
     flips: tuple[int, ...]  # rows whose single nonzero is -1
 
+    def __new__(cls, values: Sequence[RationalLike]) -> Root:
+        if isinstance(values, Root):
+            return values
+        self = super().__new__(cls, map(as_fraction, values))
+        support = [i for i, v in enumerate(self) if v]
+        if not support:
+            raise ValueError("alpha must be a nonzero vector of the ambient dimension")
+        self.perm, self.flips = None, ()
+        if len(support) == 1:
+            self.perm, self.flips = tuple(range(len(self))), tuple(support)
+        elif len(support) == 2 and abs(self[support[0]]) == abs(self[support[1]]):
+            i, j = support
+            self.perm = tuple(j if k == i else i if k == j else k for k in range(len(self)))
+            self.flips = (i, j) if self[i] * self[j] > 0 else ()
+        return self
+
+    @functools.cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """r_a as a d x d Fraction matrix."""
+        norm2 = sum(v * v for v in self)
+        n = len(self)
+        return tuple(
+            tuple((Fraction(1) if i == j else Fraction(0)) - 2 * self[i] * self[j] / norm2 for j in range(n))
+            for i in range(n)
+        )
+
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """The image r v of a vector."""
+        """The image r_a v of a vector."""
         if self.perm is None:
             return tuple(sum((m * x for m, x in zip(row, v)), Fraction(0)) for row in self.matrix)
         return tuple(-v[j] if i in self.flips else v[j] for i, j in enumerate(self.perm))
 
     def image(self, p: Poly) -> Poly:
-        """The polynomial p(r x)."""
+        """The polynomial p(r_a x)."""
         if self.perm is None:
             return p.substitute_linear(self.matrix)
         # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
@@ -385,30 +418,6 @@ class _Reflection(NamedTuple):
             odd = sum(mono[i] for i in flips) & 1
             out[tuple(mono[i] for i in perm)] = -c if odd else c
         return Poly._raw(p.dim, out)
-
-
-@functools.lru_cache(maxsize=1024)
-def _reflection(a: tuple[Fraction, ...]) -> _Reflection:
-    """The reflection across a-perp, built once per root.
-
-    r_a = I - 2 a a^T / |a|^2 is symmetric and orthogonal, so when every row
-    has a single nonzero entry that entry is +-1 and the column map is an
-    involution; ``perm`` and ``flips`` then carry r_a as a signed permutation.
-    """
-    if not any(a):
-        raise ValueError("alpha must be a nonzero vector of the ambient dimension")
-    norm2 = sum(v * v for v in a)
-    n = len(a)
-    matrix = tuple(
-        tuple((Fraction(1) if i == j else Fraction(0)) - 2 * a[i] * a[j] / norm2 for j in range(n))
-        for i in range(n)
-    )
-    nonzero = [[j for j, v in enumerate(row) if v] for row in matrix]
-    if any(len(cols) != 1 for cols in nonzero):
-        return _Reflection(matrix, None, ())
-    perm = tuple(cols[0] for cols in nonzero)
-    flips = tuple(i for i in range(n) if matrix[i][perm[i]] < 0)
-    return _Reflection(matrix, perm, flips)
 
 
 def divide_by_linear(p: Poly, a: Sequence[Fraction]) -> Poly:

@@ -10,7 +10,8 @@ invariant under rescaling a root orbit by a positive rational.
 
 A :class:`DunklContext` is one reduced root system with its multiplicities,
 built by :func:`make_context` for the catalog or from its positive roots for
-any other system; it derives lambda_kappa and the active roots itself.
+any other system; it derives lambda_kappa and the active roots itself.  Its
+roots are ``polyring.Root`` tuples, each of which carries its reflection.
 
 Each context owns one :class:`ContextTables`, created on first use and
 dropped with the context, in which the operator layers memoize exact
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .polyring import Monomial, Poly, RationalLike, _reflection, as_fraction
+from .polyring import Monomial, Poly, RationalLike, Root, as_fraction
 
 Vector = tuple[Fraction, ...]
 
@@ -39,10 +40,6 @@ def _exact(values: Sequence[RationalLike]) -> Vector:
         raise ValueError(f"roots and multiplicities must be exact: {exc}") from None
 
 
-def _unit(dim: int, i: int, sign: int = 1) -> Vector:
-    return tuple(Fraction(sign if j == i else 0) for j in range(dim))
-
-
 @dataclass(frozen=True, eq=False)
 class DunklContext:
     """A reduced root system with a group-invariant multiplicity.
@@ -50,8 +47,9 @@ class DunklContext:
     ``orbit_ids[k]`` is the orbit of ``positive_roots[k]``; ``kappa_by_orbit``
     assigns one multiplicity per orbit.  Construction checks that every
     reflection maps the roots onto roots of the same orbit, so the roots and
-    the multiplicities are invariant under the group.  Root entries and
-    multiplicities are stored as Fractions, whatever exact type they came in.
+    the multiplicities are invariant under the group.  Multiplicities are
+    stored as Fractions and roots as ``Root``s with Fraction entries,
+    whatever exact type they came in.
 
     Construction also derives the rest, which no caller can set:
     ``lambda_kappa`` is d/2 - 1 plus the sum of all positive-root
@@ -64,36 +62,35 @@ class DunklContext:
     """
 
     dim: int
-    positive_roots: tuple[Vector, ...]
+    positive_roots: tuple[Root, ...]
     orbit_ids: tuple[int, ...]
     kappa_by_orbit: tuple[Fraction, ...]
     family: str | None = None
     lambda_kappa: Fraction = field(init=False)
-    active_roots: tuple[tuple[Vector, Fraction], ...] = field(init=False)
+    active_roots: tuple[tuple[Root, Fraction], ...] = field(init=False)
 
     def __post_init__(self):
         roots = tuple(map(_exact, self.positive_roots))
         kappas = _exact(self.kappa_by_orbit)
-        # an int root would otherwise reach the reflection cache, whose keys
-        # compare equal to the Fraction roots of other systems
-        object.__setattr__(self, "positive_roots", roots)
-        object.__setattr__(self, "kappa_by_orbit", kappas)
         if self.dim < 2:
             raise ValueError("dimension must be >= 2")
-        if len(self.orbit_ids) != len(self.positive_roots):
+        if len(self.orbit_ids) != len(roots):
             raise ValueError("need one orbit id per positive root")
-        if any(k < 0 for k in self.kappa_by_orbit):
+        if any(k < 0 for k in kappas):
             raise ValueError("multiplicities must be non-negative")
-        if any(oid not in range(len(self.kappa_by_orbit)) for oid in self.orbit_ids):
+        if any(oid not in range(len(kappas)) for oid in self.orbit_ids):
             raise ValueError("orbit id out of range")
-        for idx, root in enumerate(self.positive_roots):
+        for idx, root in enumerate(roots):
             if len(root) != self.dim or not any(root):
                 raise ValueError(f"root #{idx} is not a nonzero vector of dimension {self.dim}")
-        fault = _root_set_fault(self.positive_roots, self.orbit_ids)
+        roots = tuple(map(Root, roots))
+        object.__setattr__(self, "positive_roots", roots)
+        object.__setattr__(self, "kappa_by_orbit", kappas)
+        fault = _root_set_fault(roots, self.orbit_ids)
         if fault is not None:
             raise ValueError(fault)
-        root_kappas = [self.kappa_by_orbit[oid] for oid in self.orbit_ids]
-        active = tuple((root, kappa) for root, kappa in zip(self.positive_roots, root_kappas) if kappa)
+        root_kappas = [kappas[oid] for oid in self.orbit_ids]
+        active = tuple((root, kappa) for root, kappa in zip(roots, root_kappas) if kappa)
         object.__setattr__(self, "lambda_kappa", Fraction(self.dim, 2) - 1 + sum(root_kappas, Fraction(0)))
         object.__setattr__(self, "active_roots", active)
 
@@ -155,35 +152,16 @@ class ContextTables:
 
 
 def _catalog_roots(family: str, d: int) -> tuple[list[Vector], list[int]]:
-    roots: list[Vector] = []
-    orbits: list[int] = []
+    """The positive roots of a known family in dimension d, and their orbit ids."""
+    units = [tuple(Fraction(int(k == i)) for k in range(d)) for i in range(d)]
     if family == "z2":
-        for i in range(d):
-            roots.append(_unit(d, i))
-            orbits.append(i)
-    elif family == "a":
-        for i in range(d):
-            for j in range(i + 1, d):
-                roots.append(tuple(Fraction(1 if k == i else -1 if k == j else 0) for k in range(d)))
-                orbits.append(0)
-    elif family == "b":
-        for i in range(d):
-            roots.append(_unit(d, i))
-            orbits.append(0)
-        for i in range(d):
-            for j in range(i + 1, d):
-                for sj in (-1, 1):
-                    roots.append(tuple(Fraction(1 if k == i else sj if k == j else 0) for k in range(d)))
-                    orbits.append(1)
-    elif family == "d":
-        for i in range(d):
-            for j in range(i + 1, d):
-                for sj in (-1, 1):
-                    roots.append(tuple(Fraction(1 if k == i else sj if k == j else 0) for k in range(d)))
-                    orbits.append(0)
-    else:
-        raise ValueError(f"unknown family {family!r}; expected one of z2, a, b, d")
-    return roots, orbits
+        return units, list(range(d))
+    signs = (-1,) if family == "a" else (-1, 1)
+    pairs = [tuple(Fraction(1 if k == i else sj if k == j else 0) for k in range(d))
+             for i in range(d) for j in range(i + 1, d) for sj in signs]
+    if family == "b":
+        return units + pairs, [0] * d + [1] * len(pairs)
+    return pairs, [0] * len(pairs)
 
 
 def make_context(family: str, d: int, kappa_by_orbit: Sequence[RationalLike]) -> DunklContext:
@@ -197,13 +175,10 @@ def make_context(family: str, d: int, kappa_by_orbit: Sequence[RationalLike]) ->
     family = family.lower()
     if d < 2:
         raise ValueError("dimension must be >= 2")
-    kappas = _exact(kappa_by_orbit)
-    if any(k < 0 for k in kappas):
-        raise ValueError("multiplicities must be non-negative")
-    expected = FAMILY_ORBITS.get(family)
     if family not in FAMILY_ORBITS:
         raise ValueError(f"unknown family {family!r}; expected one of z2, a, b, d")
-    n_orbits = d if expected is None else expected
+    n_orbits = FAMILY_ORBITS[family] or d
+    kappas = tuple(kappa_by_orbit)
     if len(kappas) != n_orbits:
         raise ValueError(f"family {family!r} at d={d} takes {n_orbits} multiplicities, got {len(kappas)}")
     roots, orbits = _catalog_roots(family, d)
@@ -211,7 +186,7 @@ def make_context(family: str, d: int, kappa_by_orbit: Sequence[RationalLike]) ->
 
 
 @functools.lru_cache(maxsize=64)
-def _root_set_fault(roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]) -> str | None:
+def _root_set_fault(roots: tuple[Root, ...], orbit_ids: tuple[int, ...]) -> str | None:
     """Why the roots are not a reduced, reflection-closed system, or None.
 
     Each reflection must map every root to a root of the same orbit, up to
@@ -227,9 +202,8 @@ def _root_set_fault(roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]) -> st
                 return f"roots #{i} and #{j} are parallel; the system must be reduced"
     index = {root: i for i, root in enumerate(roots)}
     for beta in roots:
-        r = _reflection(beta)
         for i, alpha in enumerate(roots):
-            image = r.apply(alpha)
+            image = beta.apply(alpha)
             pos = image if image in index else tuple(-v for v in image)
             if pos not in index or orbit_ids[index[pos]] != orbit_ids[i]:
                 return (f"the reflection across {beta} maps {alpha} to {image}, "
@@ -240,9 +214,10 @@ def _root_set_fault(roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]) -> st
 def reflection_matrix(ctx: DunklContext, alpha: Sequence[RationalLike]) -> list[list[Fraction]]:
     """Matrix of the reflection across alpha-perp, for a positive root alpha."""
     a = tuple(as_fraction(v) for v in alpha)
-    if a not in ctx.positive_roots:
-        raise ValueError(f"{a!r} is not a positive root of this context")
-    return [list(row) for row in _reflection(a).matrix]
+    for root in ctx.positive_roots:
+        if root == a:
+            return [list(row) for row in root.matrix]
+    raise ValueError(f"{a!r} is not a positive root of this context")
 
 
 def context_from_descriptor(descriptor: str, kappa_by_orbit: Sequence[RationalLike]) -> DunklContext:

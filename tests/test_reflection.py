@@ -5,11 +5,15 @@ import pytest
 
 from dunkl_harmonics import (
     DunklContext,
+    Poly,
     polyring,
     context_from_descriptor,
+    h_harmonic_basis,
+    intertwiner_apply,
     make_context,
     reflection_matrix,
 )
+from dunkl_harmonics.reflection import FAMILY_ORBITS
 from dunkl_harmonics.verify import random_poly
 
 
@@ -98,6 +102,81 @@ class TestReflectionMatrix:
             reflection_matrix(z2_2, (1, 1))
 
 
+def matrix_rule(a):
+    """r_a = I - 2 a a^T / |a|^2, with perm and flips when every row has one nonzero."""
+    norm2 = sum(v * v for v in a)
+    n = len(a)
+    matrix = tuple(tuple(F(int(i == j)) - 2 * a[i] * a[j] / norm2 for j in range(n)) for i in range(n))
+    nonzero = [[j for j, v in enumerate(row) if v] for row in matrix]
+    if any(len(cols) != 1 for cols in nonzero):
+        return matrix, None, ()
+    perm = tuple(cols[0] for cols in nonzero)
+    return matrix, perm, tuple(i for i in range(n) if matrix[i][perm[i]] < 0)
+
+
+class TestRootClassification:
+    # Root classifies r_a from the support of a; the matrix rule is the second route
+    EXTRA_ROOTS = [
+        (F(-2), F(0), F(0)),
+        (F(3), F(0), F(-3)),
+        (F(1, 2), F(1, 2), F(0)),
+        (F(0), F(-1), F(1)),
+        (F(1), F(2)),
+        (F(2), F(-1)),
+        (F(1), F(1), F(1), F(1)),
+    ]
+
+    def roots(self):
+        catalog = [
+            root
+            for family, orbits in FAMILY_ORBITS.items()
+            for d in range(2, 6)
+            for root in make_context(family, d, [0] * (orbits or d)).positive_roots
+        ]
+        return catalog + self.EXTRA_ROOTS
+
+    def test_support_rule_matches_the_matrix_rule(self, rng):
+        for values in self.roots():
+            root = polyring.Root(values)
+            matrix, perm, flips = matrix_rule(tuple(values))
+            assert (root.perm, root.flips, root.matrix) == (perm, flips, matrix)
+            v = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in values)
+            assert root.apply(v) == tuple(sum(m * x for m, x in zip(row, v)) for row in matrix)
+            for _ in range(3):
+                p = random_poly(rng, len(values), 5)
+                assert root.image(p) == p.reflect(values) == p.substitute_linear(matrix)
+
+    def test_a_root_is_built_once(self):
+        root = polyring.Root([1, -1, 0])
+        assert polyring.Root(root) is root
+        assert all(type(v) is Fraction for v in root)
+        with pytest.raises(ValueError, match="nonzero vector"):
+            polyring.Root([0, 0])
+
+    def test_a_context_root_is_reflected_without_hashing(self, rng, monkeypatch):
+        contexts = [make_context("d", 4, [F(1, 2)]), make_context("b", 3, [1, F(1, 3)]),
+                    DunklContext(2, ((1, 2), (2, -1)), (0, 1), (1, 2))]
+        cases = [(root, random_poly(rng, ctx.dim, 5)) for ctx in contexts for root in ctx.positive_roots]
+        hashes = []
+        real_hash = Fraction.__hash__
+
+        def counted(self):
+            hashes.append(self)
+            return real_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        for root, p in cases:
+            p.divided_difference(root)
+            p.reflect(root)
+        assert hashes == []
+
+    def test_catalog_roots_build_no_matrix(self):
+        for ctx in (make_context("d", 4, [F(1, 2)]), make_context("b", 3, [1, F(1, 3)])):
+            h_harmonic_basis(ctx, 6)
+            intertwiner_apply(ctx, Poly.monomial(ctx.dim, (2, 2, 1) + (0,) * (ctx.dim - 3)))
+            assert all(root.perm is not None and "matrix" not in vars(root) for root in ctx.positive_roots)
+
+
 class TestDerivedValues:
     # b2 with its orbits interleaved in root order and the coordinate orbit at kappa 0
     ROOTS = ((F(1), F(0)), (F(1), F(1)), (F(0), F(1)), (F(1), F(-1)))
@@ -143,13 +222,13 @@ class TestRootSetVerdict:
     def test_second_context_of_a_family_applies_no_reflection(self, monkeypatch):
         make_context("d", 4, [F(1, 3)])
         calls = []
-        apply = polyring._Reflection.apply
+        apply = polyring.Root.apply
 
         def counted(self, v):
             calls.append(v)
             return apply(self, v)
 
-        monkeypatch.setattr(polyring._Reflection, "apply", counted)
+        monkeypatch.setattr(polyring.Root, "apply", counted)
         ctx = make_context("d", 4, [F(5, 7)])
         assert calls == []
         assert ctx.lambda_kappa == 1 + 12 * F(5, 7)

@@ -177,9 +177,9 @@ def test_deep_moment_chain_is_iterative():
 
 
 def test_int_roots_are_stored_exact_and_leave_the_reflection_cache_exact():
-    # roots that no other test uses, so the reflection cache first sees them
-    # from the int system, and whose reflections are exact even in floats;
-    # an int key equals the Fraction key of the same root
+    # each context converts its own roots, and an int root equals the
+    # Fraction root of the same values, so both systems must store the same
+    # exact roots and reflections; these reflections are exact even in floats
     int_roots = ((1, 1, 1, 1), (1, -1, 1, -1))
     frac_roots = tuple(tuple(F(v) for v in root) for root in int_roots)
     int_ctx = DunklContext(4, int_roots, (0, 1), (1, 2))
