@@ -6,12 +6,16 @@ linear, so each sums the images of the input's monomials, and each image is
 computed once per context into the context's tables: ``tables.axis`` holds
 the d coordinate images D_j x^beta of a monomial, a partial derivative plus
 one divided difference per root, and ``tables.laplacian`` holds Lap x^beta
-from the closed form of the sum of squares.  The tables hold one entry per
-monomial the context has seen, so they are bounded by the monomials of the
-degrees the context has been asked about; they are dropped with the
-context, and the results are the same as those of the formulas applied to
-the whole input.  :func:`apply_operator_poly` and :func:`pairing` reach the
-axis table through :func:`dunkl_axis`.
+from the closed form of the sum of squares.  Each image is stored as int
+numerators over one denominator, and the two kernels (and
+``polyring.radial_sum``) put their input over one denominator too, take the
+lcm of the images' denominators once, sum Python ints, and build one
+Fraction per output term.  The tables hold one entry per monomial the
+context has seen, so they are bounded by the monomials of the degrees the
+context has been asked about; they are dropped with the context, and the
+results are the same as those of the formulas applied to the whole input.
+:func:`apply_operator_poly` and :func:`pairing` reach the axis table
+through :func:`dunkl_axis`.
 :func:`_laplacian_powers` is the one place that iterates the Laplacian over
 a sequence p, Lap p, Lap^2 p, ..., and the one place that decides where it
 ends; the decomposition and the radius expansions read it.  For a
@@ -24,10 +28,11 @@ are refused by :meth:`DunklContext.check_dim`, as in every other module.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .polyring import Monomial, Poly, RationalLike, as_fraction, radial_sum
+from .polyring import Monomial, Poly, RationalLike, as_fraction, over_one_denominator, radial_sum
 from .reflection import DunklContext
 
 
@@ -39,27 +44,31 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
     The operator is linear in p and in xi, so D_xi p is the sum of
     c_beta xi_j D_j x^beta over the terms of p and the axes, and each
     D_j x^beta is read from the context's table (all d axes of a monomial
-    are built together on a miss by ``_monomial_axes``).
+    are built together on a miss by ``_monomial_axes``).  The sum runs in
+    integer numerators over one denominator.
     """
     ctx.check_dim(p)
     v = [as_fraction(c) for c in xi]
     if len(v) != ctx.dim or not any(v):
         raise ValueError("xi must be a nonzero vector of the ambient dimension")
-    axes = [(j, c) for j, c in enumerate(v) if c]
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in p.terms.items():
-        images = _monomial_axis_images(ctx, mono)
+    xi_den, xi_nums = over_one_denominator(v)
+    axes = [(j, x) for j, x in enumerate(xi_nums) if x]
+    den, nums = over_one_denominator(p.terms.values())
+    images = [_monomial_axis_images(ctx, mono) for mono in p.terms]
+    scale = math.lcm(*[d for d, _ in images])
+    out: dict[Monomial, int] = {}
+    for n, (d, image) in zip(nums, images):
+        n *= scale // d
         for j, x in axes:
-            cx = c if x == 1 else c * x
-            terms = iter(images[j])
+            nx = n * x
+            terms = iter(image[j])
             for m, w in zip(terms, terms):
-                s = out.get(m)
-                out[m] = cx * w if s is None else s + cx * w
-    return Poly._raw(ctx.dim, {m: w for m, w in out.items() if w})
+                out[m] = out.get(m, 0) + nx * w
+    return Poly._over(ctx.dim, den * xi_den * scale, out)
 
 
-def _monomial_axis_images(ctx: DunklContext, mono: Monomial) -> tuple[tuple, ...]:
-    """D_j x^mono for j = 1..d from the context's table, each flat as m1, c1, m2, c2, ..."""
+def _monomial_axis_images(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple[tuple, ...]]:
+    """D_j x^mono for j = 1..d from the context's table, as (den, images); see ``_monomial_axes``."""
     images = ctx.tables.axis
     image = images.get(mono)
     if image is None:
@@ -67,22 +76,22 @@ def _monomial_axis_images(ctx: DunklContext, mono: Monomial) -> tuple[tuple, ...
     return image
 
 
-def _monomial_axes(ctx: DunklContext, mono: Monomial) -> tuple[tuple, ...]:
+def _monomial_axes(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple[tuple, ...]]:
     """D_j x^mono = mono_j x^(mono - e_j) + sum of kappa_alpha alpha_j delta_alpha x^mono.
 
     The sum is over the positive roots, and delta_alpha is the divided
     difference (p - p(r_alpha x)) / <alpha, x>.  One divided difference per
-    active root serves every axis.  The monomial
-    enters with the int coefficient 1, so for a catalog root delta_alpha
-    keeps int coefficients until it is multiplied by kappa_alpha alpha_j;
-    the table holds Fractions only, each monomial and coefficient as the
-    context's shared instance (see :class:`ContextTables`).
+    active root serves every axis.  The d images are returned over one
+    denominator den, as (den, images) with each image flat as
+    m1, n1, m2, n2, ... for the terms n_i / den x^m_i, in the reduced form
+    of :func:`over_one_denominator`, each monomial as the context's shared
+    instance (see :class:`ContextTables`).
     """
     x = Poly._raw(ctx.dim, {mono: 1})
-    out: list[dict[Monomial, Fraction]] = [{} for _ in mono]
+    out: list[dict[Monomial, RationalLike]] = [{} for _ in mono]
     for j, e in enumerate(mono):
         if e:
-            out[j][_shifted(mono, j, e - 1)] = Fraction(e)
+            out[j][_shifted(mono, j, e - 1)] = e
     for root, kappa in ctx.active_roots:
         quotient = x.divided_difference(root).terms
         for j, a in enumerate(root):
@@ -91,9 +100,12 @@ def _monomial_axes(ctx: DunklContext, mono: Monomial) -> tuple[tuple, ...]:
                 image = out[j]
                 for m, v in quotient.items():
                     image[m] = image.get(m, 0) + scale * v
+    out = [{m: v for m, v in image.items() if v} for image in out]
+    den, nums = over_one_denominator([v for image in out for v in image.values()])
     shared = ctx.tables.shared
-    return tuple(
-        tuple(shared.setdefault(t, t) for m, v in image.items() if v for t in (m, v))
+    numerators = iter(nums)
+    return den, tuple(
+        tuple(t for m in image for t in (shared.setdefault(m, m), next(numerators)))
         for image in out
     )
 
@@ -110,19 +122,24 @@ def laplacian(ctx: DunklContext, p: Poly) -> Poly:
 
     The Laplacian is linear, so Lap p = sum of c_beta Lap x^beta over the
     terms of p, and each monomial image is read from the context's table
-    (built on a miss by ``_monomial_image``).
+    (built on a miss by ``_monomial_image``).  The sum runs in integer
+    numerators over one denominator.
     """
     ctx.check_dim(p)
-    out: dict[Monomial, Fraction] = {}
-    for mono, c in p.terms.items():
-        for m, v in _monomial_laplacian(ctx, mono).items():
-            s = out.get(m)
-            out[m] = c * v if s is None else s + c * v
-    return Poly._raw(ctx.dim, {m: v for m, v in out.items() if v})
+    den, nums = over_one_denominator(p.terms.values())
+    images = [_monomial_laplacian(ctx, mono) for mono in p.terms]
+    scale = math.lcm(*[d for d, _ in images])
+    out: dict[Monomial, int] = {}
+    for n, (d, image) in zip(nums, images):
+        n *= scale // d
+        terms = iter(image)
+        for m, v in zip(terms, terms):
+            out[m] = out.get(m, 0) + n * v
+    return Poly._over(ctx.dim, den * scale, out)
 
 
-def _monomial_laplacian(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fraction]:
-    """The terms of Lap x^mono, from the context's table; do not mutate."""
+def _monomial_laplacian(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple]:
+    """Lap x^mono from the context's table, as (den, image); see ``_monomial_image``."""
     images = ctx.tables.laplacian
     image = images.get(mono)
     if image is None:
@@ -130,7 +147,7 @@ def _monomial_laplacian(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fra
     return image
 
 
-def _monomial_image(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fraction]:
+def _monomial_image(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple]:
     """Lap x^mono from the closed form (Dunkl 1989; Dunkl-Xu)
 
     Lap p = Delta p + sum over positive roots of
@@ -145,14 +162,16 @@ def _monomial_image(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fractio
     reflection is a signed permutation.  The monomial enters with the int
     coefficient 1, so for a root with integer entries (every catalog root)
     the term keeps int coefficients, which :class:`Poly` arithmetic accepts,
-    until it is multiplied by kappa_alpha; the table holds Fractions only,
-    each monomial and coefficient as the context's shared instance.
+    until it is multiplied by kappa_alpha.  The image is returned as
+    (den, image), flat as m1, n1, m2, n2, ... for the terms n_i / den x^m_i,
+    in the reduced form of :func:`over_one_denominator`, each monomial as
+    the context's shared instance.
     """
     x = Poly._raw(ctx.dim, {mono: 1})
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, RationalLike] = {}
     for i, e in enumerate(mono):
         if e > 1:
-            out[_shifted(mono, i, e - 2)] = Fraction(e * (e - 1))
+            out[_shifted(mono, i, e - 2)] = e * (e - 1)
     for root, kappa in ctx.active_roots:
         alpha = tuple(a.numerator if a.denominator == 1 else a for a in root)
         term = dict(_derivative(x.divided_difference(root), alpha).terms)
@@ -161,8 +180,10 @@ def _monomial_image(ctx: DunklContext, mono: Monomial) -> dict[Monomial, Fractio
         for m, v in term.items():
             if v:
                 out[m] = out.get(m, 0) + kappa * v
+    out = {m: v for m, v in out.items() if v}
+    den, nums = over_one_denominator(out.values())
     shared = ctx.tables.shared
-    return {shared.setdefault(m, m): shared.setdefault(v, v) for m, v in out.items() if v}
+    return den, tuple(t for m, n in zip(out, nums) for t in (shared.setdefault(m, m), n))
 
 
 def _derivative(p: Poly, alpha: Sequence[RationalLike]) -> Poly:

@@ -5,7 +5,9 @@ The Monte-Carlo estimator samples uniform sphere directions through
 normalized Gaussians and forms the ratio of weighted sums, so the total
 weighted surface mass never needs to be known.  Sampling is chunked with
 per-chunk derived seeds and a serial reduction order, making every
-estimate bit-reproducible for a fixed (seed, samples) pair.
+estimate bit-reproducible for a fixed (seed, samples) pair.  numpy is
+imported by the functions that use it, so importing the package and every
+exact computation leave it unloaded.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .polyring import Poly, pochhammer
 from .reflection import DunklContext
 from .spherical import _finite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHUNK_SIZE = 4096
 
@@ -41,6 +44,8 @@ def _as_float(value: Fraction, what: str) -> float:
 
 
 def _poly_term_arrays(p: Poly) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     exponents = np.array(sorted(p.terms), dtype=np.int64)
     coeffs = np.array(
         [_as_float(p.terms[tuple(e)], "coefficient") for e in exponents], dtype=np.float64
@@ -49,6 +54,8 @@ def _poly_term_arrays(p: Poly) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eval_poly(exponents: np.ndarray, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     if exponents.size == 0:
         return np.zeros(points.shape[0])
     powers = points[:, None, :] ** exponents[None, :, :]
@@ -56,6 +63,8 @@ def _eval_poly(exponents: np.ndarray, coeffs: np.ndarray, points: np.ndarray) ->
 
 
 def _weight_squared(ctx: DunklContext, points: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     values = np.ones(points.shape[0])
     for root, kappa in ctx.active_roots:
         dots = points @ np.array([_as_float(v, "root coordinate") for v in root])
@@ -63,7 +72,6 @@ def _weight_squared(ctx: DunklContext, points: np.ndarray) -> np.ndarray:
     return values
 
 
-@np.errstate(all="ignore")  # a non-finite estimate is refused, not warned about
 def mc_sphere_integral(ctx: DunklContext, p: Poly, seed: int, samples: int) -> McEstimate:
     """Ratio estimate of the normalized weighted spherical integral of p.
 
@@ -73,6 +81,8 @@ def mc_sphere_integral(ctx: DunklContext, p: Poly, seed: int, samples: int) -> M
     gives an infinite error.  A mean that is not finite, or an error that is
     NaN, is refused with ``ValueError``.
     """
+    import numpy as np
+
     ctx.check_dim(p)
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -80,31 +90,32 @@ def mc_sphere_integral(ctx: DunklContext, p: Poly, seed: int, samples: int) -> M
     s_w = s_wp = s_w2 = s_w2p = s_w2p2 = 0.0
     produced = 0
     chunk_index = 0
-    while produced < samples:
-        rows = min(CHUNK_SIZE, samples - produced)
-        rng = np.random.default_rng([seed, chunk_index])
-        gauss = rng.standard_normal((rows, ctx.dim))
-        norms = np.sqrt((gauss * gauss).sum(axis=1))
-        norms[norms == 0.0] = 1.0
-        points = gauss / norms[:, None]
-        w = _weight_squared(ctx, points)
-        pv = _eval_poly(exponents, coeffs, points)
-        wp = w * pv
-        s_w += w.sum()
-        s_wp += wp.sum()
-        s_w2 += (w * w).sum()
-        s_w2p += (w * wp).sum()
-        s_w2p2 += (wp * wp).sum()
-        produced += rows
-        chunk_index += 1
-    mean = s_wp / s_w
-    n = samples
-    w_bar = s_w / n
-    if n > 1:
-        sq = (s_w2p2 - 2.0 * mean * s_w2p + mean * mean * s_w2) / (w_bar * w_bar)
-        std_error = math.sqrt(max(sq, 0.0) / (n - 1)) / math.sqrt(n)
-    else:
-        std_error = float("inf")
+    with np.errstate(all="ignore"):  # a non-finite estimate is refused, not warned about
+        while produced < samples:
+            rows = min(CHUNK_SIZE, samples - produced)
+            rng = np.random.default_rng([seed, chunk_index])
+            gauss = rng.standard_normal((rows, ctx.dim))
+            norms = np.sqrt((gauss * gauss).sum(axis=1))
+            norms[norms == 0.0] = 1.0
+            points = gauss / norms[:, None]
+            w = _weight_squared(ctx, points)
+            pv = _eval_poly(exponents, coeffs, points)
+            wp = w * pv
+            s_w += w.sum()
+            s_wp += wp.sum()
+            s_w2 += (w * w).sum()
+            s_w2p += (w * wp).sum()
+            s_w2p2 += (wp * wp).sum()
+            produced += rows
+            chunk_index += 1
+        mean = s_wp / s_w
+        n = samples
+        w_bar = s_w / n
+        if n > 1:
+            sq = (s_w2p2 - 2.0 * mean * s_w2p + mean * mean * s_w2) / (w_bar * w_bar)
+            std_error = math.sqrt(max(sq, 0.0) / (n - 1)) / math.sqrt(n)
+        else:
+            std_error = float("inf")
     if not math.isfinite(mean) or math.isnan(std_error):
         raise ValueError(
             "the Monte-Carlo estimate is not finite in floating point"

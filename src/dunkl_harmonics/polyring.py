@@ -7,7 +7,10 @@ arithmetic is exact, and no float enters: the float lane is
 variables ``x1 .. xd`` (see :func:`parse`), and :meth:`Poly.__str__`
 emits terms in graded-lexicographic order so that formatting is canonical.
 :func:`radial_sum` is the one routine for a sum of c |x|^(2k) g: Horner's
-rule in |x|^2, whose multiplication is a shift of exponents.
+rule in |x|^2, whose multiplication is a shift of exponents, summed in int
+numerators over one denominator.  :func:`over_one_denominator` is the one
+place that splits exact values into that form, for the operator kernels and
+their tables too.
 
 The reflection primitives live here too.  A :class:`Root` is a nonzero
 rational vector ``a`` that carries its reflection ``r_a``, classified once
@@ -26,9 +29,10 @@ input.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 RationalLike = Fraction | int
@@ -49,6 +53,20 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__!s}")
+
+
+def over_one_denominator(values: Collection[RationalLike]) -> tuple[int, list[int]]:
+    """(den, numerators) with values[i] == numerators[i] / den and den the lcm of their denominators.
+
+    The form is reduced, den > 0 and gcd(den, *numerators) == 1: each prime
+    power of den is that prime's full power in some value's denominator,
+    and that value's numerator is prime to it.  The operator kernels sum in
+    these ints and build one Fraction per output term (:meth:`Poly._over`),
+    as in fraction-free arithmetic (Geddes, Czapor and Labahn, *Algorithms
+    for Computer Algebra*, 1992, ch. 9).
+    """
+    den = math.lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def pochhammer(a: RationalLike, n: int) -> Fraction:
@@ -137,6 +155,11 @@ class Poly:
         p.dim = dim
         p.terms = clean_terms
         return p
+
+    @classmethod
+    def _over(cls, dim: int, den: int, numerators: dict[Monomial, int]) -> Poly:
+        # internal: the terms n / den of the nonzero numerators, den > 0
+        return cls._raw(dim, {m: Fraction(n, den) for m, n in numerators.items() if n})
 
     # -- basic queries ---------------------------------------------------
 
@@ -337,29 +360,31 @@ class Poly:
 def radial_sum(dim: int, terms: Iterable[tuple[int, RationalLike, Poly]]) -> Poly:
     """The sum of c |x|^(2k) g over triples (k, c, g) of dimension ``dim``, by Horner's rule in |x|^2.
 
-    out = |x|^2 out + (the terms with k) for k = K .. 0, where multiplying by
-    |x|^2 adds 2 to each exponent in turn: one dict, and no product of two polynomials.
+    Every c g is put over one common denominator first (see
+    :func:`over_one_denominator`), so the sum runs in Python ints with one
+    Fraction per output term.  out = |x|^2 out + (the terms with k) for
+    k = K .. 0, where multiplying by |x|^2 adds 2 to each exponent in turn:
+    one dict, and no product of two polynomials.
     """
-    buckets: dict[int, list[tuple[RationalLike, Poly]]] = {}
+    buckets: dict[int, list[tuple[int, int, Iterable[Monomial], list[int]]]] = {}
     for k, c, g in terms:
-        buckets.setdefault(k, []).append((c, g))
-    out: dict[Monomial, Fraction] = {}
+        den, nums = over_one_denominator(g.terms.values())
+        buckets.setdefault(k, []).append((c.numerator, c.denominator * den, g.terms, nums))
+    scale = math.lcm(*[den for bucket in buckets.values() for _, den, _, _ in bucket])
+    out: dict[Monomial, int] = {}
     for k in range(max(buckets, default=-1), -1, -1):
         if out:
-            shifted: dict[Monomial, Fraction] = {}
+            shifted: dict[Monomial, int] = {}
             for mono, c in out.items():
                 for i, e in enumerate(mono):
                     m = mono[:i] + (e + 2,) + mono[i + 1:]
-                    s = shifted.get(m)
-                    shifted[m] = c if s is None else s + c
+                    shifted[m] = shifted.get(m, 0) + c
             out = shifted
-        for c, g in buckets.get(k, ()):
-            one = c == 1
-            for m, v in g.terms.items():
-                v = v if one else c * v
-                s = out.get(m)
-                out[m] = v if s is None else s + v
-    return Poly._raw(dim, {m: v for m, v in out.items() if v})
+        for c, den, monos, nums in buckets.get(k, ()):
+            c *= scale // den
+            for m, v in zip(monos, nums):
+                out[m] = out.get(m, 0) + c * v
+    return Poly._over(dim, scale, out)
 
 
 class Root(tuple):

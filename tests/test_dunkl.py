@@ -9,6 +9,7 @@ from dunkl_harmonics import (
     Poly,
     apply_operator_poly,
     dunkl_apply,
+    h_harmonic_basis,
     laplacian,
     make_context,
     pairing,
@@ -147,3 +148,106 @@ def test_pairing_matches_the_macdonald_identity(family, dim, kappa):
     for _ in range(10):
         p, q = (random_poly(rng, dim, 6, homogeneous=True, max_terms=8) for _ in range(2))
         assert pairing(ctx, p, q) == gaussian_pairing(ctx, p, q)
+
+
+# the integer kernels against a plain per-term Fraction sum of the same table images
+KERNEL_CONTEXTS = {
+    "z2^3": make_context("z2", 3, [1, F(1, 2), F(2, 3)]),
+    "a2": make_context("a", 3, [F(1, 3)]),
+    "b3": make_context("b", 3, [F(1, 2), F(3, 2)]),
+    "d4": make_context("d", 4, [F(2, 3)]),
+    # orthogonal roots with fractional entries, two of them with dense reflections
+    "dense": DunklContext(
+        3,
+        ((F(1, 2), F(1), F(0)), (F(2, 3), F(-1, 3), F(0)), (F(0), F(0), F(1, 3))),
+        (0, 1, 2),
+        (F(1, 2), F(3, 4), F(2, 5)),
+    ),
+}
+
+
+def image_terms(den, flat):
+    """A stored image, flat as m1, n1, m2, n2, ... over den, as Fraction terms."""
+    return {m: Fraction(n, den) for m, n in zip(flat[::2], flat[1::2])}
+
+
+def per_term_sum(products):
+    """The sum of c * v over (m, c, v), one Fraction multiply and add per term, zeros dropped."""
+    out = {}
+    for m, c, v in products:
+        out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+def laplacian_reference(ctx, p):
+    return per_term_sum(
+        (m, c, v)
+        for mono, c in p.terms.items()
+        for m, v in image_terms(*dunkl._monomial_laplacian(ctx, mono)).items()
+    )
+
+
+def dunkl_apply_reference(ctx, xi, p):
+    products = []
+    for mono, c in p.terms.items():
+        den, images = dunkl._monomial_axis_images(ctx, mono)
+        for x, image in zip(xi, images):
+            products += [(m, c * x, v) for m, v in image_terms(den, image).items()]
+    return per_term_sum(products)
+
+
+def assert_exact_terms(result, expected):
+    assert result.terms == expected
+    assert all(type(v) is Fraction and v for v in result.terms.values())
+
+
+def random_direction(rng, dim):
+    xi = [0] * dim
+    while not any(xi):
+        xi = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim)]
+    return xi
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONTEXTS))
+def test_kernels_match_the_per_term_fraction_sum(name):
+    ctx = KERNEL_CONTEXTS[name]
+    rng = random.Random(f"integer-kernels:{name}")
+    for degree in range(9):
+        for _ in range(3):
+            p = random_poly(rng, ctx.dim, degree, max_terms=12)
+            assert_exact_terms(laplacian(ctx, p), laplacian_reference(ctx, p))
+            xi = random_direction(rng, ctx.dim)
+            assert_exact_terms(dunkl_apply(ctx, xi, p), dunkl_apply_reference(ctx, xi, p))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONTEXTS))
+def test_kernels_take_int_coefficient_values(name):
+    # the miss paths build Polys whose values are ints, which the kernels accept as they are
+    ctx = KERNEL_CONTEXTS[name]
+    rng = random.Random(f"int-values:{name}")
+    for degree in range(1, 7):
+        p = random_poly(rng, ctx.dim, degree, max_terms=8)
+        ints = Poly._raw(ctx.dim, {m: rng.choice((-3, -1, 1, 2, 5)) for m in p.terms})
+        as_fractions = Poly(ctx.dim, ints.terms)
+        assert_exact_terms(laplacian(ctx, ints), laplacian_reference(ctx, as_fractions))
+        xi = random_direction(rng, ctx.dim)
+        assert_exact_terms(dunkl_apply(ctx, xi, ints), dunkl_apply_reference(ctx, xi, as_fractions))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONTEXTS))
+def test_kernels_drop_terms_that_cancel(name):
+    ctx = KERNEL_CONTEXTS[name]
+    rng = random.Random(f"cancel:{name}")
+    for degree in range(2, 6):
+        for h in h_harmonic_basis(ctx, degree):
+            # the images of an h-harmonic's terms cancel to zero, and next to
+            # another input they leave exactly that input's image
+            assert laplacian(ctx, h).is_zero and laplacian_reference(ctx, h) == {}
+            p = random_poly(rng, ctx.dim, degree, homogeneous=True)
+            assert_exact_terms(laplacian(ctx, p + h), laplacian_reference(ctx, p))
+    # D_(e1 - e2) of a degree-1 polynomial is a constant; swapping x1 and x2
+    # leaves the group and x1 + x2 fixed, so the two axes cancel
+    if ctx.family in ("a", "b", "d"):
+        p = Poly(ctx.dim, {(1, 0) + (0,) * (ctx.dim - 2): F(3, 2), (0, 1) + (0,) * (ctx.dim - 2): F(3, 2)})
+        xi = [1, -1] + [0] * (ctx.dim - 2)
+        assert dunkl_apply(ctx, xi, p).is_zero and dunkl_apply_reference(ctx, xi, p) == {}

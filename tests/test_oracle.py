@@ -1,5 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +112,28 @@ class TestBesselPhi:
         # (z/2)**2 overflows at 1e200 and raises, inf and nan pass through the series
         with pytest.raises(ValueError, match="not finite in floating point"):
             bessel_phi(0.5, z)
+
+
+def test_numpy_is_imported_on_first_float_lane_use():
+    # a fresh interpreter, so that no other test has loaded numpy; -W error
+    # turns any warning that escapes into a failure
+    script = textwrap.dedent("""
+        import sys
+        import dunkl_harmonics
+        from dunkl_harmonics import cli
+        assert "numpy" not in sys.modules
+        assert cli.main(["laplacian", "--group", "b3", "--kappa", "1/2,3/2", "--poly", "x1^4*x2^2"]) == 0
+        assert "numpy" not in sys.modules
+        assert cli.main(["mc", "--group", "b3", "--kappa", "1/2,3/2", "--poly", "x1^2*x2^2 + x3^4",
+                         "--seed", "7", "--samples", "5000"]) == 0
+        assert "numpy" in sys.modules
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lap, mc = map(json.loads, proc.stdout.splitlines())
+    assert lap == {"result": "10*x1^4 + 40*x1^2*x2^2 + 6*x2^2*x3^2"}
+    assert mc["samples"] == 5000 and math.isfinite(mc["mean"]) and mc["stderr"] > 0

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -186,3 +188,59 @@ def test_pochhammer():
     assert pochhammer(-2, 2) == 2
     with pytest.raises(ValueError):
         pochhammer(F(1), -1)
+
+
+def test_over_one_denominator_is_reduced():
+    rng = random.Random("over-one-denominator")
+    for _ in range(200):
+        values = [F(rng.randint(-30, 30), rng.randint(1, 24)) for _ in range(rng.randint(0, 6))]
+        values += rng.choice(([], [0], [3]))
+        den, nums = polyring.over_one_denominator(values)
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert [F(n, den) for n in nums] == values
+    assert polyring.over_one_denominator([]) == (1, [])
+
+
+def radial_reference(dim, terms):
+    """The sum of c |x|^(2k) g, each term expanded by Poly products and summed with
+    one Fraction multiply and add per coefficient, zeros dropped."""
+    out = {}
+    for k, c, g in terms:
+        for m, v in (Poly.norm_squared(dim) ** k * g).terms.items():
+            out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+def assert_radial_sum(dim, terms):
+    out = polyring.radial_sum(dim, terms)
+    assert out.terms == radial_reference(dim, terms)
+    assert all(type(v) is Fraction and v for v in out.terms.values())
+    return out
+
+
+def test_radial_sum_matches_the_per_term_fraction_sum():
+    rng = random.Random("radial-sum")
+    for dim in (2, 3, 4):
+        for _ in range(20):
+            terms = [
+                (rng.randint(0, 3), rng.choice((1, -2, F(3, 4), F(-5, 6))),
+                 random_poly(rng, dim, rng.randint(0, 5), max_terms=8))
+                for _ in range(rng.randint(1, 5))
+            ]
+            assert_radial_sum(dim, terms)
+            # a Poly with int values, as the operator miss paths build them
+            ints = [(k, c, Poly._raw(dim, {m: rng.randint(-4, 4) or 1 for m in g.terms})) for k, c, g in terms]
+            assert_radial_sum(dim, ints)
+
+
+def test_radial_sum_drops_terms_that_cancel():
+    rng = random.Random("radial-sum-cancel")
+    assert polyring.radial_sum(3, []).is_zero
+    for dim in (2, 3):
+        for _ in range(10):
+            g = random_poly(rng, dim, 4)
+            q = random_poly(rng, dim, 3)
+            c = F(rng.randint(1, 9), rng.randint(1, 9))
+            norm = Poly.norm_squared(dim)
+            assert assert_radial_sum(dim, [(1, c, g), (0, -c, norm * g)]).is_zero
+            assert assert_radial_sum(dim, [(2, c, g), (0, 1, q), (1, -c, norm * g)]) == q

@@ -69,15 +69,31 @@ def closed_form(ctx, p):
     return out
 
 
+def stored_poly(dim, den, flat):
+    """The polynomial of a stored image: terms n_i / den x^m_i, flat as m1, n1, m2, n2, ...
+
+    The stored form is reduced: den is a positive int, every numerator is a
+    nonzero int, no monomial repeats, and den and the numerators have gcd 1."""
+    monos, nums = flat[::2], flat[1::2]
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in nums)
+    assert len(set(monos)) == len(monos) and len(monos) + len(nums) == len(flat)
+    return Poly(dim, {m: Fraction(n, den) for m, n in zip(monos, nums)})
+
+
+def assert_reduced(den, flats):
+    assert math.gcd(den, *(n for flat in flats for n in flat[1::2])) == 1
+
+
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_miss_path_matches_the_closed_form(name):
     ctx = CONTEXTS[name]
     for n in range(9):
         for mono in monomials_of_degree(ctx.dim, n):
             p = Poly.monomial(ctx.dim, mono)
-            image = dunkl._monomial_image(ctx, mono)
-            assert all(isinstance(v, Fraction) for v in image.values()), mono
-            assert Poly(ctx.dim, image) == closed_form(ctx, p), mono
+            den, image = dunkl._monomial_image(ctx, mono)
+            assert_reduced(den, [image])
+            assert stored_poly(ctx.dim, den, image) == closed_form(ctx, p), mono
 
 
 def axis_reference(ctx, j, p):
@@ -96,13 +112,26 @@ def test_axis_miss_path_matches_the_definition(name):
     for n in range(9):
         for mono in monomials_of_degree(ctx.dim, n):
             p = Poly.monomial(ctx.dim, mono)
-            images = dunkl._monomial_axes(ctx, mono)
+            den, images = dunkl._monomial_axes(ctx, mono)
             assert len(images) == ctx.dim
+            assert_reduced(den, images)
             for j, flat in enumerate(images):
-                image = dict(zip(flat[::2], flat[1::2]))
-                assert len(image) * 2 == len(flat), (mono, j)
-                assert all(isinstance(v, Fraction) for v in image.values()), (mono, j)
-                assert Poly(ctx.dim, image) == axis_reference(ctx, j, p), (mono, j)
+                assert stored_poly(ctx.dim, den, flat) == axis_reference(ctx, j, p), (mono, j)
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_stored_images_are_reduced(name):
+    ctx = CONTEXTS[name]
+    for n in range(7):
+        p = Poly(ctx.dim, {mono: 1 for mono in monomials_of_degree(ctx.dim, n)})
+        laplacian(ctx, p)
+        dunkl_apply(ctx, [1] * ctx.dim, p)
+    entries = [(den, [image]) for den, image in ctx.tables.laplacian.values()]
+    entries += ctx.tables.axis.values()
+    for den, images in entries:
+        for flat in images:
+            stored_poly(ctx.dim, den, flat)
+        assert_reduced(den, images)
 
 
 def test_seen_monomials_take_no_divided_difference(monkeypatch):
