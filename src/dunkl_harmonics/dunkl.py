@@ -48,10 +48,9 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
     integer numerators over one denominator.
     """
     ctx.check_dim(p)
-    v = [as_fraction(c) for c in xi]
-    if len(v) != ctx.dim or not any(v):
+    xi_den, xi_nums = over_one_denominator([c if isinstance(c, int) else as_fraction(c) for c in xi])
+    if len(xi_nums) != ctx.dim or not any(xi_nums):
         raise ValueError("xi must be a nonzero vector of the ambient dimension")
-    xi_den, xi_nums = over_one_denominator(v)
     axes = [(j, x) for j, x in enumerate(xi_nums) if x]
     den, nums = over_one_denominator(p.terms.values())
     images = [_monomial_axis_images(ctx, mono) for mono in p.terms]

@@ -65,8 +65,9 @@ def over_one_denominator(values: Collection[RationalLike]) -> tuple[int, list[in
     as in fraction-free arithmetic (Geddes, Czapor and Labahn, *Algorithms
     for Computer Algebra*, 1992, ch. 9).
     """
-    den = math.lcm(*[v.denominator for v in values])
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, [n * (den // d) for n, d in ratios]
 
 
 def pochhammer(a: RationalLike, n: int) -> Fraction:
