@@ -5,9 +5,14 @@ The Monte-Carlo estimator samples uniform sphere directions through
 normalized Gaussians and forms the ratio of weighted sums, so the total
 weighted surface mass never needs to be known.  Sampling is chunked with
 per-chunk derived seeds and a serial reduction order, making every
-estimate bit-reproducible for a fixed (seed, samples) pair.  numpy is
-imported by the functions that use it, so importing the package and every
-exact computation leave it unloaded.
+estimate bit-reproducible for a fixed (seed, samples) pair.  Each chunk
+raises each coordinate to each of the polynomial's distinct exponents in
+that coordinate once, so the cost scales with those distinct exponents, not
+with the terms: a polynomial of a thousand terms costs about what its few
+dozen distinct powers do.  Exponents >= 2 keep numpy's array ``pow``, whose
+last bit neither ``x * x`` nor ``math.pow`` reproduces, so the estimates
+keep their bits.  numpy is imported by the functions that use it, so
+importing the package and every exact computation leave it unloaded.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .polyring import Poly, pochhammer
 from .reflection import DunklContext
@@ -44,31 +49,85 @@ def _as_float(value: Fraction, what: str) -> float:
 
 
 def _poly_term_arrays(p: Poly) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent rows of p's terms in sorted order, as int64, and their float coefficients."""
     import numpy as np
 
-    exponents = np.array(sorted(p.terms), dtype=np.int64)
-    coeffs = np.array(
-        [_as_float(p.terms[tuple(e)], "coefficient") for e in exponents], dtype=np.float64
-    )
+    keys = sorted(p.terms)
+    exponents = np.array(keys, dtype=np.int64).reshape(len(keys), p.dim)
+    coeffs = np.array([_as_float(p.terms[key], "coefficient") for key in keys], dtype=np.float64)
     return exponents, coeffs
 
 
-def _eval_poly(exponents: np.ndarray, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+class _Terms(NamedTuple):
+    """A polynomial laid out for :func:`_eval_poly` on chunks of at most ``rows`` points.
+
+    Each chunk builds the factor table ``[1.0 | points | raised]``, where
+    raised column k is point column ``columns[k]`` to the power
+    ``powers[:, k]``: one column per distinct (coordinate, exponent >= 2)
+    pair, the exponent repeated on every row.  ``factors`` holds, for each
+    coordinate in which some term has a nonzero exponent, the table column of
+    every term's factor there.
+    """
+
+    coeffs: np.ndarray
+    columns: np.ndarray
+    powers: np.ndarray
+    factors: list[np.ndarray]
+
+
+def _layout(exponents: np.ndarray, coeffs: np.ndarray, rows: int) -> _Terms:
     import numpy as np
 
-    if exponents.size == 0:
-        return np.zeros(points.shape[0])
-    powers = points[:, None, :] ** exponents[None, :, :]
-    return powers.prod(axis=2) @ coeffs
+    dim = exponents.shape[1]
+    monomials = exponents.tolist()
+    raised = sorted({(j, e) for row in monomials for j, e in enumerate(row) if e >= 2})
+    slot = {pair: 1 + dim + k for k, pair in enumerate(raised)}
+    factors = [
+        np.array([0 if e == 0 else 1 + j if e == 1 else slot[j, e] for e in column], dtype=np.intp)
+        for j, column in enumerate(zip(*monomials))
+        if any(column)
+    ]
+    columns = np.array([j for j, _ in raised], dtype=np.intp)
+    powers = np.tile(np.array([e for _, e in raised], dtype=np.int64), (rows, 1))
+    return _Terms(coeffs, columns, powers, factors)
 
 
-def _weight_squared(ctx: DunklContext, points: np.ndarray) -> np.ndarray:
+def _eval_poly(terms: _Terms, points: np.ndarray) -> np.ndarray:
+    """The polynomial at each row of ``points`` (at most ``terms``' rows).
+
+    Each coordinate column is raised to each of its distinct exponents once,
+    so the cost scales with the distinct exponents per coordinate, not with
+    the terms.  Exponent 0 gives the factor 1.0, whose products are exact,
+    and exponent 1 the column itself.  An exponent >= 2 goes through numpy's
+    array ``pow`` with an int64 exponent array of the chunk's shape: its last
+    bit differs from ``x * x`` and from ``math.pow``, and numpy takes ``x * x``
+    for a scalar exponent 2, so the exponent is never a scalar or a
+    broadcast.  A term's factors are multiplied left to right in coordinate
+    order, as a product over its row of powers does, and the (rows, terms)
+    values meet the coefficients in one matrix product.
+    """
+    import numpy as np
+
+    rows = points.shape[0]
+    if terms.coeffs.size == 0:
+        return np.zeros(rows)
+    if not terms.factors:  # a constant
+        return np.ones((rows, terms.coeffs.size)) @ terms.coeffs
+    raised = np.power(points[:, terms.columns], terms.powers[:rows])
+    table = np.hstack((np.ones((rows, 1)), points, raised))
+    values = np.take(table, terms.factors[0], axis=1)
+    for index in terms.factors[1:]:
+        values *= np.take(table, index, axis=1)
+    return values @ terms.coeffs
+
+
+def _weight_squared(roots: list[tuple[np.ndarray, float]], points: np.ndarray) -> np.ndarray:
+    """The product of |<x, root>| ** (2 kappa) over the (root, 2 kappa) pairs."""
     import numpy as np
 
     values = np.ones(points.shape[0])
-    for root, kappa in ctx.active_roots:
-        dots = points @ np.array([_as_float(v, "root coordinate") for v in root])
-        values *= np.abs(dots) ** (2.0 * _as_float(kappa, "multiplicity"))
+    for root, two_kappa in roots:
+        values *= np.abs(points @ root) ** two_kappa
     return values
 
 
@@ -86,7 +145,11 @@ def mc_sphere_integral(ctx: DunklContext, p: Poly, seed: int, samples: int) -> M
     ctx.check_dim(p)
     if samples < 1:
         raise ValueError("need at least one sample")
-    exponents, coeffs = _poly_term_arrays(p)
+    terms = _layout(*_poly_term_arrays(p), min(samples, CHUNK_SIZE))
+    roots = [
+        (np.array([_as_float(v, "root coordinate") for v in root]), 2.0 * _as_float(kappa, "multiplicity"))
+        for root, kappa in ctx.active_roots
+    ]
     s_w = s_wp = s_w2 = s_w2p = s_w2p2 = 0.0
     produced = 0
     chunk_index = 0
@@ -98,8 +161,8 @@ def mc_sphere_integral(ctx: DunklContext, p: Poly, seed: int, samples: int) -> M
             norms = np.sqrt((gauss * gauss).sum(axis=1))
             norms[norms == 0.0] = 1.0
             points = gauss / norms[:, None]
-            w = _weight_squared(ctx, points)
-            pv = _eval_poly(exponents, coeffs, points)
+            w = _weight_squared(roots, points)
+            pv = _eval_poly(terms, points)
             wp = w * pv
             s_w += w.sum()
             s_wp += wp.sum()

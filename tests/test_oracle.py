@@ -13,10 +13,12 @@ from dunkl_harmonics import (
     Poly,
     bessel_phi,
     dirichlet_monomial,
+    make_context,
     mc_sphere_integral,
     parse,
     sphere_integrate,
 )
+from dunkl_harmonics.oracle import CHUNK_SIZE, _eval_poly, _layout
 
 
 def F(a, b=1):
@@ -71,6 +73,107 @@ class TestMonteCarlo:
     def test_sample_validation(self, z2_2):
         with pytest.raises(ValueError):
             mc_sphere_integral(z2_2, Poly.const(2, 1), seed=0, samples=0)
+
+
+def broadcast_reference(exponents, coeffs, points):
+    """The oracle's former evaluation: every term's (rows, dim) powers at once, one product per term."""
+    import numpy as np
+
+    if exponents.size == 0:
+        return np.zeros(points.shape[0])
+    powers = points[:, None, :] ** exponents[None, :, :]
+    return powers.prod(axis=2) @ coeffs
+
+
+def sphere_points(rng, rows, dim):
+    gauss = rng.standard_normal((rows, dim))
+    return gauss / ((gauss * gauss).sum(axis=1) ** 0.5)[:, None]
+
+
+class TestEvalPoly:
+    """`_eval_poly` against the broadcast formula, compared bit for bit with ``np.array_equal``."""
+
+    def check(self, exponents, coeffs, points):
+        import numpy as np
+
+        exponents = np.asarray(exponents, dtype=np.int64).reshape(len(coeffs), points.shape[1])
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        got = _eval_poly(_layout(exponents, coeffs, points.shape[0]), points)
+        assert np.array_equal(got, broadcast_reference(exponents, coeffs, points))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_seeded_polynomials(self, dim):
+        import numpy as np
+
+        rng = np.random.default_rng(1800 + dim)
+        for rows in (1, 7, 1000, CHUNK_SIZE):
+            for n_terms in (2, 5, 12, 40):
+                exponents = rng.integers(0, 9, size=(n_terms, dim))
+                exponents[: n_terms // 2, 0] = exponents[0, 0]  # one exponent repeated down a column
+                exponents[-1] = 0  # a constant term
+                self.check(exponents, rng.standard_normal(n_terms), sphere_points(rng, rows, dim))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_single_term(self, dim):
+        import numpy as np
+
+        rng = np.random.default_rng(1900 + dim)
+        for exponent in range(9):
+            # the rest of the row up to 8, then only 0 and 1: a lone raised column
+            for top in (9, 2):
+                row = [exponent] + list(rng.integers(0, top, size=dim - 1))
+                self.check([row], [rng.standard_normal()], sphere_points(rng, 513, dim))
+
+    def test_single_term_in_one_dimension(self):
+        # The broadcast formula meets a lone x^2 in one variable with a stride-0
+        # exponent, which numpy evaluates as x * x: the one layout where it skips
+        # array pow.  `_eval_poly` takes array pow there too; no context has
+        # dimension 1, so the oracle never reaches that case.
+        import numpy as np
+
+        rng = np.random.default_rng(1901)
+        points = sphere_points(rng, 513, 1)
+        for exponent in (0, 1, 3, 4, 5, 6, 7, 8):
+            self.check([[exponent]], [-1.5], points)
+        square = np.power(points[:, 0], np.full(513, 2, dtype=np.int64)) * -1.5
+        assert np.array_equal(_eval_poly(_layout(np.array([[2]]), np.array([-1.5]), 513), points), square)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_constant_and_zero(self, dim):
+        import numpy as np
+
+        points = sphere_points(np.random.default_rng(dim), 100, dim)
+        self.check([[0] * dim], [2.5], points)
+        self.check(np.zeros((0, dim)), [], points)
+        assert np.array_equal(_eval_poly(_layout(np.zeros((0, dim), dtype=np.int64), np.zeros(0), 100), points),
+                              np.zeros(100))
+
+
+class TestMonteCarloBits:
+    """Means and standard errors pinned by ``float.hex`` at the broadcast formula's bits."""
+
+    @pytest.mark.parametrize("family, d, kappa, poly, seed, samples, mean, std_error", [
+        # exponents 0, 1 and >= 2, a constant, 2 kappa = 2, a partial last chunk
+        ("a", 3, [1], "x1 + 2*x2^3*x3 - x1^2*x3^2 + 5", 3, 10_000,
+         "0x1.34bdd48137bd3p+2", "0x1.428a095f3e079p-7"),
+        # one full chunk, a scalar 2 kappa = 3 on the weight
+        ("b", 3, [F(1, 2), F(3, 2)], "x1^2*x2^2 + x3^4", 7, CHUNK_SIZE,
+         "0x1.1212d29a5d564p-2", "0x1.834d2e6debddfp-8"),
+        # one partial chunk, exponents up to 8, three orbits
+        ("z2", 3, [F(1, 3), 2, F(5, 2)], "x1^8*x2^3 - 3*x2^2*x3^6 + x3", 11, 2000,
+         "-0x1.0d68c9f488ce7p-3", "0x1.e2d27c37d4289p-6"),
+    ])
+    def test_small_cases(self, family, d, kappa, poly, seed, samples, mean, std_error):
+        ctx = make_context(family, d, kappa)
+        est = mc_sphere_integral(ctx, parse(poly, ctx.dim), seed=seed, samples=samples)
+        assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
+
+    def test_many_terms(self):
+        # 969 terms: the broadcast formula held a (4096, 969, 4) float array per chunk
+        ctx = make_context("d", 4, [F(1, 2)])
+        p = parse("x1 + x2 + x3 + x4", 4) ** 16
+        est = mc_sphere_integral(ctx, p, seed=5, samples=8192)
+        assert (est.mean.hex(), est.std_error.hex()) == ("0x1.96f210a3f8c3ap+9", "0x1.0275659a49a38p+5")
 
 
 class TestBesselPhi:
