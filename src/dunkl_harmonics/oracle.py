@@ -48,16 +48,6 @@ def _as_float(value: Fraction, what: str) -> float:
         raise ValueError(f"{what} {value} is too large for the floating oracle") from None
 
 
-def _poly_term_arrays(p: Poly) -> tuple[np.ndarray, np.ndarray]:
-    """The exponent rows of p's terms in sorted order, as int64, and their float coefficients."""
-    import numpy as np
-
-    keys = sorted(p.terms)
-    exponents = np.array(keys, dtype=np.int64).reshape(len(keys), p.dim)
-    coeffs = np.array([_as_float(p.terms[key], "coefficient") for key in keys], dtype=np.float64)
-    return exponents, coeffs
-
-
 class _Terms(NamedTuple):
     """A polynomial laid out for :func:`_eval_poly` on chunks of at most ``rows`` points.
 
@@ -75,13 +65,14 @@ class _Terms(NamedTuple):
     factors: list[np.ndarray]
 
 
-def _layout(exponents: np.ndarray, coeffs: np.ndarray, rows: int) -> _Terms:
+def _layout(p: Poly, rows: int) -> _Terms:
+    """p's terms in sorted order, laid out for chunks of at most ``rows`` points."""
     import numpy as np
 
-    dim = exponents.shape[1]
-    monomials = exponents.tolist()
+    monomials = sorted(p.terms)
+    coeffs = np.array([_as_float(p.terms[m], "coefficient") for m in monomials], dtype=np.float64)
     raised = sorted({(j, e) for row in monomials for j, e in enumerate(row) if e >= 2})
-    slot = {pair: 1 + dim + k for k, pair in enumerate(raised)}
+    slot = {pair: 1 + p.dim + k for k, pair in enumerate(raised)}
     factors = [
         np.array([0 if e == 0 else 1 + j if e == 1 else slot[j, e] for e in column], dtype=np.intp)
         for j, column in enumerate(zip(*monomials))
@@ -93,7 +84,7 @@ def _layout(exponents: np.ndarray, coeffs: np.ndarray, rows: int) -> _Terms:
 
 
 def _eval_poly(terms: _Terms, points: np.ndarray) -> np.ndarray:
-    """The polynomial at each row of ``points`` (at most ``terms``' rows).
+    """The polynomial at each row of ``points``, a chunk no longer than ``terms.powers``.
 
     Each coordinate column is raised to each of its distinct exponents once,
     so the cost scales with the distinct exponents per coordinate, not with
@@ -109,9 +100,7 @@ def _eval_poly(terms: _Terms, points: np.ndarray) -> np.ndarray:
     import numpy as np
 
     rows = points.shape[0]
-    if terms.coeffs.size == 0:
-        return np.zeros(rows)
-    if not terms.factors:  # a constant
+    if not terms.factors:  # a constant, or with no terms the zero polynomial
         return np.ones((rows, terms.coeffs.size)) @ terms.coeffs
     raised = np.power(points[:, terms.columns], terms.powers[:rows])
     table = np.hstack((np.ones((rows, 1)), points, raised))
@@ -145,7 +134,7 @@ def mc_sphere_integral(ctx: DunklContext, p: Poly, seed: int, samples: int) -> M
     ctx.check_dim(p)
     if samples < 1:
         raise ValueError("need at least one sample")
-    terms = _layout(*_poly_term_arrays(p), min(samples, CHUNK_SIZE))
+    terms = _layout(p, min(samples, CHUNK_SIZE))
     roots = [
         (np.array([_as_float(v, "root coordinate") for v in root]), 2.0 * _as_float(kappa, "multiplicity"))
         for root, kappa in ctx.active_roots
