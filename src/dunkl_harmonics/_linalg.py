@@ -13,6 +13,11 @@ Fraction: every integer row is a nonzero multiple of the row the same
 steps give over Fraction, the pivot rule does not change under a nonzero
 row scaling, so the pivots match, and the reduced row echelon form is
 unique.
+
+Entries may be Python ints or Fractions (an int has ``numerator`` and
+``denominator`` too).  A nonzero scale of the system leaves the pivots,
+the pivot rows, the kernel and the solution as they are; the V build and
+``h_harmonic_basis`` rely on it to hand over their systems in ints.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import functools
 import math
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[int | Fraction]]
 
 _ZERO = Fraction(0)
 

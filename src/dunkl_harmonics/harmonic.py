@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .dunkl import _laplacian_powers, laplacian
+from .dunkl import _laplacian_powers, _monomial_laplacian, laplacian
 from .polyring import Poly, monomials_of_degree, pochhammer, radial_sum
 from .reflection import DunklContext
 
@@ -117,23 +117,24 @@ def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
     exact fraction-free Gauss-Jordan elimination (``_linalg``) over the
     graded-lex monomial basis; the result is deterministic and each vector
     is scaled to a primitive integer form with positive leading coefficient.
+    Each column is a table image n_i / d scaled to ints by L / d, for L the
+    lcm of the columns' d, which leaves the kernel as it is.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     monos = monomials_of_degree(ctx.dim, n)
     if n < 2:
         return [Poly.monomial(ctx.dim, m) for m in monos]
-    target = monomials_of_degree(ctx.dim, n - 2)
-    index = {m: i for i, m in enumerate(target)}
-    matrix = [[Fraction(0)] * len(monos) for _ in target]
-    for col, mono in enumerate(monos):
-        image = laplacian(ctx, Poly.monomial(ctx.dim, mono))
-        for m, c in image.terms.items():
-            matrix[index[m]][col] = c
-    basis = []
-    for vec in _linalg.nullspace(matrix, len(monos)):
-        basis.append(_primitive(Poly(ctx.dim, dict(zip(monos, vec)))))
-    return basis
+    index = {m: i for i, m in enumerate(monomials_of_degree(ctx.dim, n - 2))}
+    images = [_monomial_laplacian(ctx, mono) for mono in monos]
+    scale = math.lcm(*[d for d, _ in images])
+    matrix = [[0] * len(monos) for _ in index]
+    for col, (d, image) in enumerate(images):
+        terms = iter(image)
+        for m, v in zip(terms, terms):
+            matrix[index[m]][col] = v * (scale // d)
+    kernel = _linalg.nullspace(matrix, len(monos))
+    return [_primitive(Poly._raw(ctx.dim, {m: c for m, c in zip(monos, vec) if c})) for vec in kernel]
 
 
 def _primitive(p: Poly) -> Poly:

@@ -4,10 +4,10 @@ The intertwining operator V is pinned down by three properties: it
 preserves each homogeneous degree, fixes 1, and swaps the Dunkl operators
 for plain partial derivatives.  It is built here from the Euler identity
 instead: degree by degree, the monomial images are the unique solution of
-one square exact linear system that needs reflections only, no Dunkl
-operator, and the defining property is checked independently by the test
-suite and by verify.  On top of V sit the zonal-kernel constructions: the
-Funk-Hecke identity as an exact congruence modulo the sphere ideal, and
+one square exact linear system in ints that needs reflections only, no
+Dunkl operator; the defining property is checked independently by the
+test suite and by verify.  On top of V sit the zonal-kernel constructions:
+the Funk-Hecke identity as an exact congruence modulo the sphere ideal, and
 the degree-n reproducing kernel.  A profile phi(t) is a :class:`Poly` of
 dimension 1, its variable t being x1.  The zonal functions sum over the
 terms (l!/gamma!) x^gamma V y^gamma of phi(<x, y>) pushed through V in y,
@@ -27,7 +27,8 @@ from . import _linalg
 from .dunkl import dunkl_axis
 from .harmonic import reduce_mod_sphere, require_h_harmonic
 from .polyring import (
-    Monomial, Poly, RationalLike, as_fraction, monomials_of_degree, pochhammer, radial_sum,
+    Monomial, Poly, RationalLike, as_fraction, monomials_of_degree, over_one_denominator, pochhammer,
+    radial_sum,
 )
 from .reflection import DunklContext
 from .spherical import _denominator, sphere_integrate
@@ -92,23 +93,32 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     semidefinite in the O(d)-invariant Fischer product, so T is positive
     definite for kappa >= 0 and the square system has V as its one solution.
     Each active root carries its reflection, which is applied to every
-    monomial; the system is solved by fraction-free elimination in ``_linalg``.
+    monomial.  [T | R] is filled in ints over one denominator den, the lcm of
+    the kappa and lower-image denominators (a dense root's image keeps its
+    Fraction coefficients), and solved by fraction-free elimination in
+    ``_linalg``, which the uniform scale by den does not change.
     """
     monos = monomials_of_degree(ctx.dim, n)
     index = {m: i for i, m in enumerate(monos)}
-    shift = n + sum(kappa for _, kappa in ctx.active_roots)
-    t = [[Fraction(0)] * len(monos) for _ in monos]
-    r = [[Fraction(0)] * len(monos) for _ in monos]
+    split = {mono: over_one_denominator(image.terms.values()) for mono, image in lower.items()}
+    den = math.lcm(*[kappa.denominator for _, kappa in ctx.active_roots], *[d for d, _ in split.values()])
+    ks = [(root, kappa.numerator * (den // kappa.denominator)) for root, kappa in ctx.active_roots]
+    shift = n * den + sum(k for _, k in ks)
+    t = [[0] * len(monos) for _ in monos]
+    r = [[0] * len(monos) for _ in monos]
     for col, mono in enumerate(monos):
-        t[col][col] += shift
-        unit = Poly._raw(ctx.dim, {mono: Fraction(1)})
-        for root, kappa in ctx.active_roots:
+        t[col][col] = shift
+        unit = Poly._raw(ctx.dim, {mono: 1})
+        for root, k in ks:
             for m, c in root.image(unit).terms.items():
-                t[index[m]][col] -= kappa * c
+                t[index[m]][col] -= k * c
         for j, e in enumerate(mono):
             if e:
-                for m, c in lower[mono[:j] + (e - 1,) + mono[j + 1:]].terms.items():
-                    r[index[m[:j] + (m[j] + 1,) + m[j + 1:]]][col] += c * e
+                below = mono[:j] + (e - 1,) + mono[j + 1:]
+                d, nums = split[below]
+                scale = e * (den // d)
+                for m, v in zip(lower[below].terms, nums):
+                    r[index[m[:j] + (m[j] + 1,) + m[j + 1:]]][col] += scale * v
 
     x = _linalg.solve_unique(t, r)
     return {

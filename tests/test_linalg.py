@@ -4,7 +4,9 @@ The reference below divides each pivot row by its pivot and subtracts
 Fraction multiples, with the solver's pivot rule: first nonzero in row
 order, columns left to right.  On seeded random rational matrices of every
 shape the two must return the same reduced matrix, entry for entry, and the
-same pivots.
+same pivots.  The rows are drawn in three kinds: Fractions, Python ints,
+and a mix of the two, which is what the integer V build hands over when a
+dense root's reflection brings Fraction entries into int rows.
 """
 
 import random
@@ -41,28 +43,40 @@ def gauss_jordan(matrix, ncols=None):
     return rows, pivots
 
 
-def rational(rng, zero_frac=0.3):
+KINDS = ("fraction", "int", "mixed")
+
+
+def rational(rng, zero_frac=0.3, kind="fraction"):
+    """A random entry of the kind: a Fraction, a Python int, or either at random."""
+    if kind == "mixed":
+        kind = rng.choice(("fraction", "int"))
+    zero = Fraction(0) if kind == "fraction" else 0
     if rng.random() < zero_frac:
-        return Fraction(0)
+        return zero
+    if kind == "int":
+        return rng.randint(-10**6, 10**6)
     return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
 
 
-def random_matrix(rng, n_rows, width, rank=None):
-    """A random rational matrix; with ``rank`` its rows past the first ``rank``
-    are combinations of those, and a few rows and columns are zeroed."""
-    rows = [[rational(rng) for _ in range(width)] for _ in range(n_rows if rank is None else rank)]
+def random_matrix(rng, n_rows, width, rank=None, kind="fraction"):
+    """A random matrix of the kind's entries; with ``rank`` its rows past the
+    first ``rank`` are combinations of those (with int weights for int rows),
+    and a few rows and columns are zeroed."""
+    zero = Fraction(0) if kind == "fraction" else 0
+    rows = [[rational(rng, kind=kind) for _ in range(width)] for _ in range(n_rows if rank is None else rank)]
     if rank is not None:
         basis = rows[:]
         while len(rows) < n_rows:
-            weights = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in basis]
-            rows.append([sum((w * b[j] for w, b in zip(weights, basis)), Fraction(0)) for j in range(width)])
+            weights = [rng.randint(-9, 9) if kind == "int" else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                       for _ in basis]
+            rows.append([sum((w * b[j] for w, b in zip(weights, basis)), zero) for j in range(width)])
         rng.shuffle(rows)
     if rng.random() < 0.5:
-        rows[rng.randrange(n_rows)] = [Fraction(0)] * width
+        rows[rng.randrange(n_rows)] = [zero] * width
     if rng.random() < 0.5:
         j = rng.randrange(width)
         for row in rows:
-            row[j] = Fraction(0)
+            row[j] = zero
     return rows
 
 
@@ -81,13 +95,29 @@ SHAPES = {
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_rref_matches_fraction_gauss_jordan(shape):
     n_rows, width, rank = SHAPES[shape]
-    rng = random.Random(f"linalg:{shape}")
-    for _ in range(30):
-        matrix = random_matrix(rng, n_rows, width, rank)
-        before = [row[:] for row in matrix]
-        for ncols in (None, rng.randint(0, width)):
-            assert _linalg.rref(matrix, ncols) == gauss_jordan(matrix, ncols)
-        assert matrix == before  # the input is not touched
+    for kind in KINDS:
+        rng = random.Random(f"linalg:{shape}" + ("" if kind == "fraction" else f":{kind}"))
+        for _ in range(30):
+            matrix = random_matrix(rng, n_rows, width, rank, kind)
+            before = [row[:] for row in matrix]
+            for ncols in (None, rng.randint(0, width)):
+                assert _linalg.rref(matrix, ncols) == gauss_jordan(matrix, ncols)
+            assert matrix == before  # the input is not touched
+
+
+def test_a_uniform_scale_keeps_the_pivot_rows():
+    # the integer V build and basis hand over their systems times a common denominator
+    rng = random.Random("linalg:scale")
+    for n_rows, width, rank in SHAPES.values():
+        for kind in KINDS:
+            matrix = random_matrix(rng, n_rows, width, rank, kind)
+            s = rng.choice((-1, 1)) * rng.randint(2, 10**6)
+            for ncols in (None, rng.randint(0, width)):
+                rows, pivots = _linalg.rref(matrix, ncols)
+                r = len(pivots)
+                scaled_rows, scaled_pivots = _linalg.rref([[s * v for v in row] for row in matrix], ncols)
+                assert scaled_pivots == pivots and scaled_rows[:r] == rows[:r]
+                assert scaled_rows[r:] == [[s * v for v in row] for row in rows[r:]]
 
 
 def test_rref_accepts_int_entries():
@@ -103,17 +133,20 @@ def test_rref_of_a_zero_matrix_and_of_no_rows():
 
 
 def test_nullspace_is_the_kernel_in_column_order():
-    rng = random.Random("linalg:nullspace")
-    for _ in range(30):
-        matrix = random_matrix(rng, 5, 7, rng.randint(1, 4))
-        basis = _linalg.nullspace(matrix, 7)
-        pivots = gauss_jordan(matrix)[1]
-        assert len(basis) == 7 - len(pivots)
-        for vec in basis:
-            assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
-        free = [c for c in range(7) if c not in pivots]
-        for f, vec in zip(free, basis):
-            assert [vec[c] for c in free] == [int(c == f) for c in free]
+    for kind in KINDS:
+        rng = random.Random("linalg:nullspace" + ("" if kind == "fraction" else f":{kind}"))
+        for _ in range(30):
+            matrix = random_matrix(rng, 5, 7, rng.randint(1, 4), kind)
+            basis = _linalg.nullspace(matrix, 7)
+            reduced, pivots = gauss_jordan(matrix, 7)
+            assert len(basis) == 7 - len(pivots)
+            for vec in basis:
+                assert all(type(v) is Fraction for v in vec)
+                assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
+            free = [c for c in range(7) if c not in pivots]
+            for f, vec in zip(free, basis):
+                assert [vec[c] for c in free] == [int(c == f) for c in free]
+                assert [vec[p] for p in pivots] == [-row[f] for row in reduced[:len(pivots)]]
 
 
 def test_nullspace_of_no_rows_is_the_identity_basis():
@@ -122,15 +155,17 @@ def test_nullspace_of_no_rows_is_the_identity_basis():
 
 
 def test_solve_unique_recovers_the_solution():
-    rng = random.Random("linalg:solve")
-    for n_rows, n in ((4, 4), (7, 3)):
-        for _ in range(20):
-            a = random_matrix(rng, n_rows, n)
-            if len(gauss_jordan(a)[1]) < n:
-                continue
-            x = [[rational(rng, 0.2) for _ in range(2)] for _ in range(n)]
-            b = [[sum((a[i][k] * x[k][j] for k in range(n)), Fraction(0)) for j in range(2)] for i in range(n_rows)]
-            assert _linalg.solve_unique(a, b) == x
+    for kind in KINDS:
+        rng = random.Random("linalg:solve" + ("" if kind == "fraction" else f":{kind}"))
+        for n_rows, n in ((4, 4), (7, 3)):
+            for _ in range(20):
+                a = random_matrix(rng, n_rows, n, kind=kind)
+                if len(gauss_jordan(a)[1]) < n:
+                    continue
+                x = [[rational(rng, 0.2, kind) for _ in range(2)] for _ in range(n)]
+                b = [[sum((a[i][k] * x[k][j] for k in range(n)), 0) for j in range(2)] for i in range(n_rows)]
+                got = _linalg.solve_unique(a, b)
+                assert got == x and all(type(v) is Fraction for row in got for v in row)
 
 
 def test_solve_unique_refuses_an_inconsistent_system():
