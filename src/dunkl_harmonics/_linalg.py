@@ -1,7 +1,10 @@
 """Exact dense linear algebra over the rationals: RREF, nullspaces, solves.
 
 Pivoting is first-nonzero in row order within each column, scanned left to
-right, so every result is deterministic for a deterministic input ordering.
+right over every column, so every result is deterministic for a
+deterministic input ordering.  Every nonzero row of the reduced form takes
+a pivot, so the rows past the rank are zero: ``rref`` returns only the
+pivot rows, and ``solve_unique`` reads both of its verdicts from the pivots.
 
 The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).  Each
@@ -38,30 +41,23 @@ def _content_free(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def rref(matrix: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (on a copy) and the pivot column list.
+def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
+    """The pivot rows of the reduced row echelon form, and their pivot columns.
 
-    ``ncols`` restricts pivot search to the leading columns, which turns the
-    routine into an augmented-system solver.
+    The input is not touched.  The rows past the rank are zero and are left
+    out, so a zero matrix gives ``([], [])``.
     """
     rows = []
     for row in matrix:
         scale = functools.reduce(math.lcm, (v.denominator for v in row), 1)
         rows.append(_content_free([v.numerator * (scale // v.denominator) for v in row]))
-    if not rows:
-        return rows, []
-    width = len(rows[0])
-    if ncols is None:
-        ncols = width
-    order = list(range(len(rows)))
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        order[r], order[pivot_row] = order[pivot_row], order[r]
         lead = rows[r]
         a = lead[c]
         for i, row in enumerate(rows):
@@ -71,23 +67,14 @@ def rref(matrix: Matrix, ncols: int | None = None) -> tuple[Matrix, list[int]]:
                 p, q = a // g, f // g
                 rows[i] = _content_free([p * x - q * y for x, y in zip(row, lead)])
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
-    reduced = [[Fraction(v, row[c]) if v else _ZERO for v in row] for row, c in zip(rows, pivots)]
-    for row, orig in zip(rows[r:], (matrix[i] for i in order[r:])):
-        # row is a multiple of the row over Fraction: the original less the one
-        # combination of the pivot rows that matches it on the leading columns
-        reduced.append([orig[j] - sum(orig[c] * lead[j] for lead, c in zip(reduced, pivots)) if v else _ZERO
-                        for j, v in enumerate(row)])
-    return reduced, pivots
+    return [[Fraction(v, row[c]) if v else _ZERO for v in row] for row, c in zip(rows, pivots)], pivots
 
 
 def nullspace(matrix: Matrix, ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel, one vector per free column, in column order."""
-    if not matrix:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
-    reduced, pivots = rref(matrix, ncols)
+    reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -105,19 +92,17 @@ def solve_unique(a: Matrix, b: Matrix) -> Matrix:
     with a unique solution.  Inconsistency or rank deficiency raises
     AssertionError: callers use this only for systems that provably have
     exactly one solution, so failure means an implementation bug.
+
+    [A | B] is reduced at full width: A has full column rank when its n
+    columns are the first n pivots, and then the system is consistent when
+    no pivot falls in B.  The pivot rows are then [I | X].
     """
     if not a:
         raise ValueError("empty coefficient matrix")
-    n_unknowns = len(a[0])
-    n_rhs = len(b[0]) if b else 0
-    augmented = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    reduced, pivots = rref(augmented, n_unknowns)
-    if len(pivots) != n_unknowns:
+    n = len(a[0])
+    reduced, pivots = rref([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
         raise AssertionError("linear system is rank deficient; this is a bug")
-    for row in reduced[len(pivots):]:
-        if any(row):
-            raise AssertionError("linear system is inconsistent; this is a bug")
-    x = [[Fraction(0)] * n_rhs for _ in range(n_unknowns)]
-    for row_idx, p in enumerate(pivots):
-        x[p] = reduced[row_idx][n_unknowns:]
-    return x
+    if len(pivots) > n:
+        raise AssertionError("linear system is inconsistent; this is a bug")
+    return [row[n:] for row in reduced]

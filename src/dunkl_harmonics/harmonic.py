@@ -15,13 +15,14 @@ layer shares the homogeneity and h-harmonic checks kept here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
 from .dunkl import _laplacian_powers, _monomial_laplacian, laplacian
-from .polyring import Poly, monomials_of_degree, pochhammer, radial_sum
+from .polyring import Poly, monomials_of_degree, over_one_denominator, pochhammer, radial_sum
 from .reflection import DunklContext
 
 
@@ -118,7 +119,9 @@ def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
     graded-lex monomial basis; the result is deterministic and each vector
     is scaled to a primitive integer form with positive leading coefficient.
     Each column is a table image n_i / d scaled to ints by L / d, for L the
-    lcm of the columns' d, which leaves the kernel as it is.
+    lcm of the columns' d, which leaves the kernel as it is.  The Laplacian
+    maps degree n onto degree n - 2, so every row of the matrix takes a
+    pivot; below degree 2 there are no rows and the monomials are the basis.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -139,20 +142,11 @@ def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
 
 def _primitive(p: Poly) -> Poly:
     """Clear denominators, divide by the content, make the leading term positive."""
-    if p.is_zero:
-        return p
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    nums = [c.numerator * (denom_lcm // c.denominator) for c in p.terms.values()]
-    content = 0
-    for v in nums:
-        content = math.gcd(content, v)
-    scale = Fraction(denom_lcm, content)
-    lead = max(p.terms, key=lambda m: (sum(m), m))
-    if p.terms[lead] < 0:
-        scale = -scale
-    return p * scale
+    _, nums = over_one_denominator(p.terms.values())
+    content = functools.reduce(math.gcd, nums)
+    if p.terms[max(p.terms, key=lambda m: (sum(m), m))] < 0:
+        content = -content
+    return Poly._raw(p.dim, {m: Fraction(v // content) for m, v in zip(p.terms, nums)})
 
 
 def reduce_mod_sphere(ctx: DunklContext, p: Poly) -> Poly:

@@ -4,18 +4,19 @@
 one denominator, and ``h_harmonic_basis`` reads its matrix straight from the
 Laplacian table as ints.  The references below fill the same systems as
 dense Fraction matrices, term by term from ``Root.image`` and ``laplacian``,
-and solve them with ``_linalg``; the two routes must agree by ``==``.  The
-contexts cover a zero orbit, mixed kappa denominators and a dense root pair
-whose reflection images have Fraction coefficients.
+and solve them with ``_linalg``, and the basis reference scales each kernel
+vector to its primitive form by Fraction products; the two routes must
+agree by ``==``.  The contexts cover a zero orbit, mixed kappa denominators
+and a dense root pair whose reflection images have Fraction coefficients.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from dunkl_harmonics import DunklContext, Poly, h_harmonic_basis, laplacian, make_context, monomials_of_degree
 from dunkl_harmonics import _linalg, intertwine
-from dunkl_harmonics.harmonic import _primitive
 
 
 def F(a, b=1):
@@ -53,6 +54,24 @@ def fraction_build_degree(ctx, n, lower):
     return {mono: Poly(ctx.dim, {m: row[col] for m, row in zip(monos, x)}) for col, mono in enumerate(monos)}
 
 
+def primitive(p):
+    """Clear denominators, divide by the content, make the leading term positive, in Fractions."""
+    if p.is_zero:
+        return p
+    denom_lcm = 1
+    for c in p.terms.values():
+        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    nums = [c.numerator * (denom_lcm // c.denominator) for c in p.terms.values()]
+    content = 0
+    for v in nums:
+        content = math.gcd(content, v)
+    scale = Fraction(denom_lcm, content)
+    lead = max(p.terms, key=lambda m: (sum(m), m))
+    if p.terms[lead] < 0:
+        scale = -scale
+    return p * scale
+
+
 def fraction_basis(ctx, n):
     """The kernel of the Laplacian on degree n from a Fraction matrix of ``laplacian`` images."""
     monos = monomials_of_degree(ctx.dim, n)
@@ -63,7 +82,7 @@ def fraction_basis(ctx, n):
     for col, mono in enumerate(monos):
         for m, c in laplacian(ctx, Poly.monomial(ctx.dim, mono)).terms.items():
             matrix[index[m]][col] = c
-    return [_primitive(Poly(ctx.dim, dict(zip(monos, vec)))) for vec in _linalg.nullspace(matrix, len(monos))]
+    return [primitive(Poly(ctx.dim, dict(zip(monos, vec)))) for vec in _linalg.nullspace(matrix, len(monos))]
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))

@@ -2,11 +2,15 @@
 
 The reference below divides each pivot row by its pivot and subtracts
 Fraction multiples, with the solver's pivot rule: first nonzero in row
-order, columns left to right.  On seeded random rational matrices of every
-shape the two must return the same reduced matrix, entry for entry, and the
-same pivots.  The rows are drawn in three kinds: Fractions, Python ints,
-and a mix of the two, which is what the integer V build hands over when a
-dense root's reflection brings Fraction entries into int rows.
+order, columns left to right, optionally over the leading columns only.  On
+seeded random rational matrices of every shape the solver must return the
+reference's pivot rows, entry for entry, and the same pivots, and the
+reference's rows past the rank must be zero.  Split at a drawn column into
+A | B, the reference restricted to A's columns gives ``solve_unique`` its
+verdict: rank deficient, inconsistent, or the solution.  The rows are drawn
+in three kinds: Fractions, Python ints, and a mix of the two, which is what
+the integer V build hands over when a dense root's reflection brings
+Fraction entries into int rows.
 """
 
 import random
@@ -41,6 +45,13 @@ def gauss_jordan(matrix, ncols=None):
         if r == len(rows):
             break
     return rows, pivots
+
+
+def pivot_rows(matrix):
+    """The reference's pivot rows and pivots; its rows past the rank are zero."""
+    rows, pivots = gauss_jordan(matrix)
+    assert not any(any(row) for row in rows[len(pivots):])
+    return rows[:len(pivots)], pivots
 
 
 KINDS = ("fraction", "int", "mixed")
@@ -100,8 +111,18 @@ def test_rref_matches_fraction_gauss_jordan(shape):
         for _ in range(30):
             matrix = random_matrix(rng, n_rows, width, rank, kind)
             before = [row[:] for row in matrix]
-            for ncols in (None, rng.randint(0, width)):
-                assert _linalg.rref(matrix, ncols) == gauss_jordan(matrix, ncols)
+            assert _linalg.rref(matrix) == pivot_rows(matrix)
+            k = rng.randint(0, width)
+            a, b = [row[:k] for row in matrix], [row[k:] for row in matrix]
+            rows, pivots = gauss_jordan(matrix, k)
+            if len(pivots) < k:
+                with pytest.raises(AssertionError, match="rank deficient"):
+                    _linalg.solve_unique(a, b)
+            elif any(any(row) for row in rows[k:]):
+                with pytest.raises(AssertionError, match="inconsistent"):
+                    _linalg.solve_unique(a, b)
+            else:
+                assert _linalg.solve_unique(a, b) == [row[k:] for row in rows[:k]]
             assert matrix == before  # the input is not touched
 
 
@@ -112,23 +133,19 @@ def test_a_uniform_scale_keeps_the_pivot_rows():
         for kind in KINDS:
             matrix = random_matrix(rng, n_rows, width, rank, kind)
             s = rng.choice((-1, 1)) * rng.randint(2, 10**6)
-            for ncols in (None, rng.randint(0, width)):
-                rows, pivots = _linalg.rref(matrix, ncols)
-                r = len(pivots)
-                scaled_rows, scaled_pivots = _linalg.rref([[s * v for v in row] for row in matrix], ncols)
-                assert scaled_pivots == pivots and scaled_rows[:r] == rows[:r]
-                assert scaled_rows[r:] == [[s * v for v in row] for row in rows[r:]]
+            for k in (width, rng.randint(0, width)):  # the whole matrix and its leading k columns
+                part = [row[:k] for row in matrix]
+                assert _linalg.rref([[s * v for v in row] for row in part]) == _linalg.rref(part)
 
 
 def test_rref_accepts_int_entries():
     matrix = [[2, -4, 6], [1, 3, Fraction(1, 2)], [3, -1, Fraction(13, 2)]]
-    assert _linalg.rref(matrix) == gauss_jordan(matrix)
-    assert _linalg.rref(matrix, 2) == gauss_jordan(matrix, 2)
+    assert _linalg.rref(matrix) == pivot_rows(matrix)
 
 
 def test_rref_of_a_zero_matrix_and_of_no_rows():
     zero = [[Fraction(0)] * 3 for _ in range(2)]
-    assert _linalg.rref(zero) == (zero, [])
+    assert _linalg.rref(zero) == ([], [])
     assert _linalg.rref([]) == ([], [])
 
 
