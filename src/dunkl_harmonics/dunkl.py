@@ -6,11 +6,12 @@ linear, so each sums the images of the input's monomials, and each image is
 computed once per context into the context's tables: ``tables.axis`` holds
 the d coordinate images D_j x^beta of a monomial, a partial derivative plus
 one divided difference per root, and ``tables.laplacian`` holds Lap x^beta
-from the closed form of the sum of squares.  Each image is stored as int
-numerators over one denominator, and the two kernels (and
-``polyring.radial_sum``) put their input over one denominator too, take the
-lcm of the images' denominators once, sum Python ints, and build one
-Fraction per output term.  The tables hold one entry per monomial the
+from the closed form of the sum of squares.  A miss sums Python ints scaled
+by the lcm of the context's kappa denominators, with no Fraction per step,
+and each image is stored as int numerators over one denominator.  The two
+kernels (and ``polyring.radial_sum``) put their input over one denominator,
+take the lcm of the images' denominators once, sum Python ints, and build
+one Fraction per output term.  The tables hold one entry per monomial the
 context has seen, so they are bounded by the monomials of the degrees the
 context has been asked about; they are dropped with the context, and the
 results are the same as those of the formulas applied to the whole input.
@@ -80,33 +81,40 @@ def _monomial_axes(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple[tuple,
 
     The sum is over the positive roots, and delta_alpha is the divided
     difference (p - p(r_alpha x)) / <alpha, x>.  One divided difference per
-    active root serves every axis.  The d images are returned over one
-    denominator den, as (den, images) with each image flat as
-    m1, n1, m2, n2, ... for the terms n_i / den x^m_i, in the reduced form
-    of :func:`over_one_denominator`, each monomial as the context's shared
-    instance (see :class:`ContextTables`).
+    active root serves every axis.  The sums run in ints, scaled by the lcm
+    of the kappa denominators, and are reduced once into (den, images), each
+    image flat as m1, n1, m2, n2, ... for the terms n_i / den x^m_i, in the
+    reduced form of :func:`over_one_denominator`, each monomial as the
+    context's shared instance (see :class:`ContextTables`).
     """
     x = Poly._raw(ctx.dim, {mono: 1})
+    scale, roots = ctx._scaled_roots
     out: list[dict[Monomial, RationalLike]] = [{} for _ in mono]
     for j, e in enumerate(mono):
         if e:
-            out[j][_shifted(mono, j, e - 1)] = e
-    for root, kappa in ctx.active_roots:
+            out[j][_shifted(mono, j, e - 1)] = e * scale
+    for root, alpha, k in roots:
         quotient = x.divided_difference(root).terms
-        for j, a in enumerate(root):
+        for j, a in enumerate(alpha):
             if a:
-                scale = kappa * a
-                image = out[j]
+                ka, image = k * a, out[j]
                 for m, v in quotient.items():
-                    image[m] = image.get(m, 0) + scale * v
+                    image[m] = image.get(m, 0) + ka * v
     out = [{m: v for m, v in image.items() if v} for image in out]
-    den, nums = over_one_denominator([v for image in out for v in image.values()])
+    den, nums = _unscaled(scale, [v for image in out for v in image.values()])
     shared = ctx.tables.shared
     numerators = iter(nums)
     return den, tuple(
         tuple(t for m in image for t in (shared.setdefault(m, m), next(numerators)))
         for image in out
     )
+
+
+def _unscaled(scale: int, values: list[RationalLike]) -> tuple[int, list[int]]:
+    """:func:`over_one_denominator` of the values over ``scale``, in the same reduced form."""
+    den, nums = over_one_denominator(values)
+    g = math.gcd(den * scale, *nums)
+    return den * scale // g, [n // g for n in nums]
 
 
 def dunkl_axis(ctx: DunklContext, axis: int, p: Poly) -> Poly:
@@ -160,41 +168,40 @@ def _monomial_image(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple]:
     take :meth:`Poly.divided_difference`'s closed form whenever the
     reflection is a signed permutation.  The monomial enters with the int
     coefficient 1, so for a root with integer entries (every catalog root)
-    the term keeps int coefficients, which :class:`Poly` arithmetic accepts,
-    until it is multiplied by kappa_alpha.  The image is returned as
-    (den, image), flat as m1, n1, m2, n2, ... for the terms n_i / den x^m_i,
-    in the reduced form of :func:`over_one_denominator`, each monomial as
-    the context's shared instance.
+    each term keeps int coefficients, summed in ints scaled by the lcm of the
+    kappa denominators and reduced once into (den, image), flat as
+    m1, n1, m2, n2, ... for the terms n_i / den x^m_i, in the reduced form of
+    :func:`over_one_denominator`, each monomial as the context's shared instance.
     """
+    scale, roots = ctx._scaled_roots
     x = Poly._raw(ctx.dim, {mono: 1})
     out: dict[Monomial, RationalLike] = {}
     for i, e in enumerate(mono):
         if e > 1:
-            out[_shifted(mono, i, e - 2)] = e * (e - 1)
-    for root, kappa in ctx.active_roots:
-        alpha = tuple(a.numerator if a.denominator == 1 else a for a in root)
-        term = dict(_derivative(x.divided_difference(root), alpha).terms)
-        for m, v in _derivative(x, alpha).divided_difference(root).terms.items():
+            out[_shifted(mono, i, e - 2)] = e * (e - 1) * scale
+    for root, alpha, k in roots:
+        term = _derivative(x.divided_difference(root).terms, alpha)
+        for m, v in Poly._raw(ctx.dim, _derivative(x.terms, alpha)).divided_difference(root).terms.items():
             term[m] = term.get(m, 0) + v
         for m, v in term.items():
             if v:
-                out[m] = out.get(m, 0) + kappa * v
+                out[m] = out.get(m, 0) + k * v
     out = {m: v for m, v in out.items() if v}
-    den, nums = over_one_denominator(out.values())
+    den, nums = _unscaled(scale, list(out.values()))
     shared = ctx.tables.shared
     return den, tuple(t for m, n in zip(out, nums) for t in (shared.setdefault(m, m), n))
 
 
-def _derivative(p: Poly, alpha: Sequence[RationalLike]) -> Poly:
-    """The derivative of p along alpha, sum of alpha_j d_j p."""
+def _derivative(terms: dict, alpha: Sequence[RationalLike]) -> dict[Monomial, RationalLike]:
+    """The nonzero terms of the derivative along alpha, sum of alpha_j d_j, of a polynomial's terms."""
     out: dict[Monomial, RationalLike] = {}
-    for mono, c in p.terms.items():
+    for mono, c in terms.items():
         for j, a in enumerate(alpha):
             e = mono[j]
             if a and e:
                 m = _shifted(mono, j, e - 1)
                 out[m] = out.get(m, 0) + c * a * e
-    return Poly._raw(p.dim, {m: v for m, v in out.items() if v})
+    return {m: v for m, v in out.items() if v}
 
 
 def _shifted(mono: Monomial, i: int, e: int) -> Monomial:

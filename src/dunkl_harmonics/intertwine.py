@@ -92,25 +92,25 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     with T = n + sum_a kappa_a (1 - r_a).  Each 1 - r_a is positive
     semidefinite in the O(d)-invariant Fischer product, so T is positive
     definite for kappa >= 0 and the square system has V as its one solution.
-    Each active root carries its reflection, which is applied to every
-    monomial.  [T | R] is filled in ints over one denominator den, the lcm of
-    the kappa and lower-image denominators (a dense root's image keeps its
-    Fraction coefficients), and solved by fraction-free elimination in
-    ``_linalg``, which the uniform scale by den does not change.
+    Each root's ``_reflect_monomial`` gives a monomial's reflected terms, one
+    for a signed permutation.  [T | R] is filled in ints over one denominator
+    den, the lcm of the kappa and lower-image denominators (a dense root's
+    image keeps its Fraction coefficients), and solved by fraction-free
+    elimination in ``_linalg``, which the uniform scale by den does not change.
     """
     monos = monomials_of_degree(ctx.dim, n)
     index = {m: i for i, m in enumerate(monos)}
     split = {mono: over_one_denominator(image.terms.values()) for mono, image in lower.items()}
-    den = math.lcm(*[kappa.denominator for _, kappa in ctx.active_roots], *[d for d, _ in split.values()])
-    ks = [(root, kappa.numerator * (den // kappa.denominator)) for root, kappa in ctx.active_roots]
+    kappa_den, roots = ctx._scaled_roots
+    den = math.lcm(kappa_den, *[d for d, _ in split.values()])
+    ks = [(root, k * (den // kappa_den)) for root, _, k in roots]
     shift = n * den + sum(k for _, k in ks)
     t = [[0] * len(monos) for _ in monos]
     r = [[0] * len(monos) for _ in monos]
     for col, mono in enumerate(monos):
         t[col][col] = shift
-        unit = Poly._raw(ctx.dim, {mono: 1})
         for root, k in ks:
-            for m, c in root.image(unit).terms.items():
+            for m, c in root._reflect_monomial(mono).items():
                 t[index[m]][col] -= k * c
         for j, e in enumerate(mono):
             if e:

@@ -309,11 +309,10 @@ class Poly:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
         if a.perm is None:
             return divide_by_linear(self - a.image(self), a)
-        moved = [i for i, j in enumerate(a.perm) if i != j]
-        if not moved:
+        scale = a.scale
+        if len(a.support) == 1:
             # a = c e_i: x^b - r x^b is 2 x^b for odd b_i and 0 for even b_i
             i = a.flips[0]
-            scale = 2 if a[i] == 1 else 2 / a[i]
             return Poly._raw(self.dim, {
                 mono[:i] + (mono[i] - 1,) + mono[i + 1:]: c * scale
                 for mono, c in self.terms.items() if mono[i] % 2
@@ -323,8 +322,7 @@ class Poly:
         # w^f / c (u^e v^f - u^f v^e) / (u - v) times the other variables,
         # that is sign(e - f) w^f / c times the sum over k < |e - f| of
         # u^(min(e, f) + k) v^(max(e, f) - 1 - k)
-        i, j = moved
-        inv = 1 if a[i] == 1 else 1 / a[i]
+        i, j = a.support
         w_odd = bool(a.flips)
         out: dict[Monomial, Fraction] = {}
         for mono, c in self.terms.items():
@@ -332,7 +330,7 @@ class Poly:
             if e == f:
                 continue
             lo, hi = (f, e) if e > f else (e, f)
-            q = c * inv if e > f else -c * inv
+            q = c * scale if e > f else -c * scale
             signed = (q, -q) if w_odd else (q, q)
             for k in range(hi - lo):
                 ej = hi - 1 - k
@@ -393,27 +391,31 @@ class Root(tuple):
 
     r_a is classified once, from the support of a: it is a signed permutation
     exactly when a is c e_i or c (e_i +- e_j) with |a_i| = |a_j| (every
-    catalog root), and dense (``perm`` None) otherwise.  ``matrix`` is built
-    on first use, and ``Root(a)`` returns a itself when it is already a Root.
+    catalog root), and dense (``perm`` None) otherwise, with the ``support``
+    and ``scale`` that :meth:`Poly.divided_difference` reads.  ``matrix`` is
+    built on first use, and ``Root(a)`` returns a itself when it is already a Root.
     """
 
     perm: tuple[int, ...] | None  # column of row i's single nonzero, or None if dense
     flips: tuple[int, ...]  # rows whose single nonzero is -1
+    support: tuple[int, ...]  # the coordinates where a is nonzero
+    scale: RationalLike | None  # 2 / c for c e_i, 1 / c for c (e_i - w e_j), None if dense
 
     def __new__(cls, values: Sequence[RationalLike]) -> Root:
         if isinstance(values, Root):
             return values
         self = super().__new__(cls, map(as_fraction, values))
-        support = [i for i, v in enumerate(self) if v]
+        self.support = support = tuple(i for i, v in enumerate(self) if v)
         if not support:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
-        self.perm, self.flips = None, ()
+        self.perm, self.flips, self.scale = None, (), None
+        c = self[support[0]]
         if len(support) == 1:
-            self.perm, self.flips = tuple(range(len(self))), tuple(support)
-        elif len(support) == 2 and abs(self[support[0]]) == abs(self[support[1]]):
+            self.perm, self.flips, self.scale = tuple(range(len(self))), support, 2 if c == 1 else 2 / c
+        elif len(support) == 2 and abs(c) == abs(self[support[1]]):
             i, j = support
             self.perm = tuple(j if k == i else i if k == j else k for k in range(len(self)))
-            self.flips = (i, j) if self[i] * self[j] > 0 else ()
+            self.flips, self.scale = support if c * self[j] > 0 else (), 1 if c == 1 else 1 / c
         return self
 
     @functools.cached_property
@@ -432,18 +434,20 @@ class Root(tuple):
             return tuple(sum((m * x for m, x in zip(row, v)), Fraction(0)) for row in self.matrix)
         return tuple(-v[j] if i in self.flips else v[j] for i, j in enumerate(self.perm))
 
+    def _reflect_monomial(self, mono: Monomial) -> dict[Monomial, RationalLike]:
+        """The terms of x^mono(r_a x), the one rule per monomial: one term +-x^m for a signed permutation."""
+        if self.perm is None:
+            return Poly._raw(len(self), {mono: 1}).substitute_linear(self.matrix).terms
+        # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
+        # exponent of x_k is e_perm[k], and no two monomials share an image
+        return {tuple(mono[i] for i in self.perm): -1 if sum(mono[i] for i in self.flips) & 1 else 1}
+
     def image(self, p: Poly) -> Poly:
         """The polynomial p(r_a x)."""
         if self.perm is None:
             return p.substitute_linear(self.matrix)
-        # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
-        # exponent of x_k is e_perm[k], and no two terms merge
-        perm, flips = self.perm, self.flips
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in p.terms.items():
-            odd = sum(mono[i] for i in flips) & 1
-            out[tuple(mono[i] for i in perm)] = -c if odd else c
-        return Poly._raw(p.dim, out)
+        return Poly._raw(p.dim, {
+            m: c * s for mono, c in p.terms.items() for m, s in self._reflect_monomial(mono).items()})
 
 
 def divide_by_linear(p: Poly, a: Sequence[Fraction]) -> Poly:

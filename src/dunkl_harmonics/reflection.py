@@ -21,6 +21,7 @@ per-monomial data.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -116,6 +117,14 @@ class DunklContext:
 
     def label(self) -> str:
         return f"{self.group_name}[kappa={self.kappa_text}]"
+
+    @functools.cached_property
+    def _scaled_roots(self) -> tuple[int, tuple[tuple[Root, tuple[RationalLike, ...], int], ...]]:
+        """(den, ((root, alpha, den kappa), ...)) over the active roots: den the lcm of the kappa
+        denominators, and alpha the root with its integral entries as ints; dropped with the context."""
+        den = math.lcm(*[kappa.denominator for _, kappa in self.active_roots])
+        return den, tuple((root, tuple(a.numerator if a.denominator == 1 else a for a in root),
+                           kappa.numerator * (den // kappa.denominator)) for root, kappa in self.active_roots)
 
     @functools.cached_property
     def tables(self) -> ContextTables:

@@ -21,6 +21,7 @@ from dunkl_harmonics import (
     bessel_form_eval,
     canonical_decompose,
     dunkl_apply,
+    dunkl_axis,
     extended_pizzetti,
     funk_hecke_check,
     funk_hecke_coeff_moments,
@@ -140,6 +141,14 @@ def _dunkl_apply(ctx, rng):
     return [dunkl_apply(ctx, xi, random_poly(rng, ctx.dim, 8, homogeneous=True, max_terms=12))]
 
 
+def _dunkl_axis_images(ctx, rng):
+    # D_j x^beta for every axis and every monomial of degree <= 8: every axis-table image
+    return [
+        dunkl_axis(ctx, j, Poly.monomial(ctx.dim, mono))
+        for n in range(9) for mono in monomials_of_degree(ctx.dim, n) for j in range(1, ctx.dim + 1)
+    ]
+
+
 def _pairing(ctx, rng):
     p, q = (random_poly(rng, ctx.dim, 6, homogeneous=True, max_terms=8) for _ in range(2))
     return [pairing(ctx, p, q)]
@@ -206,6 +215,7 @@ OPERATIONS = {
     "intertwiner_monomials_6": _intertwiner_monomials,
     "sphere_integrate": _sphere_integrate,
     "dunkl_apply": _dunkl_apply,
+    "dunkl_axis_images_8": _dunkl_axis_images,
     "pairing": _pairing,
     "apply_operator_poly": _apply_operator_poly,
     "harmonic_radial_power": _harmonic_radial_power,
@@ -339,6 +349,14 @@ DIGESTS = {
     ("a3", "h_harmonic_basis_8"): "763a82c37cd6c5ea324d22addd08ca9d21d6cd91a151058bc9c70b30341204fc",
     ("dense", "h_harmonic_basis_6"): "de354fdf7cf252c909a964a5227ed69ef63c8f860f5262c2d3ad5f27e378bf01",
     ("b2-scaled", "h_harmonic_basis_6"): "b2884e3fc2abb97b2a2fa7782c05a6d612330cba9eee3c3ebe5fce22fab28bcc",
+    # every axis-table image D_j x^beta of degree <= 8, recorded before the integer miss path
+    ("z2^3", "dunkl_axis_images_8"): "b8c94a57dc7ae2abe063a51d137917cf63fb5428085519889ade5174e88306ee",
+    ("a2", "dunkl_axis_images_8"): "2105bc3a219f8ab2518846286cdd9a0bd61401c1c30f97e71c6b4c8e50462681",
+    ("b3", "dunkl_axis_images_8"): "e71997029628791632572dba404cbb6ed521a57160629a03c8e3e67a4c10e4dd",
+    ("d4", "dunkl_axis_images_8"): "9893ce580a7aeb707861cc68b757e4da79401762ee0e74b775ef0c9874604e81",
+    ("a3", "dunkl_axis_images_8"): "1c659513a16bb01448639721358e7d812feb49ac6ddde793eeea381c888fa466",
+    ("dense", "dunkl_axis_images_8"): "2f3c0d93d1f0d1c1d50f344c8653a2eec32e2153f8e2f5cea4831a4f66cd7fa6",
+    ("b2-scaled", "dunkl_axis_images_8"): "1ecef5a80d4d7785a612fdd7a11158a356f0249690a0e9717bc4ef23f76aa4c7",
 }
 
 

@@ -4,7 +4,8 @@ A missing Laplacian or Dunkl-operator image is built from divided
 differences of the monomial, which take a closed form when the root's
 reflection is a signed permutation; every such image is checked here
 against the defining formula with the divided difference taken as a plain
-quotient.  The moments are built by a recurrence over the Laplacian images
+quotient, and its stored tuple against the same miss path summed in Poly
+and Fraction arithmetic, term order included.  The moments are built by a recurrence over the Laplacian images
 and checked against the iterated-Laplacian definition.  The remaining tests
 pin down that the tables are reused.
 """
@@ -28,7 +29,7 @@ from dunkl_harmonics import (
     reflection_matrix,
     sphere_integrate,
 )
-from dunkl_harmonics.polyring import divide_by_linear
+from dunkl_harmonics.polyring import divide_by_linear, over_one_denominator
 
 
 def F(a, b=1):
@@ -48,6 +49,8 @@ CONTEXTS = {
         (F(1, 2), F(3, 4)),
     ),
     "dense": DunklContext(2, ((F(1), F(2)), (F(2), F(-1))), (0, 1), (F(1, 2), F(3, 4))),
+    "b3-zero-orbit": make_context("b", 3, [0, F(3, 2)]),
+    "b3-two-denominators": make_context("b", 3, [F(1, 2), F(2, 3)]),
 }
 
 
@@ -94,6 +97,60 @@ def test_miss_path_matches_the_closed_form(name):
             den, image = dunkl._monomial_image(ctx, mono)
             assert_reduced(den, [image])
             assert stored_poly(ctx.dim, den, image) == closed_form(ctx, p), mono
+            # the int sums store the very tuple of the Fraction sums, term order included
+            assert (den, image) == image_reference(ctx, mono), mono
+
+
+def image_reference(ctx, mono):
+    """Lap x^mono as stored, summed in Poly and Fraction arithmetic with kappa
+    applied per term: the table's stored form, term order included."""
+    x = Poly.monomial(ctx.dim, mono)
+    out = {}
+    for i, e in enumerate(mono):
+        if e > 1:
+            out[mono[:i] + (e - 2,) + mono[i + 1:]] = e * (e - 1)
+    for root, kappa in ctx.active_roots:
+        alpha = tuple(a.numerator if a.denominator == 1 else a for a in root)
+        term = dict(poly_derivative(x.divided_difference(root), alpha).terms)
+        for m, v in poly_derivative(x, alpha).divided_difference(root).terms.items():
+            term[m] = term.get(m, 0) + v
+        for m, v in term.items():
+            if v:
+                out[m] = out.get(m, 0) + kappa * v
+    out = {m: v for m, v in out.items() if v}
+    den, nums = over_one_denominator(out.values())
+    return den, tuple(t for m, n in zip(out, nums) for t in (m, n))
+
+
+def axes_reference(ctx, mono):
+    """D_1 x^mono, ..., D_d x^mono as stored, summed in Poly and Fraction
+    arithmetic with kappa applied per term, term order included."""
+    x = Poly.monomial(ctx.dim, mono)
+    out = [{} for _ in mono]
+    for j, e in enumerate(mono):
+        if e:
+            out[j][mono[:j] + (e - 1,) + mono[j + 1:]] = e
+    for root, kappa in ctx.active_roots:
+        quotient = x.divided_difference(root).terms
+        for j, a in enumerate(root):
+            if a:
+                for m, v in quotient.items():
+                    out[j][m] = out[j].get(m, 0) + kappa * a * v
+    out = [{m: v for m, v in image.items() if v} for image in out]
+    den, nums = over_one_denominator([v for image in out for v in image.values()])
+    numerators = iter(nums)
+    return den, tuple(tuple(t for m in image for t in (m, next(numerators))) for image in out)
+
+
+def poly_derivative(p, alpha):
+    out = {}
+    for mono, c in p.terms.items():
+        for j, a in enumerate(alpha):
+            e = mono[j]
+            if a and e:
+                m = mono[:j] + (e - 1,) + mono[j + 1:]
+                out[m] = out.get(m, 0) + c * a * e
+    return Poly(p.dim, {m: v for m, v in out.items() if v})
 
 
 def axis_reference(ctx, j, p):
@@ -117,6 +174,7 @@ def test_axis_miss_path_matches_the_definition(name):
             assert_reduced(den, images)
             for j, flat in enumerate(images):
                 assert stored_poly(ctx.dim, den, flat) == axis_reference(ctx, j, p), (mono, j)
+            assert (den, images) == axes_reference(ctx, mono), mono
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))

@@ -4,8 +4,9 @@
 
 Each case builds a fresh context per repetition, so no table is cached
 across repetitions: the degree-8 bases of A3, d4 and b4 (their kernels are
-the same shape, and A3 grows the largest rows), and V up to degree 6 on the
-same groups.  Point PYTHONPATH at another checkout's ``src`` to time that
+the same shape, and A3 grows the largest rows), V up to degree 6 on the
+same groups, and the d4 axis table: D_xi of the sum of every degree-8
+monomial, which fills the table's 165 degree-8 entries.  Point PYTHONPATH at another checkout's ``src`` to time that
 revision with the same cases.  Prints one JSON object: per case, the best
 and the median seconds.  Standard library and the package only.
 """
@@ -18,7 +19,7 @@ import statistics
 import time
 from fractions import Fraction
 
-from dunkl_harmonics import Poly, h_harmonic_basis, intertwiner_apply, make_context
+from dunkl_harmonics import Poly, dunkl_apply, h_harmonic_basis, intertwiner_apply, make_context, monomials_of_degree
 
 GROUPS = {
     "a3": ("a", 4, [Fraction(1, 3)]),
@@ -32,6 +33,8 @@ def cases():
         yield f"{name} basis degree 8", lambda args=args: h_harmonic_basis(make_context(*args), 8)
         yield f"{name} V to degree 6", lambda args=args: intertwiner_apply(
             make_context(*args), Poly.monomial(4, (6, 0, 0, 0)))
+    octics = Poly(4, {mono: 1 for mono in monomials_of_degree(4, 8)})
+    yield "d4 axis table degree 8", lambda: dunkl_apply(make_context(*GROUPS["d4"]), [1, 1, 1, 1], octics)
 
 
 def main() -> None:
