@@ -446,8 +446,8 @@ class Root(tuple):
         """The polynomial p(r_a x)."""
         if self.perm is None:
             return p.substitute_linear(self.matrix)
-        return Poly._raw(p.dim, {
-            m: c * s for mono, c in p.terms.items() for m, s in self._reflect_monomial(mono).items()})
+        return Poly._raw(p.dim, {m: c if s > 0 else -c for mono, c in p.terms.items()
+                                 for m, s in self._reflect_monomial(mono).items()})
 
 
 def divide_by_linear(p: Poly, a: Sequence[Fraction]) -> Poly:

@@ -98,10 +98,10 @@ def test_miss_path_matches_the_closed_form(name):
             assert_reduced(den, [image])
             assert stored_poly(ctx.dim, den, image) == closed_form(ctx, p), mono
             # the int sums store the very tuple of the Fraction sums, term order included
-            assert (den, image) == image_reference(ctx, mono), mono
+            assert (den, image) == fraction_image(ctx, mono), mono
 
 
-def image_reference(ctx, mono):
+def fraction_image(ctx, mono):
     """Lap x^mono as stored, summed in Poly and Fraction arithmetic with kappa
     applied per term: the table's stored form, term order included."""
     x = Poly.monomial(ctx.dim, mono)
@@ -122,7 +122,7 @@ def image_reference(ctx, mono):
     return den, tuple(t for m, n in zip(out, nums) for t in (m, n))
 
 
-def axes_reference(ctx, mono):
+def fraction_axes(ctx, mono):
     """D_1 x^mono, ..., D_d x^mono as stored, summed in Poly and Fraction
     arithmetic with kappa applied per term, term order included."""
     x = Poly.monomial(ctx.dim, mono)
@@ -174,7 +174,7 @@ def test_axis_miss_path_matches_the_definition(name):
             assert_reduced(den, images)
             for j, flat in enumerate(images):
                 assert stored_poly(ctx.dim, den, flat) == axis_reference(ctx, j, p), (mono, j)
-            assert (den, images) == axes_reference(ctx, mono), mono
+            assert (den, images) == fraction_axes(ctx, mono), mono
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))

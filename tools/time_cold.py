@@ -1,4 +1,4 @@
-"""Time the cold exact solver on fixed inputs: h-harmonic bases and the V table.
+"""Time the cold exact paths on fixed inputs: h-harmonic bases, the V table and the axis table.
 
     PYTHONPATH=src python3 tools/time_cold.py [--repeat 5]
 
@@ -6,9 +6,10 @@ Each case builds a fresh context per repetition, so no table is cached
 across repetitions: the degree-8 bases of A3, d4 and b4 (their kernels are
 the same shape, and A3 grows the largest rows), V up to degree 6 on the
 same groups, and the d4 axis table: D_xi of the sum of every degree-8
-monomial, which fills the table's 165 degree-8 entries.  Point PYTHONPATH at another checkout's ``src`` to time that
-revision with the same cases.  Prints one JSON object: per case, the best
-and the median seconds.  Standard library and the package only.
+monomial, which fills the table's 165 degree-8 entries.  Point PYTHONPATH
+at another checkout's ``src`` to time that revision with the same cases.
+Prints one JSON object: per case, the best and the median seconds.
+Standard library and the package only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import statistics
 import time
 from fractions import Fraction
 
-from dunkl_harmonics import Poly, dunkl_apply, h_harmonic_basis, intertwiner_apply, make_context, monomials_of_degree
+from dunkl_harmonics import (
+    Poly, dunkl_apply, h_harmonic_basis, intertwiner_apply, make_context, monomials_of_degree,
+)
 
 GROUPS = {
     "a3": ("a", 4, [Fraction(1, 3)]),
