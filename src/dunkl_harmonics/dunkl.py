@@ -1,40 +1,43 @@
 """The Dunkl operator, its Laplacian, operator substitution, and the pairing.
 
-Everything here is exact.  :func:`dunkl_apply` is the one Dunkl-operator
-core and :func:`dunkl_axis` its coordinate case.  Both operators are
-linear, so each sums the images of the input's monomials, and each image is
-computed once per context into the context's tables: ``tables.axis`` holds
-the d coordinate images D_j x^beta of a monomial, a partial derivative plus
-one divided difference per root, and ``tables.laplacian`` holds Lap x^beta
-from the closed form of the sum of squares.  A miss sums Python ints scaled
-by the lcm of the context's kappa denominators, with no Fraction per step,
-and each image is stored as int numerators over one denominator.  The two
-kernels (and ``polyring.radial_sum``) put their input over one denominator,
-take the lcm of the images' denominators once, sum Python ints, and build
-one Fraction per output term.  The tables hold one entry per monomial the
-context has seen, so they are bounded by the monomials of the degrees the
-context has been asked about; they are dropped with the context, and the
-results are the same as those of the formulas applied to the whole input.
-:func:`apply_operator_poly` and :func:`pairing` reach the axis table
-through :func:`dunkl_axis`.
+Everything here is exact.  Both operators are linear, and both are thin
+callers of one kernel, :func:`_image_sum`, which sums the table images of
+the input's monomials weighted by a list of (image index, int weight)
+pairs: the nonzero axes of xi for :func:`dunkl_apply` (and its coordinate
+case :func:`dunkl_axis`), and ``((0, 1),)`` for :func:`laplacian`.  Each
+image is computed once per context, on a miss of the one lookup
+:func:`_entry`: ``tables.axis`` holds the d coordinate images D_j x^beta
+of a monomial, a partial derivative plus one divided difference per root,
+and ``tables.laplacian`` holds Lap x^beta from the closed form of the sum
+of squares.  A miss sums Python ints scaled by the lcm of the context's
+kappa denominators, and both builders store through one step,
+:func:`_reduced_entry`, as int numerators over one denominator.  This module
+alone reads that layout; others get Laplacian images from
+:func:`_monomial_laplacian` as (monomial, numerator) pairs.  The kernel
+(like ``polyring.radial_sum``) puts its input over one denominator, sums
+Python ints, and builds one Fraction per output term, so the results are
+those of the formulas applied to the whole input.
 :func:`_laplacian_powers` is the one place that iterates the Laplacian over
 a sequence p, Lap p, Lap^2 p, ..., and the one place that decides where it
-ends; the decomposition and the radius expansions read it.  For a
-homogeneous input of degree n the operator output is homogeneous of degree
-n - 1 (zero when n = 0) and the Laplacian output of degree n - 2; both
-facts fall out of the difference-quotient form and are exercised by the
-test suite rather than asserted per call.  Inputs of another dimension
-are refused by :meth:`DunklContext.check_dim`, as in every other module.
+ends.  For a homogeneous input of degree n the operator output is
+homogeneous of degree n - 1 (zero when n = 0) and the Laplacian output of
+degree n - 2; the test suite exercises both rather than asserting them per
+call.  Inputs of another dimension are refused by
+:meth:`DunklContext.check_dim`, as in every other module.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .polyring import Monomial, Poly, RationalLike, as_fraction, over_one_denominator, radial_sum
 from .reflection import DunklContext
+
+# (den, (image, ...)), each image flat as m1, n1, m2, n2, ... for the terms n_i / den x^m_i
+Entry = tuple[int, tuple[tuple, ...]]
+Builder = Callable[[DunklContext, Monomial], Entry]
 
 
 def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
@@ -45,76 +48,14 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
     The operator is linear in p and in xi, so D_xi p is the sum of
     c_beta xi_j D_j x^beta over the terms of p and the axes, and each
     D_j x^beta is read from the context's table (all d axes of a monomial
-    are built together on a miss by ``_monomial_axes``).  The sum runs in
-    integer numerators over one denominator.
+    are built together on a miss by ``_monomial_axes``).
     """
     ctx.check_dim(p)
     xi_den, xi_nums = over_one_denominator([c if isinstance(c, int) else as_fraction(c) for c in xi])
     if len(xi_nums) != ctx.dim or not any(xi_nums):
         raise ValueError("xi must be a nonzero vector of the ambient dimension")
     axes = [(j, x) for j, x in enumerate(xi_nums) if x]
-    den, nums = over_one_denominator(p.terms.values())
-    images = [_monomial_axis_images(ctx, mono) for mono in p.terms]
-    scale = math.lcm(*[d for d, _ in images])
-    out: dict[Monomial, int] = {}
-    for n, (d, image) in zip(nums, images):
-        n *= scale // d
-        for j, x in axes:
-            nx = n * x
-            terms = iter(image[j])
-            for m, w in zip(terms, terms):
-                out[m] = out.get(m, 0) + nx * w
-    return Poly._over(ctx.dim, den * xi_den * scale, out)
-
-
-def _monomial_axis_images(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple[tuple, ...]]:
-    """D_j x^mono for j = 1..d from the context's table, as (den, images); see ``_monomial_axes``."""
-    images = ctx.tables.axis
-    image = images.get(mono)
-    if image is None:
-        image = images[mono] = _monomial_axes(ctx, mono)
-    return image
-
-
-def _monomial_axes(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple[tuple, ...]]:
-    """D_j x^mono = mono_j x^(mono - e_j) + sum of kappa_alpha alpha_j delta_alpha x^mono.
-
-    The sum is over the positive roots, and delta_alpha is the divided
-    difference (p - p(r_alpha x)) / <alpha, x>.  One divided difference per
-    active root serves every axis.  The sums run in ints, scaled by the lcm
-    of the kappa denominators, and are reduced once into (den, images), each
-    image flat as m1, n1, m2, n2, ... for the terms n_i / den x^m_i, in the
-    reduced form of :func:`over_one_denominator`, each monomial as the
-    context's shared instance (see :class:`ContextTables`).
-    """
-    x = Poly._raw(ctx.dim, {mono: 1})
-    scale, roots = ctx._scaled_roots
-    out: list[dict[Monomial, RationalLike]] = [{} for _ in mono]
-    for j, e in enumerate(mono):
-        if e:
-            out[j][_shifted(mono, j, e - 1)] = e * scale
-    for root, alpha, k in roots:
-        quotient = x.divided_difference(root).terms
-        for j, a in enumerate(alpha):
-            if a:
-                ka, image = k * a, out[j]
-                for m, v in quotient.items():
-                    image[m] = image.get(m, 0) + ka * v
-    out = [{m: v for m, v in image.items() if v} for image in out]
-    den, nums = _unscaled(scale, [v for image in out for v in image.values()])
-    shared = ctx.tables.shared
-    numerators = iter(nums)
-    return den, tuple(
-        tuple(t for m in image for t in (shared.setdefault(m, m), next(numerators)))
-        for image in out
-    )
-
-
-def _unscaled(scale: int, values: list[RationalLike]) -> tuple[int, list[int]]:
-    """:func:`over_one_denominator` of the values over ``scale``, in the same reduced form."""
-    den, nums = over_one_denominator(values)
-    g = math.gcd(den * scale, *nums)
-    return den * scale // g, [n // g for n in nums]
+    return _image_sum(ctx, p, ctx.tables.axis, _monomial_axes, axes, xi_den)
 
 
 def dunkl_axis(ctx: DunklContext, axis: int, p: Poly) -> Poly:
@@ -129,32 +70,74 @@ def laplacian(ctx: DunklContext, p: Poly) -> Poly:
 
     The Laplacian is linear, so Lap p = sum of c_beta Lap x^beta over the
     terms of p, and each monomial image is read from the context's table
-    (built on a miss by ``_monomial_image``).  The sum runs in integer
-    numerators over one denominator.
+    (built on a miss by ``_monomial_image``).
     """
     ctx.check_dim(p)
+    return _image_sum(ctx, p, ctx.tables.laplacian, _monomial_image, ((0, 1),), 1)
+
+
+def _image_sum(
+    ctx: DunklContext, p: Poly, table: dict[Monomial, Entry], build: Builder,
+    weights: Sequence[tuple[int, int]], weight_den: int,
+) -> Poly:
+    """The sum of c_beta w / weight_den times image j of x^beta's entry, over p's terms and (j, w) in weights.
+
+    p and the entries are each put over one denominator, so the sum runs in ints.
+    """
     den, nums = over_one_denominator(p.terms.values())
-    images = [_monomial_laplacian(ctx, mono) for mono in p.terms]
-    scale = math.lcm(*[d for d, _ in images])
+    entries = [_entry(ctx, table, build, mono) for mono in p.terms]
+    scale = math.lcm(*[d for d, _ in entries])
     out: dict[Monomial, int] = {}
-    for n, (d, image) in zip(nums, images):
+    for n, (d, images) in zip(nums, entries):
         n *= scale // d
-        terms = iter(image)
-        for m, v in zip(terms, terms):
-            out[m] = out.get(m, 0) + n * v
-    return Poly._over(ctx.dim, den * scale, out)
+        for j, w in weights:
+            nw = n * w
+            terms = iter(images[j])
+            for m, v in zip(terms, terms):
+                out[m] = out.get(m, 0) + nw * v
+    return Poly._over(ctx.dim, den * weight_den * scale, out)
 
 
-def _monomial_laplacian(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple]:
-    """Lap x^mono from the context's table, as (den, image); see ``_monomial_image``."""
-    images = ctx.tables.laplacian
-    image = images.get(mono)
-    if image is None:
-        image = images[mono] = _monomial_image(ctx, mono)
-    return image
+def _entry(ctx: DunklContext, table: dict[Monomial, Entry], build: Builder, mono: Monomial) -> Entry:
+    """The entry of ``mono`` in one of the context's operator tables, built and stored on a miss."""
+    entry = table.get(mono)
+    if entry is None:
+        entry = table[mono] = build(ctx, mono)
+    return entry
 
 
-def _monomial_image(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple]:
+def _monomial_laplacian(ctx: DunklContext, mono: Monomial) -> tuple[int, list[tuple[Monomial, int]]]:
+    """Lap x^mono from the context's table, as den and the (monomial, numerator) pairs of its terms."""
+    den, (image,) = _entry(ctx, ctx.tables.laplacian, _monomial_image, mono)
+    terms = iter(image)
+    return den, list(zip(terms, terms))
+
+
+def _monomial_axes(ctx: DunklContext, mono: Monomial) -> Entry:
+    """D_j x^mono = mono_j x^(mono - e_j) + sum of kappa_alpha alpha_j delta_alpha x^mono.
+
+    The sum is over the positive roots, and delta_alpha is the divided
+    difference (p - p(r_alpha x)) / <alpha, x>.  One divided difference per
+    active root serves every axis, and the d images are stored together as
+    one entry (:func:`_reduced_entry`).
+    """
+    x = Poly._raw(ctx.dim, {mono: 1})
+    scale, roots = ctx._scaled_roots
+    out: list[dict[Monomial, RationalLike]] = [{} for _ in mono]
+    for j, e in enumerate(mono):
+        if e:
+            out[j][_shifted(mono, j, e - 1)] = e * scale
+    for root, alpha, k in roots:
+        quotient = x.divided_difference(root).terms
+        for j, a in enumerate(alpha):
+            if a:
+                ka, image = k * a, out[j]
+                for m, v in quotient.items():
+                    image[m] = image.get(m, 0) + ka * v
+    return _reduced_entry(ctx, scale, out)
+
+
+def _monomial_image(ctx: DunklContext, mono: Monomial) -> Entry:
     """Lap x^mono from the closed form (Dunkl 1989; Dunkl-Xu)
 
     Lap p = Delta p + sum over positive roots of
@@ -168,10 +151,8 @@ def _monomial_image(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple]:
     take :meth:`Poly.divided_difference`'s closed form whenever the
     reflection is a signed permutation.  The monomial enters with the int
     coefficient 1, so for a root with integer entries (every catalog root)
-    each term keeps int coefficients, summed in ints scaled by the lcm of the
-    kappa denominators and reduced once into (den, image), flat as
-    m1, n1, m2, n2, ... for the terms n_i / den x^m_i, in the reduced form of
-    :func:`over_one_denominator`, each monomial as the context's shared instance.
+    each term keeps int coefficients, and the one image is stored as an
+    entry (:func:`_reduced_entry`).
     """
     scale, roots = ctx._scaled_roots
     x = Poly._raw(ctx.dim, {mono: 1})
@@ -186,10 +167,24 @@ def _monomial_image(ctx: DunklContext, mono: Monomial) -> tuple[int, tuple]:
         for m, v in term.items():
             if v:
                 out[m] = out.get(m, 0) + k * v
-    out = {m: v for m, v in out.items() if v}
-    den, nums = _unscaled(scale, list(out.values()))
+    return _reduced_entry(ctx, scale, [out])
+
+
+def _reduced_entry(ctx: DunklContext, scale: int, images: list[dict[Monomial, RationalLike]]) -> Entry:
+    """The entry of images whose values are ``scale`` times the true coefficients, zero terms dropped.
+
+    It is reduced as by :func:`over_one_denominator` of the true coefficients,
+    and each monomial is the context's shared instance (see :class:`ContextTables`).
+    """
+    images = [{m: v for m, v in image.items() if v} for image in images]
+    den, nums = over_one_denominator([v for image in images for v in image.values()])
+    g = math.gcd(den * scale, *nums)
     shared = ctx.tables.shared
-    return den, tuple(t for m, n in zip(out, nums) for t in (shared.setdefault(m, m), n))
+    numerators = iter(nums)
+    return den * scale // g, tuple(
+        tuple(t for m in image for t in (shared.setdefault(m, m), next(numerators) // g))
+        for image in images
+    )
 
 
 def _derivative(terms: dict, alpha: Sequence[RationalLike]) -> dict[Monomial, RationalLike]:

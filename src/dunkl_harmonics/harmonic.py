@@ -132,9 +132,8 @@ def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
     images = [_monomial_laplacian(ctx, mono) for mono in monos]
     scale = math.lcm(*[d for d, _ in images])
     matrix = [[0] * len(monos) for _ in index]
-    for col, (d, image) in enumerate(images):
-        terms = iter(image)
-        for m, v in zip(terms, terms):
+    for col, (d, pairs) in enumerate(images):
+        for m, v in pairs:
             matrix[index[m]][col] = v * (scale // d)
     kernel = _linalg.nullspace(matrix, len(monos))
     return [_primitive(Poly._raw(ctx.dim, {m: c for m, c in zip(monos, vec) if c})) for vec in kernel]

@@ -110,7 +110,7 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     for col, mono in enumerate(monos):
         t[col][col] = shift
         for root, k in ks:
-            for m, c in root._reflect_monomial(mono).items():
+            for m, c in root._reflect_monomial(mono):
                 t[index[m]][col] -= k * c
         for j, e in enumerate(mono):
             if e:

@@ -290,7 +290,7 @@ class Poly:
 
     def reflect(self, alpha: Sequence[RationalLike]) -> Poly:
         """Return p(r_a x), r_a the reflection across a-perp, for a Root or any nonzero exact a."""
-        a = Root(alpha)
+        a = alpha if isinstance(alpha, Root) else Root(alpha)
         if len(a) != self.dim:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
         return a.image(self)
@@ -304,7 +304,7 @@ class Poly:
         root) integer coefficients stay integers.  Any other root divides
         p - p(r_a x) by <a, x>.  ``alpha`` is taken as in :meth:`reflect`.
         """
-        a = Root(alpha)
+        a = alpha if isinstance(alpha, Root) else Root(alpha)
         if len(a) != self.dim:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
         if a.perm is None:
@@ -434,20 +434,23 @@ class Root(tuple):
             return tuple(sum((m * x for m, x in zip(row, v)), Fraction(0)) for row in self.matrix)
         return tuple(-v[j] if i in self.flips else v[j] for i, j in enumerate(self.perm))
 
-    def _reflect_monomial(self, mono: Monomial) -> dict[Monomial, RationalLike]:
-        """The terms of x^mono(r_a x), the one rule per monomial: one term +-x^m for a signed permutation."""
+    def _reflect_monomial(self, mono: Monomial) -> tuple[tuple[Monomial, RationalLike], ...]:
+        """The terms of x^mono(r_a x) as (monomial, coefficient) pairs, the one rule per monomial.
+
+        One pair +-x^m for a signed permutation, the substituted terms for a dense root.
+        """
         if self.perm is None:
-            return Poly._raw(len(self), {mono: 1}).substitute_linear(self.matrix).terms
+            return tuple(Poly._raw(len(self), {mono: 1}).substitute_linear(self.matrix).terms.items())
         # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
         # exponent of x_k is e_perm[k], and no two monomials share an image
-        return {tuple(mono[i] for i in self.perm): -1 if sum(mono[i] for i in self.flips) & 1 else 1}
+        return ((tuple(mono[i] for i in self.perm), -1 if sum(mono[i] for i in self.flips) & 1 else 1),)
 
     def image(self, p: Poly) -> Poly:
         """The polynomial p(r_a x)."""
         if self.perm is None:
             return p.substitute_linear(self.matrix)
         return Poly._raw(p.dim, {m: c if s > 0 else -c for mono, c in p.terms.items()
-                                 for m, s in self._reflect_monomial(mono).items()})
+                                 for m, s in self._reflect_monomial(mono)})
 
 
 def divide_by_linear(p: Poly, a: Sequence[Fraction]) -> Poly:

@@ -140,11 +140,12 @@ class ContextTables:
     monomial to its d coordinate Dunkl operator images D_1 x^beta, ...,
     D_d x^beta, ``moments`` an even-degree monomial to its normalized
     weighted spherical integral, and ``intertwiner`` a degree to the V
-    images of its monomials.  A ``laplacian`` entry is (den, image) and an
-    ``axis`` entry (den, (image_1, ..., image_d)): one positive int
-    denominator and each image flat as m1, n1, m2, n2, ... for the terms
-    n_i / den x^m_i, with int numerators and den prime to them all
-    (``polyring.over_one_denominator``), so the operator kernels sum ints.
+    images of its monomials.  ``laplacian`` and ``axis`` share one entry
+    layout, (den, images) with one image for the Laplacian and d for the
+    axes: one positive int denominator and each image flat as
+    m1, n1, m2, n2, ... for the terms n_i / den x^m_i, with int numerators
+    and den prime to them all (``polyring.over_one_denominator``), so the
+    operator kernel sums ints.  Only ``dunkl`` reads that layout.
     Entries are only ever added, and every entry is a function of the
     context and its key, so two threads that miss together write equal
     values.  The tables grow with the monomials of the degrees this context
@@ -155,7 +156,7 @@ class ContextTables:
     0.35 MB once every monomial of degree 4 to 8 has been seen.
     """
 
-    laplacian: dict[Monomial, tuple[int, tuple]] = field(default_factory=dict)
+    laplacian: dict[Monomial, tuple[int, tuple[tuple, ...]]] = field(default_factory=dict)
     axis: dict[Monomial, tuple[int, tuple[tuple, ...]]] = field(default_factory=dict)
     shared: dict[Monomial, Monomial] = field(default_factory=dict)
     moments: dict[Monomial, Fraction] = field(default_factory=dict)

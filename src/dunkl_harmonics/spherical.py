@@ -126,15 +126,14 @@ def _moment(ctx: DunklContext, mono: Monomial) -> Fraction:
         if beta in moments:
             stack.pop()
             continue
-        den, image = _monomial_laplacian(ctx, beta)
-        gammas = image[::2]
-        missing = [gamma for gamma in gammas if gamma not in moments]
+        den, pairs = _monomial_laplacian(ctx, beta)
+        missing = [gamma for gamma, _ in pairs if gamma not in moments]
         if missing:
             stack.extend(missing)
             continue
         n = sum(beta) // 2
         if n:
-            value = sum((v * moments[gamma] for gamma, v in zip(gammas, image[1::2])), Fraction(0))
+            value = sum((v * moments[gamma] for gamma, v in pairs), Fraction(0))
             moments[beta] = value / (den * 4 * n * (lam + n))
         else:
             moments[beta] = Fraction(1)

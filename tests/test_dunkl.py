@@ -180,17 +180,17 @@ def per_term_sum(products):
 
 
 def laplacian_reference(ctx, p):
-    return per_term_sum(
-        (m, c, v)
-        for mono, c in p.terms.items()
-        for m, v in image_terms(*dunkl._monomial_laplacian(ctx, mono)).items()
-    )
+    products = []
+    for mono, c in p.terms.items():
+        den, (image,) = dunkl._entry(ctx, ctx.tables.laplacian, dunkl._monomial_image, mono)
+        products += [(m, c, v) for m, v in image_terms(den, image).items()]
+    return per_term_sum(products)
 
 
 def dunkl_apply_reference(ctx, xi, p):
     products = []
     for mono, c in p.terms.items():
-        den, images = dunkl._monomial_axis_images(ctx, mono)
+        den, images = dunkl._entry(ctx, ctx.tables.axis, dunkl._monomial_axes, mono)
         for x, image in zip(xi, images):
             products += [(m, c * x, v) for m, v in image_terms(den, image).items()]
     return per_term_sum(products)

@@ -153,6 +153,14 @@ class TestRootClassification:
         with pytest.raises(ValueError, match="nonzero vector"):
             polyring.Root([0, 0])
 
+    def test_a_root_of_another_dimension_is_refused(self):
+        # a Root is taken as given, and its dimension is still checked
+        p = polyring.Poly(3, {(2, 1, 0): 1, (0, 0, 3): F(-1, 2)})
+        for alpha in (polyring.Root([1, -1]), [1, -1], polyring.Root([1, 0, 0, 1]), [1, 0, 0, 1]):
+            for method in (p.divided_difference, p.reflect):
+                with pytest.raises(ValueError, match="ambient dimension"):
+                    method(alpha)
+
     def test_a_context_root_is_reflected_without_hashing(self, rng, monkeypatch):
         contexts = [make_context("d", 4, [F(1, 2)]), make_context("b", 3, [1, F(1, 3)]),
                     DunklContext(2, ((1, 2), (2, -1)), (0, 1), (1, 2))]

@@ -94,16 +94,16 @@ def test_miss_path_matches_the_closed_form(name):
     for n in range(9):
         for mono in monomials_of_degree(ctx.dim, n):
             p = Poly.monomial(ctx.dim, mono)
-            den, image = dunkl._monomial_image(ctx, mono)
+            den, (image,) = entry = dunkl._monomial_image(ctx, mono)
             assert_reduced(den, [image])
             assert stored_poly(ctx.dim, den, image) == closed_form(ctx, p), mono
-            # the int sums store the very tuple of the Fraction sums, term order included
-            assert (den, image) == fraction_image(ctx, mono), mono
+            # the int sums store the very entry of the Fraction sums, term order included
+            assert entry == fraction_image(ctx, mono), mono
 
 
 def fraction_image(ctx, mono):
     """Lap x^mono as stored, summed in Poly and Fraction arithmetic with kappa
-    applied per term: the table's stored form, term order included."""
+    applied per term: the table's one-image entry, term order included."""
     x = Poly.monomial(ctx.dim, mono)
     out = {}
     for i, e in enumerate(mono):
@@ -119,7 +119,7 @@ def fraction_image(ctx, mono):
                 out[m] = out.get(m, 0) + kappa * v
     out = {m: v for m, v in out.items() if v}
     den, nums = over_one_denominator(out.values())
-    return den, tuple(t for m, n in zip(out, nums) for t in (m, n))
+    return den, (tuple(t for m, n in zip(out, nums) for t in (m, n)),)
 
 
 def fraction_axes(ctx, mono):
@@ -184,11 +184,12 @@ def test_stored_images_are_reduced(name):
         p = Poly(ctx.dim, {mono: 1 for mono in monomials_of_degree(ctx.dim, n)})
         laplacian(ctx, p)
         dunkl_apply(ctx, [1] * ctx.dim, p)
-    entries = [(den, [image]) for den, image in ctx.tables.laplacian.values()]
-    entries += ctx.tables.axis.values()
-    for den, images in entries:
+    shared = ctx.tables.shared
+    for den, images in [*ctx.tables.laplacian.values(), *ctx.tables.axis.values()]:
         for flat in images:
             stored_poly(ctx.dim, den, flat)
+            # both tables store the context's one instance of each monomial
+            assert all(shared.get(m) is m for m in flat[::2])
         assert_reduced(den, images)
 
 
