@@ -15,15 +15,15 @@ their tables too.
 The reflection primitives live here too.  A :class:`Root` is a nonzero
 rational vector ``a`` that carries its reflection ``r_a``, classified once
 when the root is built: a signed permutation whenever it is one (every
-catalog root), a dense matrix built on first use otherwise.  A context's
-roots are Roots, so :meth:`Poly.reflect` (which applies ``Root.image``) and
+catalog root), dense otherwise.  A context's roots are Roots, so
+:meth:`Poly.reflect` (which applies ``Root.image``) and
 :meth:`Poly.divided_difference` use their reflection as it is, and classify
-any other exact vector they are given.  :meth:`Poly.divided_difference`
-is the exact quotient (p(x) - p(r_a x)) / <a, x>, term by term in closed form
-when r_a is a signed permutation.  Otherwise the numerator vanishes on the
-hyperplane orthogonal to ``a``, so :func:`divide_by_linear` leaves no
-remainder, and a nonzero one is an internal error, never a property of the
-input.
+any other exact vector they are given.  :meth:`Poly.divided_difference` is
+the exact quotient (p(x) - p(r_a x)) / <a, x>, term by term in closed form
+when r_a is a signed permutation.  A dense root has one rule for both maps,
+the product rule on x^b = x_i x^(b - e_i): the image and the divided
+difference of each monomial come from those one degree lower, kept in two
+tables on the root, so nothing divides by a linear form.
 """
 
 from __future__ import annotations
@@ -264,30 +264,6 @@ class Poly:
                 out[mono[:j] + (e - 1,) + mono[j + 1:]] = c * e
         return Poly._raw(self.dim, out)
 
-    def substitute_linear(self, matrix: Sequence[Sequence[RationalLike]]) -> Poly:
-        """Return p(Mx), exactly, for a square rational matrix M."""
-        rows = [[as_fraction(v) for v in row] for row in matrix]
-        if len(rows) != self.dim or any(len(r) != self.dim for r in rows):
-            raise ValueError("matrix must be dim x dim")
-        images = [
-            Poly(self.dim, {tuple(1 if j == k else 0 for k in range(self.dim)): rows[i][j]
-                            for j in range(self.dim)})
-            for i in range(self.dim)
-        ]
-
-        @functools.cache
-        def image_power(i: int, e: int) -> Poly:
-            return images[i] ** e
-
-        acc = Poly.zero(self.dim)
-        for mono, c in self.terms.items():
-            term = Poly.const(self.dim, c)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * image_power(i, e)
-            acc = acc + term
-        return acc
-
     def reflect(self, alpha: Sequence[RationalLike]) -> Poly:
         """Return p(r_a x), r_a the reflection across a-perp, for a Root or any nonzero exact a."""
         a = alpha if isinstance(alpha, Root) else Root(alpha)
@@ -301,14 +277,15 @@ class Poly:
         When r_a is a signed permutation, ``a`` is c e_i or c (e_i - w e_j)
         with w = +-1, and each term's quotient has a closed form: no
         reflected copy of p and no division, and for c = 1 (every catalog
-        root) integer coefficients stay integers.  Any other root divides
-        p - p(r_a x) by <a, x>.  ``alpha`` is taken as in :meth:`reflect`.
+        root) integer coefficients stay integers.  Any other root sums its
+        table of monomial quotients (see :class:`Root`).  ``alpha`` is taken
+        as in :meth:`reflect`.
         """
         a = alpha if isinstance(alpha, Root) else Root(alpha)
         if len(a) != self.dim:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
         if a.perm is None:
-            return divide_by_linear(self - a.image(self), a)
+            return a._dense_sum(self, True)
         scale = a.scale
         if len(a.support) == 1:
             # a = c e_i: x^b - r x^b is 2 x^b for odd b_i and 0 for even b_i
@@ -392,8 +369,11 @@ class Root(tuple):
     r_a is classified once, from the support of a: it is a signed permutation
     exactly when a is c e_i or c (e_i +- e_j) with |a_i| = |a_j| (every
     catalog root), and dense (``perm`` None) otherwise, with the ``support``
-    and ``scale`` that :meth:`Poly.divided_difference` reads.  ``matrix`` is
-    built on first use, and ``Root(a)`` returns a itself when it is already a Root.
+    and ``scale`` that :meth:`Poly.divided_difference` reads.  A dense root
+    maps monomials by one rule, :meth:`_dense`, which fills a table of
+    images x^b(r_a x) and a table of divided differences on first use, both
+    dropped with the root.  ``matrix`` is built on first use, and
+    ``Root(a)`` returns a itself when it is already a Root.
     """
 
     perm: tuple[int, ...] | None  # column of row i's single nonzero, or None if dense
@@ -434,13 +414,57 @@ class Root(tuple):
             return tuple(sum((m * x for m, x in zip(row, v)), Fraction(0)) for row in self.matrix)
         return tuple(-v[j] if i in self.flips else v[j] for i, j in enumerate(self.perm))
 
+    @functools.cached_property
+    def _tables(self) -> tuple[dict[Monomial, dict[Monomial, Fraction]], dict[Monomial, dict[Monomial, Fraction]]]:
+        """The dense rule's tables of images and of divided differences, seeded with the monomial 1."""
+        one = (0,) * len(self)
+        return {one: {one: Fraction(1)}}, {one: {}}
+
+    def _dense(self, quotient: bool, mono: Monomial) -> dict[Monomial, Fraction]:
+        """The terms of x^mono(r_a x), or of delta_a x^mono when ``quotient``, for a dense root.
+
+        With x^b = x_i x^(b - e_i), i the first axis of b, and l_i the linear
+        form of row i of r_a, the image is x^b(r_a x) = l_i x^(b - e_i)(r_a x).
+        The divided difference delta_a p = (p - p(r_a x)) / <a, x> obeys the
+        product rule delta_a(f g) = delta_a(f) g + f(r_a x) delta_a(g)
+        (Dunkl, Trans. AMS 311, 1989), and delta_a x_i = 2 a_i / |a|^2, so
+        delta_a x^b = (2 a_i / |a|^2) x^(b - e_i) + l_i delta_a x^(b - e_i).
+        Each entry is built from the one below it and stored; a miss walks
+        down to the nearest stored monomial and back up in a loop, so the
+        degree is not bounded by the recursion limit.
+        """
+        table = self._tables[quotient]
+        chain = []
+        while mono not in table:
+            i = next(i for i, e in enumerate(mono) if e)
+            chain.append((mono, i))
+            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        for mono, i in reversed(chain):
+            below = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+            out = {below: 2 * self[i] / sum(v * v for v in self)} if quotient and self[i] else {}
+            row = [(j, r) for j, r in enumerate(self.matrix[i]) if r]
+            for m, c in table[below].items():
+                for j, r in row:
+                    k = m[:j] + (m[j] + 1,) + m[j + 1:]
+                    out[k] = out.get(k, 0) + c * r
+            table[mono] = {m: c for m, c in out.items() if c}
+        return table[mono]
+
+    def _dense_sum(self, p: Poly, quotient: bool) -> Poly:
+        """p(r_a x), or delta_a p when ``quotient``, for a dense root: the table entries of p's monomials summed."""
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in p.terms.items():
+            for m, v in self._dense(quotient, mono).items():
+                out[m] = out.get(m, 0) + c * v
+        return Poly._raw(p.dim, {m: v for m, v in out.items() if v})
+
     def _reflect_monomial(self, mono: Monomial) -> tuple[tuple[Monomial, RationalLike], ...]:
         """The terms of x^mono(r_a x) as (monomial, coefficient) pairs, the one rule per monomial.
 
-        One pair +-x^m for a signed permutation, the substituted terms for a dense root.
+        One pair +-x^m for a signed permutation, the image table's terms for a dense root.
         """
         if self.perm is None:
-            return tuple(Poly._raw(len(self), {mono: 1}).substitute_linear(self.matrix).terms.items())
+            return tuple(self._dense(False, mono).items())
         # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
         # exponent of x_k is e_perm[k], and no two monomials share an image
         return ((tuple(mono[i] for i in self.perm), -1 if sum(mono[i] for i in self.flips) & 1 else 1),)
@@ -448,44 +472,9 @@ class Root(tuple):
     def image(self, p: Poly) -> Poly:
         """The polynomial p(r_a x)."""
         if self.perm is None:
-            return p.substitute_linear(self.matrix)
+            return self._dense_sum(p, False)
         return Poly._raw(p.dim, {m: c if s > 0 else -c for mono, c in p.terms.items()
                                  for m, s in self._reflect_monomial(mono)})
-
-
-def divide_by_linear(p: Poly, a: Sequence[Fraction]) -> Poly:
-    """Divide an exactly-divisible polynomial by the linear form <a, x>.
-
-    Synthetic division in the first pivot variable; the remainder must be
-    identically zero, otherwise an AssertionError flags an internal bug.
-    """
-    if not p.terms:
-        return p
-    pivot = next(i for i, v in enumerate(a) if v)
-    inv = Fraction(1) / a[pivot]
-    levels: dict[int, dict[Monomial, Fraction]] = {}
-    for mono, c in p.terms.items():
-        levels.setdefault(mono[pivot], {})[mono] = c
-    quotient: dict[Monomial, Fraction] = {}
-    for k in range(max(levels), 0, -1):
-        for mono, c in levels.get(k, {}).items():
-            if not c:
-                continue
-            q_mono = mono[:pivot] + (k - 1,) + mono[pivot + 1:]
-            qc = c * inv
-            quotient[q_mono] = qc
-            below = levels.setdefault(k - 1, {})
-            for i, ai in enumerate(a):
-                if i == pivot or not ai:
-                    continue
-                m3 = q_mono[:i] + (q_mono[i] + 1,) + q_mono[i + 1:]
-                below[m3] = below.get(m3, Fraction(0)) - qc * ai
-    remainder = {m: c for m, c in levels.get(0, {}).items() if c}
-    if remainder:
-        raise AssertionError(
-            f"division by a linear form left a nonzero remainder {remainder!r}; this is a bug"
-        )
-    return Poly._raw(p.dim, {m: c for m, c in quotient.items() if c})
 
 
 def format_poly(p: Poly) -> str:

@@ -84,12 +84,12 @@ class DunklContext:
         for idx, root in enumerate(roots):
             if len(root) != self.dim or not any(root):
                 raise ValueError(f"root #{idx} is not a nonzero vector of dimension {self.dim}")
-        roots = tuple(map(Root, roots))
-        object.__setattr__(self, "positive_roots", roots)
-        object.__setattr__(self, "kappa_by_orbit", kappas)
         fault = _root_set_fault(roots, self.orbit_ids)
         if fault is not None:
             raise ValueError(fault)
+        roots = tuple(map(Root, roots))
+        object.__setattr__(self, "positive_roots", roots)
+        object.__setattr__(self, "kappa_by_orbit", kappas)
         root_kappas = [kappas[oid] for oid in self.orbit_ids]
         active = tuple((root, kappa) for root, kappa in zip(roots, root_kappas) if kappa)
         object.__setattr__(self, "lambda_kappa", Fraction(self.dim, 2) - 1 + sum(root_kappas, Fraction(0)))
@@ -198,14 +198,16 @@ def make_context(family: str, d: int, kappa_by_orbit: Sequence[RationalLike]) ->
 
 
 @functools.lru_cache(maxsize=64)
-def _root_set_fault(roots: tuple[Root, ...], orbit_ids: tuple[int, ...]) -> str | None:
+def _root_set_fault(roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]) -> str | None:
     """Why the roots are not a reduced, reflection-closed system, or None.
 
     Each reflection must map every root to a root of the same orbit, up to
     sign, so that it permutes the root set and preserves multiplicities.
     The verdict depends on the roots and their orbits only, not on the
     multiplicities, so it is computed once per root set: the O(R^2) checks
-    in Fractions otherwise dominate every ``make_context``.
+    in Fractions otherwise dominate every ``make_context``.  It is keyed by
+    plain Fraction tuples, so the cache keeps no context's ``Root``s, nor
+    the tables a dense Root fills, alive.
     """
     for i, u in enumerate(roots):
         for j in range(i + 1, len(roots)):
@@ -213,7 +215,7 @@ def _root_set_fault(roots: tuple[Root, ...], orbit_ids: tuple[int, ...]) -> str 
             if all(u[a] * v[b] == u[b] * v[a] for a in range(len(u)) for b in range(len(u))):
                 return f"roots #{i} and #{j} are parallel; the system must be reduced"
     index = {root: i for i, root in enumerate(roots)}
-    for beta in roots:
+    for beta in map(Root, roots):
         for i, alpha in enumerate(roots):
             image = beta.apply(alpha)
             pos = image if image in index else tuple(-v for v in image)

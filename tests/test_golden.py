@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_roots import rotated_b3
 from dunkl_harmonics import (
     DunklContext,
     Poly,
@@ -56,6 +57,7 @@ CUSTOM_CONTEXTS = {
         2, ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(-1))), (0, 1), (Fraction(1, 2), Fraction(3, 4))),
     "b2-scaled": lambda: DunklContext(  # the short roots of b2 rescaled by 2
         2, ((2, 0), (0, 2), (1, 1), (1, -1)), (0, 0, 1, 1), (Fraction(1, 2), Fraction(3, 4))),
+    "b3-rotated": rotated_b3,  # eight dense roots, not in one plane
 }
 
 
@@ -357,6 +359,18 @@ DIGESTS = {
     ("a3", "dunkl_axis_images_8"): "1c659513a16bb01448639721358e7d812feb49ac6ddde793eeea381c888fa466",
     ("dense", "dunkl_axis_images_8"): "2f3c0d93d1f0d1c1d50f344c8653a2eec32e2153f8e2f5cea4831a4f66cd7fa6",
     ("b2-scaled", "dunkl_axis_images_8"): "1ecef5a80d4d7785a612fdd7a11158a356f0249690a0e9717bc4ef23f76aa4c7",
+    # eight dense roots in space, recorded before the dense reflections took the product rule
+    ("b3-rotated", "laplacian"): "3c81e81f7d4bf396df3e3e94f8497d0b8c8e390d650e1534d731c1b4d0318cbe",
+    ("b3-rotated", "dunkl_apply"): "bc325cf19e06c4a4f56a503f0c852e211fd49eb40c83aef5fd6d741cce8011b6",
+    ("b3-rotated", "h_harmonic_basis"): "a9ab139c7c4ead7f351e06363fb9dc80f72c054ea633416eae1b3f81e04885c1",
+    ("b3-rotated", "h_harmonic_basis_6"): "2bd7091eb2d6d577f53988ee66a6210d1caaec5fa9c6da15166295021671e24b",
+    ("b3-rotated", "intertwiner_apply"): "71f0fdde4d27745a25c802c83fe6d1b68abe399a5a5ae07c7ed8fbdc2c57fd44",
+    ("b3-rotated", "intertwiner_monomials_6"): "be0cf5f668bd57245bd867ad159f648944987646ff638e8b8dbfdf0622b371d2",
+    ("b3-rotated", "dunkl_axis_images_8"): "391ae45ceba059eb3de221424f89d9191d2d41f4707421b768f6217c2ba9d34b",
+    ("b3-rotated", "sphere_integrate"): "93a2510b7476e9cae613514b7a5b8336f0edac426dd09b687c037f648cb41c7f",
+    ("b3-rotated", "canonical_decompose"): "5cbde0d04109ccb91a7bc58682212e4a6a0e8578c53141cd7952bb4ca11406d2",
+    ("b3-rotated", "pairing"): "6e9c915a73646c8f0518ee0e7ee687217c0cd3bb436c4e47beddefa270037ad4",
+    ("b3-rotated", "apply_operator_poly"): "065c51f7775d8abbdff591827b7c3563f18d198de521a1ed1053ab19760e29fe",
 }
 
 

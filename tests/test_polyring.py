@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_roots import divide_by_linear, substitute_linear
 from dunkl_harmonics import Poly, PolyParseError, format_poly, parse, pochhammer, polyring
 from dunkl_harmonics.verify import random_poly
 
@@ -47,25 +48,26 @@ class TestCalculus:
 
 
 class TestSubstitution:
+    # the tests' linear substitution, the reference for dense reflections
     def test_identity(self):
         eye = [[1, 0], [0, 1]]
-        assert parse("x1", 2).substitute_linear(eye) == parse("x1", 2)
+        assert substitute_linear(parse("x1", 2), eye) == parse("x1", 2)
 
     def test_even_power_sign_flip(self):
         m = [[-1, 0], [0, 1]]
-        assert parse("x1^2", 2).substitute_linear(m) == parse("x1^2", 2)
+        assert substitute_linear(parse("x1^2", 2), m) == parse("x1^2", 2)
 
     def test_swap_symmetry(self):
         swap = [[0, 1], [1, 0]]
-        assert parse("x1*x2", 2).substitute_linear(swap) == parse("x1*x2", 2)
+        assert substitute_linear(parse("x1*x2", 2), swap) == parse("x1*x2", 2)
 
     def test_general_matrix(self):
         m = [[1, 1], [0, 1]]  # x1 -> x1 + x2
-        assert parse("x1^2", 2).substitute_linear(m) == parse("x1^2 + 2*x1*x2 + x2^2", 2)
+        assert substitute_linear(parse("x1^2", 2), m) == parse("x1^2 + 2*x1*x2 + x2^2", 2)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            parse("x1", 2).substitute_linear([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+            substitute_linear(parse("x1", 2), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_substitution_composes(self, rng):
         # p(M1 x) then x -> M2 x equals a single substitution by M1 M2
@@ -77,7 +79,7 @@ class TestSubstitution:
         ]
         for _ in range(5):
             p = random_poly(rng, 3, 4)
-            assert p.substitute_linear(m1).substitute_linear(m2) == p.substitute_linear(product)
+            assert substitute_linear(substitute_linear(p, m1), m2) == substitute_linear(p, product)
 
 
 class TestDividedDifference:
@@ -110,12 +112,13 @@ class TestDividedDifference:
     def test_signed_permutation_roots_take_the_closed_form(self, rng, monkeypatch):
         alphas = [[1, 0, 0], [-2, 0, 0], [1, -1, 0], [3, 0, 3], [0, F(1, 2), F(-1, 2)]]
         cases = [(alpha, random_poly(rng, 3, 6)) for alpha in alphas for _ in range(4)]
-        want = [polyring.divide_by_linear(p - p.reflect(alpha), alpha) for alpha, p in cases]
+        want = [divide_by_linear(p - p.reflect(alpha), alpha) for alpha, p in cases]
 
         def refuse(*args):
-            raise AssertionError("a signed-permutation root took the plain quotient")
+            raise AssertionError("a signed-permutation root took the dense rule")
 
-        monkeypatch.setattr(polyring, "divide_by_linear", refuse)
+        monkeypatch.setattr(polyring.Root, "_dense", refuse)
+        monkeypatch.setattr(polyring.Root, "_dense_sum", refuse)
         monkeypatch.setattr(Poly, "reflect", refuse)
         assert [p.divided_difference(alpha) for alpha, p in cases] == want
 

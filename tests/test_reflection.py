@@ -1,8 +1,11 @@
+import gc
 import inspect
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dense_roots import substitute_linear
 from dunkl_harmonics import (
     DunklContext,
     Poly,
@@ -95,7 +98,7 @@ class TestReflectionMatrix:
         for ctx in list(nonzero_corpus) + [d3]:
             p = random_poly(rng, ctx.dim, 5)
             for root in ctx.positive_roots:
-                assert p.reflect(root) == p.substitute_linear(reflection_matrix(ctx, root))
+                assert p.reflect(root) == substitute_linear(p, reflection_matrix(ctx, root))
 
     def test_not_a_root(self, z2_2):
         with pytest.raises(ValueError):
@@ -144,7 +147,7 @@ class TestRootClassification:
             assert root.apply(v) == tuple(sum(m * x for m, x in zip(row, v)) for row in matrix)
             for _ in range(3):
                 p = random_poly(rng, len(values), 5)
-                assert root.image(p) == p.reflect(values) == p.substitute_linear(matrix)
+                assert root.image(p) == p.reflect(values) == substitute_linear(p, matrix)
 
     def test_a_root_is_built_once(self):
         root = polyring.Root([1, -1, 0])
@@ -177,6 +180,19 @@ class TestRootClassification:
             p.divided_difference(root)
             p.reflect(root)
         assert hashes == []
+
+    def test_a_dense_table_fills_in_a_loop(self):
+        # a recursive fill would take one frame per degree, beyond this limit
+        root = polyring.Root([1, 2])
+        x = Poly.monomial(2, (100, 0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            image, quotient = x.reflect(root), x.divided_difference(root)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert image == Poly(2, {(1, 0): F(3, 5), (0, 1): F(-4, 5)}) ** 100
+        assert quotient * Poly(2, {(1, 0): 1, (0, 1): 2}) == x - image
 
     def test_catalog_roots_build_no_matrix(self):
         for ctx in (make_context("d", 4, [F(1, 2)]), make_context("b", 3, [1, F(1, 3)])):
@@ -226,6 +242,22 @@ class TestRootSetVerdict:
                 DunklContext(2, ((F(1), F(0)), (F(2), F(0))), (0, 0), (F(1),))
             with pytest.raises(ValueError, match="outside the root set or its orbit"):
                 DunklContext(2, ((F(1), F(0)), (F(1), F(1))), (0, 1), (F(1), F(1)))
+
+    def test_a_dropped_context_leaves_no_root_tables(self):
+        # the verdict cache holds plain tuples, so a context's Roots and the tables of
+        # its dense roots go with it; no other test builds these roots, so this
+        # context is the first of its root set that the cache sees
+        def holding():
+            return sum(isinstance(obj, polyring.Root) and "_tables" in vars(obj) for obj in gc.get_objects())
+
+        gc.collect()
+        before = holding()
+        ctx = DunklContext(2, ((1, 3), (3, -1)), (0, 1), (F(1, 2), F(3, 4)))
+        intertwiner_apply(ctx, Poly.monomial(2, (8, 0)))
+        assert holding() == before + 2
+        del ctx
+        gc.collect()
+        assert holding() == before
 
     def test_second_context_of_a_family_applies_no_reflection(self, monkeypatch):
         make_context("d", 4, [F(1, 3)])

@@ -5,9 +5,12 @@ differences of the monomial, which take a closed form when the root's
 reflection is a signed permutation; every such image is checked here
 against the defining formula with the divided difference taken as a plain
 quotient, and its stored tuple against the same miss path summed in Poly
-and Fraction arithmetic, term order included.  The moments are built by a recurrence over the Laplacian images
-and checked against the iterated-Laplacian definition.  The remaining tests
-pin down that the tables are reused.
+and Fraction arithmetic, term order included.  A dense root, whose
+reflection is not a signed permutation, is also checked against the plain
+substitution and division of ``dense_roots``.  The moments are built by a
+recurrence over the Laplacian images and checked against the
+iterated-Laplacian definition.  The remaining tests pin down that the tables
+are reused.
 """
 
 import math
@@ -15,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_roots import divide_by_linear, rotated_b3, substitute_linear
 from dunkl_harmonics import (
     DunklContext,
     Poly,
@@ -29,7 +33,7 @@ from dunkl_harmonics import (
     reflection_matrix,
     sphere_integrate,
 )
-from dunkl_harmonics.polyring import divide_by_linear, over_one_denominator
+from dunkl_harmonics.polyring import over_one_denominator
 
 
 def F(a, b=1):
@@ -51,7 +55,13 @@ CONTEXTS = {
     "dense": DunklContext(2, ((F(1), F(2)), (F(2), F(-1))), (0, 1), (F(1, 2), F(3, 4))),
     "b3-zero-orbit": make_context("b", 3, [0, F(3, 2)]),
     "b3-two-denominators": make_context("b", 3, [F(1, 2), F(2, 3)]),
+    "b3-rotated": rotated_b3(),
 }
+
+# the highest degree the per-monomial checks reach: 8, and 7 on b3-rotated,
+# whose eight dense roots make degree 8 cost about two seconds a test
+TOP_DEGREE = {"b3-rotated": 7}
+DENSE = sorted(name for name, ctx in CONTEXTS.items() if any(root.perm is None for root in ctx.positive_roots))
 
 
 def closed_form(ctx, p):
@@ -91,7 +101,7 @@ def assert_reduced(den, flats):
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_miss_path_matches_the_closed_form(name):
     ctx = CONTEXTS[name]
-    for n in range(9):
+    for n in range(TOP_DEGREE.get(name, 8) + 1):
         for mono in monomials_of_degree(ctx.dim, n):
             p = Poly.monomial(ctx.dim, mono)
             den, (image,) = entry = dunkl._monomial_image(ctx, mono)
@@ -99,6 +109,21 @@ def test_miss_path_matches_the_closed_form(name):
             assert stored_poly(ctx.dim, den, image) == closed_form(ctx, p), mono
             # the int sums store the very entry of the Fraction sums, term order included
             assert entry == fraction_image(ctx, mono), mono
+
+
+@pytest.mark.parametrize("name", DENSE)
+def test_dense_rule_matches_substitution_and_division(name):
+    # every dense root's two tables against the tests' plain substitution and division
+    ctx = CONTEXTS[name]
+    for root in ctx.positive_roots:
+        if root.perm is not None:
+            continue
+        for n in range(TOP_DEGREE.get(name, 8) + 1):
+            for mono in monomials_of_degree(ctx.dim, n):
+                x = Poly.monomial(ctx.dim, mono)
+                image = substitute_linear(x, root.matrix)
+                assert x.reflect(root) == image, (root, mono)
+                assert x.divided_difference(root) == divide_by_linear(x - image, root), (root, mono)
 
 
 def fraction_image(ctx, mono):
@@ -166,7 +191,7 @@ def axis_reference(ctx, j, p):
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_axis_miss_path_matches_the_definition(name):
     ctx = CONTEXTS[name]
-    for n in range(9):
+    for n in range(TOP_DEGREE.get(name, 8) + 1):
         for mono in monomials_of_degree(ctx.dim, n):
             p = Poly.monomial(ctx.dim, mono)
             den, images = dunkl._monomial_axes(ctx, mono)
@@ -216,7 +241,7 @@ def test_seen_monomials_take_no_divided_difference(monkeypatch):
 def test_moment_recurrence_matches_the_definition(name):
     ctx = CONTEXTS[name]
     lam = ctx.lambda_kappa
-    for n in range(5):
+    for n in range(TOP_DEGREE.get(name, 8) // 2 + 1):
         denominator = 4**n * math.factorial(n) * pochhammer(lam + 1, n)
         for mono in monomials_of_degree(ctx.dim, 2 * n):
             value = Poly.monomial(ctx.dim, mono)

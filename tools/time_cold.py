@@ -1,4 +1,4 @@
-"""Time the cold exact paths on fixed inputs: h-harmonic bases, the V table and the axis table.
+"""Time the cold exact paths on fixed inputs: h-harmonic bases, the V table and the operator tables.
 
     PYTHONPATH=src python3 tools/time_cold.py [--repeat 5]
 
@@ -6,7 +6,11 @@ Each case builds a fresh context per repetition, so no table is cached
 across repetitions: the degree-8 bases of A3, d4 and b4 (their kernels are
 the same shape, and A3 grows the largest rows), V up to degree 6 on the
 same groups, and the d4 axis table: D_xi of the sum of every degree-8
-monomial, which fills the table's 165 degree-8 entries.  Point PYTHONPATH
+monomial, which fills the table's 165 degree-8 entries.  The dense cases
+time roots whose reflection is not a signed permutation: the planar
+``dense`` system (roots (1, 2) and (2, -1)) and b3 rotated about x3, whose
+roots are dense except e3; a "table to degree n" case applies the operator
+to the sum of every monomial of degree <= n.  Point PYTHONPATH
 at another checkout's ``src`` to time that revision with the same cases.
 Prints one JSON object: per case, the best and the median seconds.
 Standard library and the package only.
@@ -21,7 +25,8 @@ import time
 from fractions import Fraction
 
 from dunkl_harmonics import (
-    Poly, dunkl_apply, h_harmonic_basis, intertwiner_apply, make_context, monomials_of_degree,
+    DunklContext, Poly, dunkl_apply, h_harmonic_basis, intertwiner_apply, laplacian, make_context,
+    monomials_of_degree,
 )
 
 GROUPS = {
@@ -31,6 +36,24 @@ GROUPS = {
 }
 
 
+def dense() -> DunklContext:
+    return DunklContext(2, ((1, 2), (2, -1)), (0, 1), (Fraction(1, 2), Fraction(3, 4)))
+
+
+def rotated_b3() -> DunklContext:
+    """b3 with kappa (1/2, 3/2), rotated by [[3/5, -4/5, 0], [4/5, 3/5, 0], [0, 0, 1]]."""
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    units = [(c, s, 0), (-s, c, 0), (0, 0, 1)]
+    pairs = [tuple(a + w * b for a, b in zip(u, v)) for i, u in enumerate(units) for v in units[i + 1:]
+             for w in (-1, 1)]
+    return DunklContext(3, tuple(units + pairs), (0,) * 3 + (1,) * 6, (Fraction(1, 2), Fraction(3, 2)))
+
+
+def up_to(dim: int, degree: int) -> Poly:
+    """The sum of every monomial of degree <= ``degree``."""
+    return Poly(dim, {mono: 1 for n in range(degree + 1) for mono in monomials_of_degree(dim, n)})
+
+
 def cases():
     for name, args in GROUPS.items():
         yield f"{name} basis degree 8", lambda args=args: h_harmonic_basis(make_context(*args), 8)
@@ -38,6 +61,13 @@ def cases():
             make_context(*args), Poly.monomial(4, (6, 0, 0, 0)))
     octics = Poly(4, {mono: 1 for mono in monomials_of_degree(4, 8)})
     yield "d4 axis table degree 8", lambda: dunkl_apply(make_context(*GROUPS["d4"]), [1, 1, 1, 1], octics)
+    yield "dense V to degree 12", lambda: intertwiner_apply(dense(), Poly.monomial(2, (12, 0)))
+    yield "dense bases of degree 2-10", lambda: [h_harmonic_basis(ctx, n) for ctx in [dense()] for n in range(2, 11)]
+    plane, solid = up_to(2, 12), up_to(3, 7)
+    yield "dense Laplacian table to degree 12", lambda: laplacian(dense(), plane)
+    yield "rotated b3 V to degree 6", lambda: intertwiner_apply(rotated_b3(), Poly.monomial(3, (6, 0, 0)))
+    yield "rotated b3 Laplacian table to degree 7", lambda: laplacian(rotated_b3(), solid)
+    yield "rotated b3 axis table to degree 7", lambda: dunkl_apply(rotated_b3(), [1, 1, 1], solid)
 
 
 def main() -> None:
