@@ -1,4 +1,4 @@
-"""Time the cold exact paths on fixed inputs: h-harmonic bases, the V table and the operator tables.
+"""Time the cold exact paths on fixed inputs (h-harmonic bases, the V table, the operator tables) and Monte-Carlo calls.
 
     PYTHONPATH=src python3 tools/time_cold.py [--repeat 5]
 
@@ -10,7 +10,10 @@ monomial, which fills the table's 165 degree-8 entries.  The dense cases
 time roots whose reflection is not a signed permutation: the planar
 ``dense`` system (roots (1, 2) and (2, -1)) and b3 rotated about x3, whose
 roots are dense except e3; a "table to degree n" case applies the operator
-to the sum of every monomial of degree <= n.  Point PYTHONPATH
+to the sum of every monomial of degree <= n.  The Monte-Carlo cases time
+one ``mc_sphere_integral`` call of 16384 samples each: (x1+x2)^4 on b2,
+(x1+...+x4)^8 (165 terms) on d4, and a z2^3 target whose weight has the
+fractional power 2 kappa = 2/3.  Point PYTHONPATH
 at another checkout's ``src`` to time that revision with the same cases.
 Prints one JSON object: per case, the best and the median seconds.
 Standard library and the package only.
@@ -26,7 +29,7 @@ from fractions import Fraction
 
 from dunkl_harmonics import (
     DunklContext, Poly, dunkl_apply, h_harmonic_basis, intertwiner_apply, laplacian, make_context,
-    monomials_of_degree,
+    mc_sphere_integral, monomials_of_degree, parse,
 )
 
 GROUPS = {
@@ -68,6 +71,14 @@ def cases():
     yield "rotated b3 V to degree 6", lambda: intertwiner_apply(rotated_b3(), Poly.monomial(3, (6, 0, 0)))
     yield "rotated b3 Laplacian table to degree 7", lambda: laplacian(rotated_b3(), solid)
     yield "rotated b3 axis table to degree 7", lambda: dunkl_apply(rotated_b3(), [1, 1, 1], solid)
+    for name, args, p in (
+        ("b2 (x1+x2)^4", ("b", 2, [Fraction(1, 2), Fraction(3, 2)]), parse("x1 + x2", 2) ** 4),
+        ("d4 (x1+...+x4)^8", ("d", 4, [Fraction(1, 2)]), parse("x1 + x2 + x3 + x4", 4) ** 8),
+        ("z2^3 kappa (1/3, 2, 5/2)", ("z2", 3, [Fraction(1, 3), 2, Fraction(5, 2)]),
+         parse("x1^8*x2^3 - 3*x2^2*x3^6 + x3", 3)),
+    ):
+        yield f"Monte-Carlo {name}", lambda args=args, p=p: mc_sphere_integral(
+            make_context(*args), p, seed=11, samples=16384)
 
 
 def main() -> None:
