@@ -255,6 +255,8 @@ def _run(args) -> int:
         p = _poly(args.poly, ctx, "--poly")
         if args.samples < 2:
             raise UsageError(verify.MC_SAMPLES_ERROR)
+        if args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         estimate = oracle.mc_sphere_integral(ctx, p, seed=args.seed, samples=args.samples)
         _emit(
             {

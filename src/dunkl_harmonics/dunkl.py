@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .polyring import Monomial, Poly, RationalLike, as_fraction, over_one_denominator, radial_sum
 from .reflection import DunklContext
@@ -118,21 +118,21 @@ def _monomial_axes(ctx: DunklContext, mono: Monomial) -> Entry:
 
     The sum is over the positive roots, and delta_alpha is the divided
     difference (p - p(r_alpha x)) / <alpha, x>.  One divided difference per
-    active root serves every axis, and the d images are stored together as
-    one entry (:func:`_reduced_entry`).
+    active root, read from the root's rule for one monomial
+    (``Root._terms``), serves every axis, and the d images are stored
+    together as one entry (:func:`_reduced_entry`).
     """
-    x = Poly._raw(ctx.dim, {mono: 1})
     scale, roots = ctx._scaled_roots
     out: list[dict[Monomial, RationalLike]] = [{} for _ in mono]
     for j, e in enumerate(mono):
         if e:
             out[j][_shifted(mono, j, e - 1)] = e * scale
     for root, alpha, k in roots:
-        quotient = x.divided_difference(root).terms
+        quotient = root._terms(True, mono)
         for j, a in enumerate(alpha):
             if a:
                 ka, image = k * a, out[j]
-                for m, v in quotient.items():
+                for m, v in quotient:
                     image[m] = image.get(m, 0) + ka * v
     return _reduced_entry(ctx, scale, out)
 
@@ -147,22 +147,22 @@ def _monomial_image(ctx: DunklContext, mono: Monomial) -> Entry:
     invariant under the group (:class:`DunklContext` checks it).  With
     delta_alpha the divided difference and d_alpha the derivative along
     alpha, each root's term is (delta_alpha d_alpha + d_alpha delta_alpha) p,
-    so no linear division is left.  On a monomial both divided differences
-    take :meth:`Poly.divided_difference`'s closed form whenever the
-    reflection is a signed permutation.  The monomial enters with the int
-    coefficient 1, so for a root with integer entries (every catalog root)
-    each term keeps int coefficients, and the one image is stored as an
-    entry (:func:`_reduced_entry`).
+    so no linear division is left.  delta_alpha x^mono is read from the
+    root's rule for one monomial (``Root._terms``), and the derivative
+    d_alpha x^mono, a polynomial of up to d terms, takes
+    :meth:`Poly.divided_difference`, which sums that rule.  The monomial
+    enters with the int coefficient 1, so for a root with integer entries
+    (every catalog root) each term keeps int coefficients, and the one image
+    is stored as an entry (:func:`_reduced_entry`).
     """
     scale, roots = ctx._scaled_roots
-    x = Poly._raw(ctx.dim, {mono: 1})
     out: dict[Monomial, RationalLike] = {}
     for i, e in enumerate(mono):
         if e > 1:
             out[_shifted(mono, i, e - 2)] = e * (e - 1) * scale
     for root, alpha, k in roots:
-        term = _derivative(x.divided_difference(root).terms, alpha)
-        for m, v in Poly._raw(ctx.dim, _derivative(x.terms, alpha)).divided_difference(root).terms.items():
+        term = _derivative(root._terms(True, mono), alpha)
+        for m, v in Poly._raw(ctx.dim, _derivative(((mono, 1),), alpha)).divided_difference(root).terms.items():
             term[m] = term.get(m, 0) + v
         for m, v in term.items():
             if v:
@@ -187,10 +187,10 @@ def _reduced_entry(ctx: DunklContext, scale: int, images: list[dict[Monomial, Ra
     )
 
 
-def _derivative(terms: dict, alpha: Sequence[RationalLike]) -> dict[Monomial, RationalLike]:
-    """The nonzero terms of the derivative along alpha, sum of alpha_j d_j, of a polynomial's terms."""
+def _derivative(terms: Iterable, alpha: Sequence[RationalLike]) -> dict[Monomial, RationalLike]:
+    """The nonzero terms of the derivative along alpha, sum of alpha_j d_j, of (monomial, coefficient) pairs."""
     out: dict[Monomial, RationalLike] = {}
-    for mono, c in terms.items():
+    for mono, c in terms:
         for j, a in enumerate(alpha):
             e = mono[j]
             if a and e:

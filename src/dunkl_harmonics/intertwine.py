@@ -92,11 +92,12 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     with T = n + sum_a kappa_a (1 - r_a).  Each 1 - r_a is positive
     semidefinite in the O(d)-invariant Fischer product, so T is positive
     definite for kappa >= 0 and the square system has V as its one solution.
-    Each root's ``_reflect_monomial`` gives a monomial's reflected terms, one
-    for a signed permutation.  [T | R] is filled in ints over one denominator
-    den, the lcm of the kappa and lower-image denominators (a dense root's
-    image keeps its Fraction coefficients), and solved by fraction-free
-    elimination in ``_linalg``, which the uniform scale by den does not change.
+    Each root's rule for one monomial (``Root._terms``) gives x^b(r_a x),
+    one term for a signed permutation.  [T | R] is filled in ints over one
+    denominator den, the lcm of the kappa and lower-image denominators (a
+    dense root's image keeps its Fraction coefficients), and solved by
+    fraction-free elimination in ``_linalg``, which the uniform scale by den
+    does not change.
     """
     monos = monomials_of_degree(ctx.dim, n)
     index = {m: i for i, m in enumerate(monos)}
@@ -110,7 +111,7 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     for col, mono in enumerate(monos):
         t[col][col] = shift
         for root, k in ks:
-            for m, c in root._reflect_monomial(mono):
+            for m, c in root._terms(False, mono):
                 t[index[m]][col] -= k * c
         for j, e in enumerate(mono):
             if e:

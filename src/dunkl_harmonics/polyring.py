@@ -15,15 +15,15 @@ their tables too.
 The reflection primitives live here too.  A :class:`Root` is a nonzero
 rational vector ``a`` that carries its reflection ``r_a``, classified once
 when the root is built: a signed permutation whenever it is one (every
-catalog root), dense otherwise.  A context's roots are Roots, so
-:meth:`Poly.reflect` (which applies ``Root.image``) and
-:meth:`Poly.divided_difference` use their reflection as it is, and classify
-any other exact vector they are given.  :meth:`Poly.divided_difference` is
-the exact quotient (p(x) - p(r_a x)) / <a, x>, term by term in closed form
-when r_a is a signed permutation.  A dense root has one rule for both maps,
-the product rule on x^b = x_i x^(b - e_i): the image and the divided
-difference of each monomial come from those one degree lower, kept in two
-tables on the root, so nothing divides by a linear form.
+catalog root), dense otherwise.  The root has one rule per monomial for
+both of its maps, the image x^b(r_a x) and the divided difference
+(x^b - x^b(r_a x)) / <a, x>: a closed form for a signed permutation, and for
+a dense root the product rule on x^b = x_i x^(b - e_i), whose terms come
+from the monomials one degree lower, kept in two tables on the root, so
+nothing divides by a linear form.  :meth:`Poly.reflect` and
+:meth:`Poly.divided_difference` sum that rule over a polynomial's terms,
+with a context's Roots as they are and any other exact vector classified
+first.
 """
 
 from __future__ import annotations
@@ -266,56 +266,18 @@ class Poly:
 
     def reflect(self, alpha: Sequence[RationalLike]) -> Poly:
         """Return p(r_a x), r_a the reflection across a-perp, for a Root or any nonzero exact a."""
-        a = alpha if isinstance(alpha, Root) else Root(alpha)
-        if len(a) != self.dim:
-            raise ValueError("alpha must be a nonzero vector of the ambient dimension")
-        return a.image(self)
+        return Root(alpha)._sum(self, False)
 
     def divided_difference(self, alpha: Sequence[RationalLike]) -> Poly:
         """Exact quotient (p(x) - p(r_a x)) / <a, x> for nonzero ``alpha``.
 
-        When r_a is a signed permutation, ``a`` is c e_i or c (e_i - w e_j)
-        with w = +-1, and each term's quotient has a closed form: no
-        reflected copy of p and no division, and for c = 1 (every catalog
-        root) integer coefficients stay integers.  Any other root sums its
-        table of monomial quotients (see :class:`Root`).  ``alpha`` is taken
-        as in :meth:`reflect`.
+        The quotients of p's terms by the root's rule for one monomial (see
+        :class:`Root`), summed: no reflected copy of p and no division, and
+        for a signed-permutation root c e_i or c (e_i +- e_j) with c = 1
+        (every catalog root) integer coefficients stay integers.  ``alpha``
+        is taken as in :meth:`reflect`.
         """
-        a = alpha if isinstance(alpha, Root) else Root(alpha)
-        if len(a) != self.dim:
-            raise ValueError("alpha must be a nonzero vector of the ambient dimension")
-        if a.perm is None:
-            return a._dense_sum(self, True)
-        scale = a.scale
-        if len(a.support) == 1:
-            # a = c e_i: x^b - r x^b is 2 x^b for odd b_i and 0 for even b_i
-            i = a.flips[0]
-            return Poly._raw(self.dim, {
-                mono[:i] + (mono[i] - 1,) + mono[i + 1:]: c * scale
-                for mono, c in self.terms.items() if mono[i] % 2
-            })
-        # a = c (e_i - w e_j), and r maps x_i to w x_j and x_j to w x_i; with
-        # u = x_i, v = w x_j, e = b_i and f = b_j, the quotient of x^b is
-        # w^f / c (u^e v^f - u^f v^e) / (u - v) times the other variables,
-        # that is sign(e - f) w^f / c times the sum over k < |e - f| of
-        # u^(min(e, f) + k) v^(max(e, f) - 1 - k)
-        i, j = a.support
-        w_odd = bool(a.flips)
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            e, f = mono[i], mono[j]
-            if e == f:
-                continue
-            lo, hi = (f, e) if e > f else (e, f)
-            q = c * scale if e > f else -c * scale
-            signed = (q, -q) if w_odd else (q, q)
-            for k in range(hi - lo):
-                ej = hi - 1 - k
-                m = mono[:i] + (lo + k,) + mono[i + 1:j] + (ej,) + mono[j + 1:]
-                v = signed[(f + ej) % 2]
-                s = out.get(m)
-                out[m] = v if s is None else s + v
-        return Poly._raw(self.dim, {m: v for m, v in out.items() if v})
+        return Root(alpha)._sum(self, True)
 
     def homogeneous_parts(self) -> list[tuple[int, Poly]]:
         """Split into homogeneous parts, degrees strictly increasing."""
@@ -368,12 +330,13 @@ class Root(tuple):
 
     r_a is classified once, from the support of a: it is a signed permutation
     exactly when a is c e_i or c (e_i +- e_j) with |a_i| = |a_j| (every
-    catalog root), and dense (``perm`` None) otherwise, with the ``support``
-    and ``scale`` that :meth:`Poly.divided_difference` reads.  A dense root
-    maps monomials by one rule, :meth:`_dense`, which fills a table of
-    images x^b(r_a x) and a table of divided differences on first use, both
-    dropped with the root.  ``matrix`` is built on first use, and
-    ``Root(a)`` returns a itself when it is already a Root.
+    catalog root), and dense (``perm`` None) otherwise.  Every map of a
+    monomial by the root goes through one rule, :meth:`_terms`, which gives
+    the terms of x^b(r_a x) or of the divided difference of x^b: in closed
+    form for a signed permutation, and from the tables of :meth:`_dense` for
+    a dense root, filled on first use and dropped with the root.
+    :meth:`_sum` applies the rule to a polynomial.  ``matrix`` is built on
+    first use, and ``Root(a)`` returns a itself when it is already a Root.
     """
 
     perm: tuple[int, ...] | None  # column of row i's single nonzero, or None if dense
@@ -450,31 +413,53 @@ class Root(tuple):
             table[mono] = {m: c for m, c in out.items() if c}
         return table[mono]
 
-    def _dense_sum(self, p: Poly, quotient: bool) -> Poly:
-        """p(r_a x), or delta_a p when ``quotient``, for a dense root: the table entries of p's monomials summed."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in p.terms.items():
-            for m, v in self._dense(quotient, mono).items():
-                out[m] = out.get(m, 0) + c * v
-        return Poly._raw(p.dim, {m: v for m, v in out.items() if v})
+    def _terms(self, quotient: bool, mono: Monomial) -> Collection[tuple[Monomial, RationalLike]]:
+        """The (monomial, coefficient) pairs of delta_a x^mono when ``quotient``, else of x^mono(r_a x).
 
-    def _reflect_monomial(self, mono: Monomial) -> tuple[tuple[Monomial, RationalLike], ...]:
-        """The terms of x^mono(r_a x) as (monomial, coefficient) pairs, the one rule per monomial.
-
-        One pair +-x^m for a signed permutation, the image table's terms for a dense root.
+        This is the root's one rule per monomial.  The monomials are
+        distinct, the coefficients nonzero, and the pairs can be read more
+        than once.  A dense root reads its tables (:meth:`_dense`) in place;
+        a signed permutation maps x^mono to one term +-x^m, and its quotient
+        has a closed form.
         """
         if self.perm is None:
-            return tuple(self._dense(False, mono).items())
-        # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
-        # exponent of x_k is e_perm[k], and no two monomials share an image
-        return ((tuple(mono[i] for i in self.perm), -1 if sum(mono[i] for i in self.flips) & 1 else 1),)
+            return self._dense(quotient, mono).items()
+        if not quotient:
+            # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
+            # exponent of x_k is e_perm[k]
+            return ((tuple(mono[i] for i in self.perm), -1 if sum(mono[i] for i in self.flips) & 1 else 1),)
+        if len(self.support) == 1:
+            # a = c e_i: x^b - r x^b is 2 x^b for odd b_i and 0 for even b_i
+            i = self.support[0]
+            return ((mono[:i] + (mono[i] - 1,) + mono[i + 1:], self.scale),) if mono[i] % 2 else ()
+        # a = c (e_i - w e_j), and r maps x_i to w x_j and x_j to w x_i; with
+        # u = x_i, v = w x_j, e = b_i and f = b_j, the quotient of x^b is
+        # w^f / c (u^e v^f - u^f v^e) / (u - v) times the other variables,
+        # that is sign(e - f) w^f / c times the sum over k < |e - f| of
+        # u^(min(e, f) + k) v^(max(e, f) - 1 - k)
+        i, j = self.support
+        e, f = mono[i], mono[j]
+        if e == f:
+            return ()
+        lo, hi = (f, e) if e > f else (e, f)
+        q = self.scale if e > f else -self.scale
+        signed = (q, -q) if self.flips else (q, q)
+        out = []  # a loop, not a comprehension, whose frame costs more than the one or two terms it mostly builds
+        for k in range(hi - lo):
+            out.append((mono[:i] + (lo + k,) + mono[i + 1:j] + (hi - 1 - k,) + mono[j + 1:],
+                        signed[(f + hi - 1 - k) % 2]))
+        return out
 
-    def image(self, p: Poly) -> Poly:
-        """The polynomial p(r_a x)."""
-        if self.perm is None:
-            return self._dense_sum(p, False)
-        return Poly._raw(p.dim, {m: c if s > 0 else -c for mono, c in p.terms.items()
-                                 for m, s in self._reflect_monomial(mono)})
+    def _sum(self, p: Poly, quotient: bool) -> Poly:
+        """delta_a p when ``quotient``, else p(r_a x): the rule of :meth:`_terms` summed over p's terms."""
+        if len(self) != p.dim:
+            raise ValueError("alpha must be a nonzero vector of the ambient dimension")
+        out: dict[Monomial, Fraction] = {}
+        for mono, c in p.terms.items():
+            for m, v in self._terms(quotient, mono):
+                s = out.get(m)
+                out[m] = c * v if s is None else s + c * v
+        return Poly._raw(p.dim, {m: v for m, v in out.items() if v})
 
 
 def format_poly(p: Poly) -> str:

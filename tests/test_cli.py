@@ -181,6 +181,7 @@ class TestErrorPaths:
                 ["mc", "--poly", "x1^2", "--samples", "1"],
                 "--samples must be >= 2: one sample has no standard error",
             ),
+            (["mc", "--poly", "x1^2", "--seed", "-1"], "--seed must be >= 0"),
             (
                 ["verify", "--samples", "0"],
                 "--samples must be >= 2: one sample has no standard error",
@@ -205,7 +206,7 @@ class TestErrorPaths:
                 "--phi is a polynomial in t, not in x variables",
             ),
         ],
-        ids=["decompose", "pizzetti", "hobson", "funk-hecke", "kernel", "mc-one-sample",
+        ids=["decompose", "pizzetti", "hobson", "funk-hecke", "kernel", "mc-one-sample", "mc-negative-seed",
              "verify-zero-samples", "verify-one-sample", "verify-unknown-family", "apply-axis-zero",
              "apply-axis-beyond", "phi-missing-exponent", "phi-two-terms-without-sign", "phi-in-x"],
     )

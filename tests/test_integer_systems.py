@@ -3,7 +3,7 @@
 ``intertwine._build_degree`` fills the V system [T | R] in Python ints over
 one denominator, and ``h_harmonic_basis`` reads its matrix straight from the
 Laplacian table as ints.  The references below fill the same systems as
-dense Fraction matrices, term by term from ``Root.image`` and ``laplacian``,
+dense Fraction matrices, term by term from ``Poly.reflect`` and ``laplacian``,
 and solve them with ``_linalg``, and the basis reference scales each kernel
 vector to its primitive form by Fraction products; the two routes must
 agree by ``==``.  The contexts cover a zero orbit, mixed kappa denominators
@@ -44,7 +44,7 @@ def fraction_build_degree(ctx, n, lower):
         t[col][col] += shift
         unit = Poly.monomial(ctx.dim, mono)
         for root, kappa in ctx.active_roots:
-            for m, c in root.image(unit).terms.items():
+            for m, c in unit.reflect(root).terms.items():
                 t[index[m]][col] -= kappa * c
         for j, e in enumerate(mono):
             if e:

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from dense_roots import divide_by_linear, substitute_linear
-from dunkl_harmonics import Poly, PolyParseError, format_poly, parse, pochhammer, polyring
+from dunkl_harmonics import (
+    Poly, PolyParseError, dunkl, format_poly, intertwine, make_context, monomials_of_degree, parse, pochhammer,
+    polyring,
+)
 from dunkl_harmonics.verify import random_poly
 
 
@@ -118,9 +121,14 @@ class TestDividedDifference:
             raise AssertionError("a signed-permutation root took the dense rule")
 
         monkeypatch.setattr(polyring.Root, "_dense", refuse)
-        monkeypatch.setattr(polyring.Root, "_dense_sum", refuse)
         monkeypatch.setattr(Poly, "reflect", refuse)
         assert [p.divided_difference(alpha) for alpha, p in cases] == want
+        # the operator table misses and the V build read the same rule
+        for ctx in (make_context("b", 3, [F(1, 2), F(2, 3)]), make_context("d", 4, [F(2, 3)])):
+            for mono in (m for n in range(7) for m in monomials_of_degree(ctx.dim, n)):
+                dunkl._monomial_image(ctx, mono)
+                dunkl._monomial_axes(ctx, mono)
+            intertwine._intertwiner_table(ctx, 4)
 
 
 class TestHomogeneousParts:

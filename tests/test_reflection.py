@@ -147,7 +147,7 @@ class TestRootClassification:
             assert root.apply(v) == tuple(sum(m * x for m, x in zip(row, v)) for row in matrix)
             for _ in range(3):
                 p = random_poly(rng, len(values), 5)
-                assert root.image(p) == p.reflect(values) == substitute_linear(p, matrix)
+                assert p.reflect(root) == p.reflect(values) == substitute_linear(p, matrix)
 
     def test_a_root_is_built_once(self):
         root = polyring.Root([1, -1, 0])
