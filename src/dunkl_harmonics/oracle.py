@@ -13,13 +13,12 @@ which IEEE 754 rounds correctly, and from exact steps (``abs``, ``frexp``,
 has the same bits whatever SIMD kernels numpy dispatches to and whatever
 BLAS the machine has: no array ``pow``, no ``exp`` or ``log``, no matrix
 product.  Every integer power follows one rule, x^n = (x^(n // 2))^2,
-times x when n is odd.  Each chunk raises each coordinate to each exponent
-up to its largest in the polynomial once, so the cost scales with those
-exponents, not with the terms: a polynomial of a thousand terms costs about
-what its few dozen powers do.  The weight's fractional powers take a series
-start and a Newton step (:func:`_root`).  numpy is imported by the
-functions that use it, so importing the package and every exact
-computation leave it unloaded.
+times x when n is odd (:func:`_power`).  Each chunk computes each power
+x_j^e that some term uses once, then evaluates the terms one at a time, so
+a chunk holds rows x (those powers plus a few) floats whatever the number
+of terms.  The weight's fractional powers take a series start and a Newton
+step (:func:`_root`).  numpy is imported by the functions that use it, so
+importing the package and every exact computation leave it unloaded.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .polyring import Poly, pochhammer
+from .polyring import Monomial, Poly, pochhammer
 from .reflection import DunklContext
 from .spherical import _finite
 
@@ -64,37 +63,12 @@ def _as_float(value: Fraction, what: str) -> float:
         raise ValueError(f"{what} {value} is too large for the floating oracle") from None
 
 
-class _Terms(NamedTuple):
-    """A polynomial laid out for :func:`_eval_poly`.
+def _layout(p: Poly) -> list[tuple[Monomial, float]]:
+    """p's (monomial, coefficient) pairs in sorted order, for :func:`_eval_poly`.
 
-    Each chunk builds the factor table ``[1.0 | powers]``, whose powers
-    columns are x_1, x_1^2, ..., x_1^tops[0], then the same for each further
-    coordinate, with ``tops[j]`` the largest exponent of coordinate j.
-    ``factors`` holds, for each coordinate in which some term has a nonzero
-    exponent, the table column of every term's factor there (column 0 for a
-    zero exponent, and for the constant or the zero polynomial).
+    A coefficient past the float range is refused here, before any sampling.
     """
-
-    coeffs: np.ndarray
-    tops: tuple[int, ...]
-    factors: list[np.ndarray]
-
-
-def _layout(p: Poly) -> _Terms:
-    """p's terms in sorted order, laid out for :func:`_eval_poly`."""
-    import numpy as np
-
-    monomials = sorted(p.terms)
-    coeffs = np.array([_as_float(p.terms[m], "coefficient") for m in monomials], dtype=np.float64)
-    columns = list(zip(*monomials))
-    tops = tuple(max(column) for column in columns)
-    factors = []
-    start = 1
-    for column, top in zip(columns, tops):
-        if top:
-            factors.append(np.array([0 if e == 0 else start + e - 1 for e in column], dtype=np.intp))
-        start += top
-    return _Terms(coeffs, tops, factors or [np.zeros(len(monomials), dtype=np.intp)])
+    return [(mono, _as_float(p.terms[mono], "coefficient")) for mono in sorted(p.terms)]
 
 
 def _power(x: np.ndarray, n: int) -> np.ndarray:
@@ -111,38 +85,27 @@ def _power(x: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
-def _eval_poly(terms: _Terms, points: np.ndarray) -> np.ndarray:
-    """The polynomial at each row of ``points``.
+def _eval_poly(terms: list[tuple[Monomial, float]], points: np.ndarray) -> np.ndarray:
+    """The polynomial with :func:`_layout`'s ``terms`` at each row of ``points``.
 
-    Each coordinate column is raised to every exponent up to its largest
-    once, by the module's one power rule: column x^e is the square of column
-    x^(e // 2), times x when e is odd.  A term's factors are multiplied left
-    to right in coordinate order (a factor 1.0 is exact), then by its
+    Each power x_j^e that some term uses is computed once, by :func:`_power`,
+    and kept for the rest of the chunk.  A term's nonzero-exponent factors
+    are multiplied left to right in coordinate order, then by its
     coefficient, and the terms are added one after another in sorted order.
     """
     import numpy as np
 
-    rows = points.shape[0]
-    table = np.empty((rows, 1 + sum(terms.tops)))
-    table[:, 0] = 1.0
-    start = 1
-    for x, top in zip(points.T, terms.tops):
-        powers = table[:, start:start + top]  # powers[:, e - 1] is x^e
-        if top:
-            powers[:, 0] = x
-        for e in range(2, top + 1):
-            half = powers[:, e // 2 - 1]
-            np.multiply(half, half, out=powers[:, e - 1])
-            if e % 2:
-                powers[:, e - 1] *= x
-        start += top
-    values = np.take(table, terms.factors[0], axis=1)
-    for index in terms.factors[1:]:
-        values *= np.take(table, index, axis=1)
-    values *= terms.coeffs
-    total = np.zeros(rows)
-    for term in values.T:
-        total += term
+    columns = points.T
+    powers = {}
+    total = np.zeros(points.shape[0])
+    for mono, coeff in terms:
+        value = None
+        for j, e in enumerate(mono):
+            if e:
+                if (j, e) not in powers:
+                    powers[j, e] = _power(columns[j], e)
+                value = powers[j, e] if value is None else value * powers[j, e]
+        total += coeff if value is None else value * coeff
     return total
 
 

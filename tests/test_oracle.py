@@ -120,7 +120,7 @@ def float_reference(p, points):
 
     A term's nonzero-exponent factors left to right in coordinate order,
     times its coefficient; the terms summed one after another in sorted
-    order.  The factors 1.0 that `_eval_poly` multiplies in are exact.
+    order.  A constant term adds its coefficient alone.
     """
     monomials = sorted(p.terms)
     values = []
@@ -197,6 +197,24 @@ class TestEvalPoly:
         points = sphere_points(np.random.default_rng(dim), 100, dim)
         self.check([[0] * dim], [2.5], points)
         self.check([], [], points)
+
+    def test_chunk_memory_follows_the_powers_not_the_terms(self):
+        # 969 terms from 64 distinct powers x_j^e; a (rows x terms) array would be 32 MB
+        import tracemalloc
+
+        import numpy as np
+
+        p = parse("x1 + x2 + x3 + x4", 4) ** 16
+        powers = {(j, e) for mono in p.terms for j, e in enumerate(mono) if e}
+        terms = _layout(p)
+        points = sphere_points(np.random.default_rng(16), CHUNK_SIZE, 4)
+        tracemalloc.start()
+        try:
+            _eval_poly(terms, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < CHUNK_SIZE * 8 * (len(powers) + 4), (peak, len(powers))
 
 
 class TestMonteCarloBits:

@@ -11,9 +11,10 @@ time roots whose reflection is not a signed permutation: the planar
 ``dense`` system (roots (1, 2) and (2, -1)) and b3 rotated about x3, whose
 roots are dense except e3; a "table to degree n" case applies the operator
 to the sum of every monomial of degree <= n.  The Monte-Carlo cases time
-one ``mc_sphere_integral`` call of 16384 samples each: (x1+x2)^4 on b2,
-(x1+...+x4)^8 (165 terms) on d4, and a z2^3 target whose weight has the
-fractional power 2 kappa = 2/3.  Point PYTHONPATH
+one ``mc_sphere_integral`` call each: (x1+x2)^4 on b2, (x1+...+x4)^8
+(165 terms) on d4 and a z2^3 target whose weight has the fractional power
+2 kappa = 2/3, with 16384 samples, and (x1+...+x4)^16 (969 terms) on d4
+with 8192 samples, which times the term loop.  Point PYTHONPATH
 at another checkout's ``src`` to time that revision with the same cases.
 Prints one JSON object: per case, the best and the median seconds.
 Standard library and the package only.
@@ -71,14 +72,16 @@ def cases():
     yield "rotated b3 V to degree 6", lambda: intertwiner_apply(rotated_b3(), Poly.monomial(3, (6, 0, 0)))
     yield "rotated b3 Laplacian table to degree 7", lambda: laplacian(rotated_b3(), solid)
     yield "rotated b3 axis table to degree 7", lambda: dunkl_apply(rotated_b3(), [1, 1, 1], solid)
-    for name, args, p in (
-        ("b2 (x1+x2)^4", ("b", 2, [Fraction(1, 2), Fraction(3, 2)]), parse("x1 + x2", 2) ** 4),
-        ("d4 (x1+...+x4)^8", ("d", 4, [Fraction(1, 2)]), parse("x1 + x2 + x3 + x4", 4) ** 8),
+    d4_sum = parse("x1 + x2 + x3 + x4", 4)
+    for name, args, p, samples in (
+        ("b2 (x1+x2)^4", ("b", 2, [Fraction(1, 2), Fraction(3, 2)]), parse("x1 + x2", 2) ** 4, 16384),
+        ("d4 (x1+...+x4)^8", ("d", 4, [Fraction(1, 2)]), d4_sum ** 8, 16384),
         ("z2^3 kappa (1/3, 2, 5/2)", ("z2", 3, [Fraction(1, 3), 2, Fraction(5, 2)]),
-         parse("x1^8*x2^3 - 3*x2^2*x3^6 + x3", 3)),
+         parse("x1^8*x2^3 - 3*x2^2*x3^6 + x3", 3), 16384),
+        ("d4 (x1+...+x4)^16, 8192 samples", ("d", 4, [Fraction(1, 2)]), d4_sum ** 16, 8192),
     ):
-        yield f"Monte-Carlo {name}", lambda args=args, p=p: mc_sphere_integral(
-            make_context(*args), p, seed=11, samples=16384)
+        yield f"Monte-Carlo {name}", lambda args=args, p=p, samples=samples: mc_sphere_integral(
+            make_context(*args), p, seed=11, samples=samples)
 
 
 def main() -> None:
