@@ -13,6 +13,10 @@ dimension 1, its variable t being x1.  The zonal functions sum over the
 terms (l!/gamma!) x^gamma V y^gamma of phi(<x, y>) pushed through V in y,
 with V y^gamma read from the V table; there is no two-block polynomial
 type, and the reproducing kernel is a plain :class:`Poly` in 2d variables.
+Integrating such a sum against q(y) applies one functional,
+L_q(x^a) = int x^a q dmu, to every V y^gamma: L_q is read once per monomial
+and put over one denominator, and each gamma is one int dot product with
+V y^gamma's numerators, with no product polynomial (``_y_integral``).
 """
 
 from __future__ import annotations
@@ -58,10 +62,10 @@ def gegenbauer(m: int, lam: RationalLike) -> Poly:
     prev = Poly.const(1, 1)
     if m == 0:
         return prev
-    t = Poly.variable(1, 1)
-    cur = t * (2 * lam)
+    cur = Poly.variable(1, 1) * (2 * lam)
     for n in range(2, m + 1):
-        nxt = (t * cur * (2 * (n + lam - 1)) - prev * (n + 2 * lam - 2)) * Fraction(1, n)
+        t_cur = Poly._raw(1, {(e + 1,): c for (e,), c in cur.terms.items()})  # t C_(n-1), by a shift
+        nxt = (t_cur * (2 * (n + lam - 1)) - prev * (n + 2 * lam - 2)) * Fraction(1, n)
         prev, cur = cur, nxt
     return cur
 
@@ -160,14 +164,31 @@ def _zonal_terms(ctx: DunklContext, phi: Poly) -> Iterator[tuple[Monomial, Fract
 
 
 def _y_integral(ctx: DunklContext, phi: Poly, q: Poly) -> Poly:
-    """The weighted spherical integral over y of (V_y phi(<x, y>)) q(y), a polynomial in x."""
-    return Poly(
-        ctx.dim,
-        {
-            gamma: weight * sphere_integrate(ctx, image * q)
-            for gamma, weight, image in _zonal_terms(ctx, phi)
-        },
-    )
+    """The weighted spherical integral over y of (V_y phi(<x, y>)) q(y), a polynomial in x.
+
+    q is fixed for the whole call, so every gamma integrates V y^gamma against
+    one linear functional, L_q(x^a) = int x^a q dmu.  L_q is read once per
+    monomial a that the images reach, by :func:`sphere_integrate` on x^a q
+    (q's terms with their exponents shifted by a), and its values are put over
+    one denominator.  The coefficient of x^gamma is then one int dot product
+    of V y^gamma's numerators with those of L_q, times gamma's weight: one
+    Fraction per gamma, and no product polynomial.
+    """
+    terms = list(_zonal_terms(ctx, phi))
+    reached = list(dict.fromkeys(a for _, _, image in terms for a in image.terms))
+    den, values = over_one_denominator([
+        sphere_integrate(ctx, Poly._raw(ctx.dim, {
+            tuple(i + j for i, j in zip(a, b)): c for b, c in q.terms.items()
+        }))
+        for a in reached
+    ])
+    functional = dict(zip(reached, values))
+    out = {}
+    for gamma, weight, image in terms:
+        image_den, nums = over_one_denominator(image.terms.values())
+        dot = sum(n * functional[a] for a, n in zip(image.terms, nums))
+        out[gamma] = weight * Fraction(dot, image_den * den)
+    return Poly(ctx.dim, out)
 
 
 def funk_hecke_coeff(ctx: DunklContext, m: int, phi: Poly) -> Fraction:

@@ -12,8 +12,12 @@ which IEEE 754 rounds correctly, and from exact steps (``abs``, ``frexp``,
 ``ldexp``, ``floor``), with every sum in a fixed order.  So the estimate
 has the same bits whatever SIMD kernels numpy dispatches to and whatever
 BLAS the machine has: no array ``pow``, no ``exp`` or ``log``, no matrix
-product.  Every integer power follows one rule, x^n = (x^(n // 2))^2,
-times x when n is odd (:func:`_power`).  Each chunk computes each power
+product.  Each point's |g|^2 is summed over the columns of the draws, in
+the order numpy's pairwise sum gives a row (:func:`_pairwise_sum`), so the
+order is written here and not left to numpy's reduction code; the points
+are then stored by columns, so each later column read is contiguous.
+Every integer power follows one rule, x^n = (x^(n // 2))^2, times x when
+n is odd (:func:`_power`).  Each chunk computes each power
 x_j^e that some term uses once, then evaluates the terms one at a time, so
 a chunk holds rows x (those powers plus a few) floats whatever the number
 of terms.  The weight's fractional powers take a series start and a Newton
@@ -109,6 +113,34 @@ def _eval_poly(terms: list[tuple[Monomial, float]], points: np.ndarray) -> np.nd
     return total
 
 
+def _pairwise_sum(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """The row sums of the d ``columns``, in the order of numpy's pairwise sum over a row.
+
+    Fewer than 8 columns are added left to right.  Up to 128 take eight
+    interleaved partial sums r_k = c_k + c_(k+8) + ..., combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then the last
+    d mod 8 columns left to right.  More are split at d // 2 rounded down to
+    a multiple of 8, and the two halves summed.  So the sums equal
+    ``rows.sum(axis=1)`` bit for bit while adding whole columns.  (numpy
+    starts a short row from 0.0, which changes no sum of squares.)
+    """
+    d = len(columns)
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return _pairwise_sum(columns[:half]) + _pairwise_sum(columns[half:])
+    if d < 8:
+        total, rest = columns[0], columns[1:]
+    else:
+        r = list(columns[:8])
+        for i in range(8, d - d % 8, 8):
+            r = [a + b for a, b in zip(r, columns[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = columns[d - d % 8:]
+    for x in rest:
+        total = total + x
+    return total
+
+
 def _series(coeffs: tuple[float, ...], v: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] v^k by Horner's rule."""
     total = v * coeffs[-1]
@@ -133,8 +165,12 @@ def _root(x: np.ndarray, r: int, b: int) -> np.ndarray:
     below 8e-18 r / b and 5e-18 relative.  t is rounded three times (the
     sum, r / b and the product), which moves it by up to 3 |t| 2^-53, and
     with the rounding of the series and sqrt(2) the start is within
-    (3.6 + 2.1 |t|) 2^-53 relative, |t| <= 1075 r / b.  For b > 512 that is
-    the result.
+    (3.6 + 2.1 |t|) 2^-53 relative, |t| <= 1075 r / b.
+
+    For b > 512 the start is the result, so t is kept small instead: e r =
+    Q b + R is split in Python ints, once per distinct e, and t = R / b +
+    log2(w) r / b, below 1.5 in magnitude, goes with 2^Q.  That start is
+    within about 6.8 * 2^-53.
 
     Step count: when b <= 512, one Newton step on the start's mantissa z,
     z <- z + z (w^r 2^(e r - b floor(t)) / z^b - 1) / b, where z^b < 2^512
@@ -142,7 +178,9 @@ def _root(x: np.ndarray, r: int, b: int) -> np.ndarray:
     of the start's error (below 2e-23) plus its own rounding, about
     2 * 2^-53.  Against 40-digit decimal roots (r = 1) of 200 seeded x in
     [2^-1074, 1] for each of eleven b from 3 to 2^40, the largest error was
-    1.44 * 2^-53 with the step and 3.33 * 2^-53 without it.
+    1.27 * 2^-53 with the step and 2.46 * 2^-53 without it (3.49 before the
+    split).  For six r/b with b > 512 and r up to b - 1, on 300 seeded x in
+    [2^-200, 1] each, it was 3.13 * 2^-53 (192 before the split).
     """
     import numpy as np
 
@@ -154,14 +192,21 @@ def _root(x: np.ndarray, r: int, b: int) -> np.ndarray:
     e = e - low
     s = (w - 1.0) / (w + 1.0)
     log2_w = (s + s) * _series(_ATANH_TERMS, s * s) * _INV_LN2
-    t = (e + log2_w) * (r / b)
+    if b <= _NEWTON_MAX_B:
+        quot = 0
+        t = (e + log2_w) * (r / b)
+    else:
+        exponents, at = np.unique(e, return_inverse=True)
+        splits = [divmod(int(v) * r, b) for v in exponents]
+        quot = np.array([q for q, _ in splits], dtype=np.int64)[at]
+        t = np.array([rem / b for _, rem in splits])[at] + log2_w * (r / b)
     whole = np.floor(t)
     z = _SQRT2 * _series(_EXP_TERMS, (t - whole - 0.5) * _LN2)
     whole = whole.astype(np.int64)
     if b <= _NEWTON_MAX_B:
         ratio = np.ldexp(_power(w, r) / _power(z, b), e * r - whole * b)
         z += z * (ratio - 1.0) / b
-    y = np.ldexp(z, whole)
+    y = np.ldexp(z, quot + whole)
     y[x == 0.0] = 0.0
     return y
 
@@ -223,9 +268,9 @@ def mc_sphere_integral(ctx: DunklContext, p: Poly, seed: int, samples: int) -> M
             rows = min(CHUNK_SIZE, samples - produced)
             rng = np.random.default_rng([seed, chunk_index])
             gauss = rng.standard_normal((rows, ctx.dim))
-            norms = np.sqrt((gauss * gauss).sum(axis=1))
+            norms = np.sqrt(_pairwise_sum([x * x for x in gauss.T]))
             norms[norms == 0.0] = 1.0
-            points = gauss / norms[:, None]
+            points = np.divide(gauss.T, norms, order="C").T  # contiguous columns
             w = _weight_squared(roots, points)
             pv = _eval_poly(terms, points)
             wp = w * pv

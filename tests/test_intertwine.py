@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from dense_roots import rotated_b3
 
 from dunkl_harmonics import (
     DunklContext,
@@ -13,13 +15,15 @@ from dunkl_harmonics import (
     h_harmonic_basis,
     intertwiner_apply,
     make_context,
+    monomials_of_degree,
     parse,
     pochhammer,
     reduce_mod_sphere,
+    reproducing_check,
     reproducing_kernel,
     sphere_integrate,
 )
-from dunkl_harmonics import _linalg, dunkl
+from dunkl_harmonics import _linalg, dunkl, intertwine
 from dunkl_harmonics.verify import random_poly
 
 
@@ -128,6 +132,47 @@ class TestFunkHeckeCoeff:
             for m in range(4):
                 phi = Poly(1, {(l,): F(rng.randint(-4, 4), rng.randint(1, 3)) for l in range(7)})
                 assert funk_hecke_coeff(ctx, m, phi) == funk_hecke_coeff_moments(ctx, m, phi)
+
+
+def y_integral_by_products(ctx, phi, q):
+    """The y-integral by the product route: for each gamma, (l!/gamma!) c_l times
+    the integral of the product polynomial (V y^gamma) q, with V y^gamma from
+    ``intertwiner_apply``."""
+    out = {}
+    for (l,), c in phi.terms.items():
+        for gamma in monomials_of_degree(ctx.dim, l):
+            weight = c * (math.factorial(l) // math.prod(math.factorial(e) for e in gamma))
+            image = intertwiner_apply(ctx, Poly.monomial(ctx.dim, gamma))
+            out[gamma] = weight * sphere_integrate(ctx, image * q)
+    return Poly(ctx.dim, out)
+
+
+class TestYIntegral:
+    """``_y_integral`` reads one functional L_q(x^a) per monomial; the product route is the reference."""
+
+    PROFILES = [T**l for l in range(5)] + [T**4 * 3 - T * F(1, 2)]
+
+    def test_matches_the_product_route(self, nonzero_corpus):
+        # rotated b3's roots are dense, so its V images keep Fraction coefficients
+        for ctx in nonzero_corpus + [rotated_b3()]:
+            for m in range(4):
+                for q in h_harmonic_basis(ctx, m):
+                    for phi in self.PROFILES:
+                        assert intertwine._y_integral(ctx, phi, q) == y_integral_by_products(ctx, phi, q)
+
+    def test_zonal_checks_build_no_product_polynomial(self, monkeypatch, nonzero_corpus):
+        cases = [(ctx, q) for ctx in nonzero_corpus for m in range(3) for q in h_harmonic_basis(ctx, m)]
+        multiply = Poly.__mul__
+
+        def scalars_only(self, other):
+            if isinstance(other, Poly):
+                raise AssertionError("a product of two polynomials was built")
+            return multiply(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", scalars_only)
+        for ctx, q in cases:
+            assert funk_hecke_check(ctx, Poly.monomial(1, (q.degree() + 2,)), q).holds
+            assert all(reproducing_check(ctx, n, q) for n in range(3))
 
 
 class TestFunkHeckeCheck:
