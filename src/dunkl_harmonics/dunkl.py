@@ -14,12 +14,16 @@ kappa denominators, and both builders store through one step,
 :func:`_reduced_entry`, as int numerators over one denominator.  This module
 alone reads that layout; others get Laplacian images from
 :func:`_monomial_laplacian` as (monomial, numerator) pairs.  The kernel
-(like ``polyring.radial_sum``) puts its input over one denominator, sums
-Python ints, and builds one Fraction per output term, so the results are
-those of the formulas applied to the whole input.
+takes and returns int numerators over one denominator, and the two
+operators put a ``Poly`` into that form and build one Fraction per output
+term, so the results are those of the formulas applied to the whole input.
 :func:`_laplacian_powers` is the one place that iterates the Laplacian over
 a sequence p, Lap p, Lap^2 p, ..., and the one place that decides where it
-ends.  For a homogeneous input of degree n the operator output is
+ends.  It yields each power as a :data:`Form`, int numerators over one
+denominator reduced by one gcd, straight from the kernel: its readers feed
+the forms to ``polyring._radial_ints`` or build a ``Poly`` of the one power
+they need, so no other power becomes Fractions.  For a homogeneous input
+of degree n the operator output is
 homogeneous of degree n - 1 (zero when n = 0) and the Laplacian output of
 degree n - 2; the test suite exercises both rather than asserting them per
 call.  Inputs of another dimension are refused by
@@ -37,6 +41,8 @@ from .reflection import DunklContext
 
 # (den, (image, ...)), each image flat as m1, n1, m2, n2, ... for the terms n_i / den x^m_i
 Entry = tuple[int, tuple[tuple, ...]]
+# (den, {m: n}): the polynomial with the terms n / den x^m, den > 0 and no n zero
+Form = tuple[int, dict[Monomial, int]]
 Builder = Callable[[DunklContext, Monomial], Entry]
 
 
@@ -55,7 +61,9 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
     if len(xi_nums) != ctx.dim or not any(xi_nums):
         raise ValueError("xi must be a nonzero vector of the ambient dimension")
     axes = [(j, x) for j, x in enumerate(xi_nums) if x]
-    return _image_sum(ctx, p, ctx.tables.axis, _monomial_axes, axes, xi_den)
+    den, nums = over_one_denominator(p.terms.values())
+    out = _image_sum(ctx, den * xi_den, p.terms, nums, ctx.tables.axis, _monomial_axes, axes)
+    return Poly._over(ctx.dim, *out)
 
 
 def dunkl_axis(ctx: DunklContext, axis: int, p: Poly) -> Poly:
@@ -73,19 +81,22 @@ def laplacian(ctx: DunklContext, p: Poly) -> Poly:
     (built on a miss by ``_monomial_image``).
     """
     ctx.check_dim(p)
-    return _image_sum(ctx, p, ctx.tables.laplacian, _monomial_image, ((0, 1),), 1)
+    den, nums = over_one_denominator(p.terms.values())
+    out = _image_sum(ctx, den, p.terms, nums, ctx.tables.laplacian, _monomial_image, ((0, 1),))
+    return Poly._over(ctx.dim, *out)
 
 
 def _image_sum(
-    ctx: DunklContext, p: Poly, table: dict[Monomial, Entry], build: Builder,
-    weights: Sequence[tuple[int, int]], weight_den: int,
-) -> Poly:
-    """The sum of c_beta w / weight_den times image j of x^beta's entry, over p's terms and (j, w) in weights.
+    ctx: DunklContext, den: int, monos: Iterable[Monomial], nums: Iterable[int],
+    table: dict[Monomial, Entry], build: Builder, weights: Sequence[tuple[int, int]],
+) -> tuple[int, dict[Monomial, int]]:
+    """The sum of n / den times w times image j of x^m's entry, over the terms (m, n) and the (j, w) in weights.
 
-    p and the entries are each put over one denominator, so the sum runs in ints.
+    The input is int numerators over den, and so is the sum: the entries are
+    put over one denominator, and the output numerators, some of which may
+    be zero, are over den times that denominator.
     """
-    den, nums = over_one_denominator(p.terms.values())
-    entries = [_entry(ctx, table, build, mono) for mono in p.terms]
+    entries = [_entry(ctx, table, build, mono) for mono in monos]
     scale = math.lcm(*[d for d, _ in entries])
     out: dict[Monomial, int] = {}
     for n, (d, images) in zip(nums, entries):
@@ -95,7 +106,7 @@ def _image_sum(
             terms = iter(images[j])
             for m, v in zip(terms, terms):
                 out[m] = out.get(m, 0) + nw * v
-    return Poly._over(ctx.dim, den * weight_den * scale, out)
+    return den * scale, out
 
 
 def _entry(ctx: DunklContext, table: dict[Monomial, Entry], build: Builder, mono: Monomial) -> Entry:
@@ -204,18 +215,24 @@ def _shifted(mono: Monomial, i: int, e: int) -> Monomial:
     return mono[:i] + (e,) + mono[i + 1:]
 
 
-def _laplacian_powers(ctx: DunklContext, p: Poly) -> Iterator[Poly]:
+def _laplacian_powers(ctx: DunklContext, p: Poly) -> Iterator[Form]:
     """p, Lap p, Lap^2 p, ... up to the last nonzero power, each computed when it is read.
 
-    Lap lowers the degree by 2, so for p of degree n the sequence ends by
-    Lap^(n // 2) p; a power of degree < 2 ends it without another Laplacian,
-    and a zero p yields nothing.
+    Each power is a :data:`Form`, reduced by one gcd, and each step is one
+    call of the kernel :func:`_image_sum` on the Laplacian table, so no
+    power but p is ever a ``Poly``.  Lap lowers the degree by 2, so for p of
+    degree n the sequence ends by Lap^(n // 2) p; a power of degree < 2 ends
+    it without another Laplacian, and a zero p yields nothing.
     """
-    while not p.is_zero:
-        yield p
-        if p.degree() < 2:
+    den, nums = over_one_denominator(p.terms.values())
+    terms = dict(zip(p.terms, nums))
+    while terms:
+        yield den, terms
+        if max(map(sum, terms)) < 2:
             return
-        p = laplacian(ctx, p)
+        den, out = _image_sum(ctx, den, terms, terms.values(), ctx.tables.laplacian, _monomial_image, ((0, 1),))
+        g = math.gcd(den, *out.values())
+        den, terms = den // g, {m: v // g for m, v in out.items() if v}
 
 
 def apply_operator_poly(ctx: DunklContext, q: Poly, p: Poly) -> Poly:

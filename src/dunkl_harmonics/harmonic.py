@@ -5,12 +5,16 @@ homogeneous polynomial of degree n splits uniquely as a sum of
 |x|^(2i) p_(n-2i) with h-harmonic components, and the closed-form
 coefficients of that splitting are implemented verbatim; the reconstruction
 identity is the independent check, exercised by the tests.  Both the
-projection and the splitting read the sequence p, Lap p, Lap^2 p, ...; the
-splitting computes each Lap^k p once and shares it among its components.
-The projection, the reconstruction and the reduction modulo the sphere are
-sums of c |x|^(2k) g, taken by ``polyring.radial_sum`` with Horner's rule in
-|x|^2, so none of them makes a product of two polynomials.  The spherical
-layer shares the homogeneity and h-harmonic checks kept here.
+projection and the splitting read the sequence p, Lap p, Lap^2 p, ... as
+int forms (``dunkl._laplacian_powers``); the splitting computes each
+Lap^k p once and shares it among its components.  Their coefficients depend
+only on (lam, n), so they are one cached table (:func:`_coefficients`).
+The projection, the components, the reconstruction and the reduction modulo
+the sphere are sums of c |x|^(2k) g, taken with Horner's rule in |x|^2 by
+``polyring.radial_sum`` or, from the int forms, its core
+``polyring._radial_ints``, so none of them makes a product of two
+polynomials or any Fraction but one per output term.  The spherical layer
+shares the homogeneity and h-harmonic checks kept here.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .dunkl import _laplacian_powers, _monomial_laplacian, laplacian
-from .polyring import Poly, monomials_of_degree, over_one_denominator, pochhammer, radial_sum
+from .dunkl import Form, _laplacian_powers, _monomial_laplacian, laplacian
+from .polyring import Poly, _radial_ints, monomials_of_degree, over_one_denominator, pochhammer, radial_sum
 from .reflection import DunklContext
 
 
@@ -63,7 +67,8 @@ def proj(ctx: DunklContext, n: int, p: Poly) -> Poly:
 
     proj p = sum over j of |x|^(2j) Lap^j p / (4^j j! (-lam - n + 1)_j);
     the denominators never vanish for dimension >= 2 and kappa >= 0.
-    The projection fixes every h-harmonic of degree n.
+    The projection fixes every h-harmonic of degree n.  It is the first
+    component of the canonical decomposition (see :func:`_project`).
     """
     ctx.check_dim(p)
     if p.is_zero:
@@ -71,44 +76,55 @@ def proj(ctx: DunklContext, n: int, p: Poly) -> Poly:
     deg = _require_homogeneous(p, "projection input")
     if deg != n:
         raise ValueError(f"input has degree {deg}, expected {n}")
-    return _project(ctx, n, list(_laplacian_powers(ctx, p)))
+    return _project(ctx, n, 0, list(_laplacian_powers(ctx, p)))
 
 
-def _project(ctx: DunklContext, n: int, powers: list[Poly], scale: Fraction = Fraction(1)) -> Poly:
-    """scale times the projection of p, of degree n, given powers = [p, Lap p, ..., Lap^k p].
+@functools.lru_cache(maxsize=256)
+def _coefficients(lam: Fraction, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The table a_ij = 1 / (4^i i! (lam + 1 + n - 2i)_i 4^j j! (-lam - n + 2i + 1)_j), row i = 0 .. n // 2.
 
-    The projection is the sum of c_j |x|^(2j) Lap^j p with
-    c_j = scale / (4^j j! (-lam - n + 1)_j), each c_j carried from c_(j-1),
-    and :func:`radial_sum` takes it by Horner's rule in |x|^2.  The powers
-    end at the last nonzero one (see ``_laplacian_powers``), and an empty
-    list is the sequence of p = 0, whose projection is 0.
+    Row i has j = 0 .. n // 2 - i, and p_(n-2i) is the sum of
+    a_ij |x|^(2j) Lap^(i+j) p.  Each a_ij is carried from a_i(j-1).  The
+    table depends on lam and n only, so it is computed once per (lam, n)
+    and kept in a bounded cache, keyed by plain values.
     """
-    lam = ctx.lambda_kappa
-    coeffs = [scale]
-    for j in range(1, len(powers)):
-        coeffs.append(coeffs[-1] / (4 * j * (-lam - n + j)))
-    return radial_sum(ctx.dim, zip(range(len(powers)), coeffs, powers))
+    rows = []
+    for i in range(n // 2 + 1):
+        row = [1 / (Fraction(4**i) * math.factorial(i) * pochhammer(lam + 1 + n - 2 * i, i))]
+        for j in range(1, n // 2 - i + 1):
+            row.append(row[-1] / (4 * j * (-lam - n + 2 * i + j)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _project(ctx: DunklContext, n: int, i: int, powers: list[Form]) -> Poly:
+    """The component p_(n-2i) of p, of degree n, given powers = [Lap^i p, Lap^(i+1) p, ...].
+
+    That is the sum of a_ij |x|^(2j) Lap^(i+j) p over row i of
+    :func:`_coefficients`, taken by ``polyring._radial_ints`` from the
+    powers' int forms, with one Fraction per output term; for i = 0 it is
+    the projection of p.  The powers end at the last nonzero one (see
+    ``_laplacian_powers``), and past it the component is 0.
+    """
+    row = _coefficients(ctx.lambda_kappa, n)[i]
+    split = [(j, c, terms, den, terms.values()) for j, (c, (den, terms)) in enumerate(zip(row, powers))]
+    return Poly._over(ctx.dim, *_radial_ints(split))
 
 
 def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
     """Split a homogeneous p as sum of |x|^(2i) p_(n-2i), all components h-harmonic.
 
     p_(n-2i) = proj(Lap^i p) / (4^i i! (lam + 1 + n - 2i)_i).  Each nonzero
-    Lap^k p is computed once and shared by every component's projection,
-    and each component's scale enters the projection's coefficients; past
-    the last nonzero power the tail is empty and the component is 0.
+    Lap^k p is computed once and shared by every component, and the
+    coefficients of all components come from one cached table
+    (:func:`_project`).
     """
     ctx.check_dim(p)
     if p.is_zero:
         return HarmonicDecomposition(0, ((0, p),))
     n = _require_homogeneous(p, "decomposition input")
-    lam = ctx.lambda_kappa
     powers = list(_laplacian_powers(ctx, p))
-    comps = []
-    for i in range(n // 2 + 1):
-        denom = Fraction(4**i) * math.factorial(i) * pochhammer(lam + 1 + n - 2 * i, i)
-        comps.append((i, _project(ctx, n - 2 * i, powers[i:], 1 / denom)))
-    return HarmonicDecomposition(n, tuple(comps))
+    return HarmonicDecomposition(n, tuple((i, _project(ctx, n, i, powers[i:])) for i in range(n // 2 + 1)))
 
 
 def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
@@ -153,8 +169,15 @@ def reduce_mod_sphere(ctx: DunklContext, p: Poly) -> Poly:
 
     Each homogeneous part is canonically decomposed and every |x|^(2i)
     factor replaced by 1, giving equality of polynomials as functions on
-    the sphere.
+    the sphere.  For a part of degree n that is the sum of the components,
+    sum over i <= j of a_i(j-i) |x|^(2(j-i)) Lap^j p (see
+    :func:`_coefficients`), so every part enters one Horner sum from its
+    powers' int forms, and no component is built.
     """
     ctx.check_dim(p)
-    decomps = (canonical_decompose(ctx, part) for _, part in p.homogeneous_parts())
-    return radial_sum(ctx.dim, [(0, 1, comp) for d in decomps for _, comp in d.components])
+    split = []
+    for n, part in p.homogeneous_parts():
+        rows = _coefficients(ctx.lambda_kappa, n)
+        for j, (den, terms) in enumerate(_laplacian_powers(ctx, part)):
+            split += [(j - i, rows[i][j - i], terms, den, terms.values()) for i in range(j + 1)]
+    return Poly._over(ctx.dim, *_radial_ints(split))

@@ -21,6 +21,7 @@ V y^gamma's numerators, with no product polynomial (``_y_integral``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -258,9 +259,14 @@ def funk_hecke_check(ctx: DunklContext, phi: Poly, q: Poly) -> FunkHeckeResult:
     return FunkHeckeResult(lhs == rhs, lhs, rhs, a)
 
 
-def _reproducing_profile(ctx: DunklContext, n: int) -> Poly:
-    """(n + lam)/lam times the degree-n Gegenbauer profile; defined for lam > 0."""
-    lam = ctx.lambda_kappa
+@functools.lru_cache(maxsize=64)
+def _reproducing_profile(lam: Fraction, n: int) -> Poly:
+    """(n + lam)/lam times the degree-n Gegenbauer profile; defined for lam > 0.
+
+    The profile depends on lam and n only, so it is built once per (lam, n)
+    and kept in a bounded cache, keyed by plain values; a ``Poly`` is never
+    changed, so the cached one is shared.
+    """
     if lam <= 0:
         raise ValueError("the reproducing kernel needs a positive spectral index")
     return gegenbauer(n, lam) * ((n + lam) / lam)
@@ -270,7 +276,7 @@ def reproducing_kernel(ctx: DunklContext, n: int) -> Poly:
     """The degree-n zonal reproducing kernel, the intertwined profile of <x, y>,
     as a polynomial in 2d variables: x is variables 1..d and y is d+1..2d."""
     out: dict[Monomial, Fraction] = {}
-    for gamma, weight, image in _zonal_terms(ctx, _reproducing_profile(ctx, n)):
+    for gamma, weight, image in _zonal_terms(ctx, _reproducing_profile(ctx.lambda_kappa, n)):
         for mono, c in image.terms.items():
             out[gamma + mono] = weight * c
     return Poly(2 * ctx.dim, out)
@@ -280,6 +286,6 @@ def reproducing_check(ctx: DunklContext, n: int, q: Poly) -> bool:
     """Integrating the degree-n kernel against q reproduces q exactly when
     the degrees match and annihilates q otherwise, modulo the sphere ideal."""
     m = require_h_harmonic(ctx, q)
-    lhs = reduce_mod_sphere(ctx, _y_integral(ctx, _reproducing_profile(ctx, n), q))
+    lhs = reduce_mod_sphere(ctx, _y_integral(ctx, _reproducing_profile(ctx.lambda_kappa, n), q))
     rhs = q if m == n else Poly.zero(ctx.dim)
     return lhs == rhs

@@ -8,9 +8,10 @@ variables ``x1 .. xd`` (see :func:`parse`), and :meth:`Poly.__str__`
 emits terms in graded-lexicographic order so that formatting is canonical.
 :func:`radial_sum` is the one routine for a sum of c |x|^(2k) g: Horner's
 rule in |x|^2, whose multiplication is a shift of exponents, summed in int
-numerators over one denominator.  :func:`over_one_denominator` is the one
-place that splits exact values into that form, for the operator kernels and
-their tables too.
+numerators over one denominator by its core :func:`_radial_ints`, which the
+Laplacian powers' int forms enter directly.  :func:`over_one_denominator`
+is the one place that splits exact values into that form, for the operator
+kernels and their tables too.
 
 The reflection primitives live here too.  A :class:`Root` is a nonzero
 rational vector ``a`` that carries its reflection ``r_a``, classified once
@@ -298,31 +299,51 @@ class Poly:
 def radial_sum(dim: int, terms: Iterable[tuple[int, RationalLike, Poly]]) -> Poly:
     """The sum of c |x|^(2k) g over triples (k, c, g) of dimension ``dim``, by Horner's rule in |x|^2.
 
-    Every c g is put over one common denominator first (see
-    :func:`over_one_denominator`), so the sum runs in Python ints with one
-    Fraction per output term.  out = |x|^2 out + (the terms with k) for
-    k = K .. 0, where multiplying by |x|^2 adds 2 to each exponent in turn:
-    one dict, and no product of two polynomials.
+    Each g is put over one denominator (see :func:`over_one_denominator`)
+    and summed by :func:`_radial_ints`, with one Fraction per output term.
     """
-    buckets: dict[int, list[tuple[int, int, Iterable[Monomial], list[int]]]] = {}
-    for k, c, g in terms:
-        den, nums = over_one_denominator(g.terms.values())
-        buckets.setdefault(k, []).append((c.numerator, c.denominator * den, g.terms, nums))
+    split = [(k, c, g.terms, *over_one_denominator(g.terms.values())) for k, c, g in terms]
+    return Poly._over(dim, *_radial_ints(split))
+
+
+def _radial_ints(
+    terms: Iterable[tuple[int, RationalLike, Iterable[Monomial], int, Iterable[int]]],
+) -> tuple[int, dict[Monomial, int]]:
+    """The sum of c |x|^(2k) sum_i n_i / den x^(m_i) over (k, c, monos, den, nums), as (scale, numerators).
+
+    This is the one Horner routine in |x|^2.  Every term is put over one
+    common denominator, ``scale``, so the sum runs in Python ints, and some
+    output numerators may be zero.  out = |x|^2 out + (the terms with k)
+    for k = K .. 0, where multiplying by |x|^2 adds 2 to each exponent in
+    turn: one dict, and no product of two polynomials.
+    """
+    buckets: dict[int, list[tuple[int, int, Iterable[Monomial], Iterable[int]]]] = {}
+    for k, c, monos, den, nums in terms:
+        buckets.setdefault(k, []).append((c.numerator, c.denominator * den, monos, nums))
     scale = math.lcm(*[den for bucket in buckets.values() for _, den, _, _ in bucket])
     out: dict[Monomial, int] = {}
     for k in range(max(buckets, default=-1), -1, -1):
         if out:
             shifted: dict[Monomial, int] = {}
             for mono, c in out.items():
-                for i, e in enumerate(mono):
-                    m = mono[:i] + (e + 2,) + mono[i + 1:]
+                for m in _raised(mono):
                     shifted[m] = shifted.get(m, 0) + c
             out = shifted
         for c, den, monos, nums in buckets.get(k, ()):
             c *= scale // den
             for m, v in zip(monos, nums):
                 out[m] = out.get(m, 0) + c * v
-    return Poly._over(dim, scale, out)
+    return scale, out
+
+
+@functools.lru_cache(maxsize=4096)
+def _raised(mono: Monomial) -> tuple[Monomial, ...]:
+    """The d monomials of x^mono |x|^2, each exponent raised by 2 in turn.
+
+    Horner's shift by |x|^2 reads them once per term and step; they depend
+    on the monomial only, so a bounded cache keeps them, as plain tuples.
+    """
+    return tuple(mono[:i] + (e + 2,) + mono[i + 1:] for i, e in enumerate(mono))
 
 
 class Root(tuple):

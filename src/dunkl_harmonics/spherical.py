@@ -15,10 +15,12 @@ values are those of the iterated-Laplacian formula.  The radius expansions
 applied to radial polynomials are finite, exact objects here because inputs
 are polynomials.  The n-th coefficient of the mean of q(y) f(ry), q
 h-harmonic of degree m, is (q(D) Lap^n f)(0) / (2^(m+2n) n! (lam+1)_(m+n)),
-and it comes from one homogeneous part of f, f_(m+2n) (``_numerator``).
+and it comes from one homogeneous part of f, f_(m+2n) (``_numerator``),
+whose Laplacian powers stay int forms but for the one q(D) reads.
 Hobson's expansion, q(D)|x|^(2j) and ``RadialPowerSum.to_poly`` are sums of
-c |x|^(2k) g, taken by ``polyring.radial_sum``.  ``_finite`` refuses a float
-value that is not finite with ``ValueError``, here and in the oracle.
+c |x|^(2k) g, taken by ``polyring.radial_sum`` (Hobson's by its core, from
+the powers' int forms).  ``_finite`` refuses a float value that is not
+finite with ``ValueError``, here and in the oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .dunkl import _laplacian_powers, _monomial_laplacian, apply_operator_poly
 # unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
 from .dunkl import laplacian
 from .harmonic import _require_homogeneous, require_h_harmonic
-from .polyring import Monomial, Poly, RationalLike, as_fraction, pochhammer, radial_sum
+from .polyring import Monomial, Poly, RationalLike, _radial_ints, as_fraction, pochhammer, radial_sum
 from .reflection import DunklContext
 
 
@@ -152,7 +154,7 @@ def _numerator(ctx: DunklContext, q: Poly, m: int, part: Poly) -> tuple[int, Fra
     power = next(islice(_laplacian_powers(ctx, part), n, None), None)
     if power is None:
         return n, Fraction(0)
-    return n, apply_operator_poly(ctx, q, power).constant_term()
+    return n, apply_operator_poly(ctx, q, Poly._over(ctx.dim, *power)).constant_term()
 
 
 def _denominator(lam: Fraction, m: int, n: int) -> Fraction:
@@ -227,11 +229,11 @@ def hobson_apply(ctx: DunklContext, p: Poly, f0: RadialPowerSum) -> Poly:
     ctx.check_dim(p)
     m = _require_homogeneous(p, "p")
     terms = []
-    for i, lap in enumerate(_laplacian_powers(ctx, p)):
+    for i, (den, lap) in enumerate(_laplacian_powers(ctx, p)):
         for j, c in f0.terms:
             coeff, k = _radial_derivative_power(j, m - i)
-            terms.append((k, c * coeff / (2**i * math.factorial(i)), lap))
-    return radial_sum(ctx.dim, terms)
+            terms.append((k, c * coeff / (2**i * math.factorial(i)), lap, den, lap.values()))
+    return Poly._over(ctx.dim, *_radial_ints(terms))
 
 
 def harmonic_radial_power(ctx: DunklContext, q: Poly, j: int) -> Poly:

@@ -264,9 +264,9 @@ class TestVerify:
     def test_injected_bug_is_caught(self, monkeypatch):
         real_project = harmonic._project
 
-        def flipped(ctx, n, powers, *scale):
-            out = real_project(ctx, n, powers, *scale)
-            return -out if n >= 2 else out  # sign bug in the projection
+        def flipped(ctx, n, i, powers):
+            out = real_project(ctx, n, i, powers)
+            return -out if n - 2 * i >= 2 else out  # sign bug in the projection
 
         monkeypatch.setattr(harmonic, "_project", flipped)
         report = verify(max_degree=3, families=["z2"], mc_samples=5000)

@@ -75,14 +75,18 @@ class TestLaplacian:
 
 
     def test_powers_end_at_the_last_nonzero_one(self, rng, b2):
+        # each power is an int form: den > 0, no zero numerator, reduced by one gcd
         p = random_poly(rng, 2, 5, max_terms=8)
-        powers = list(dunkl._laplacian_powers(b2, p))
+        forms = list(dunkl._laplacian_powers(b2, p))
+        for den, terms in forms:
+            assert den > 0 and all(terms.values()) and math.gcd(den, *terms.values()) == 1
+        powers = [Poly._over(2, den, terms) for den, terms in forms]
         assert powers[0] == p and len(powers) <= 3 and not powers[-1].is_zero
         for lower, upper in zip(powers[1:], powers):
             assert lower == laplacian(b2, upper)
         assert laplacian(b2, powers[-1]).is_zero
         harmonic = parse("x1*x2", 2)
-        assert list(dunkl._laplacian_powers(b2, harmonic)) == [harmonic]
+        assert list(dunkl._laplacian_powers(b2, harmonic)) == [(1, {(1, 1): 1})]
         assert list(dunkl._laplacian_powers(b2, Poly.zero(2))) == []
 
 

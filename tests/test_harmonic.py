@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from dunkl_harmonics import (
     is_h_harmonic,
     laplacian,
     parse,
+    pochhammer,
     proj,
     reduce_mod_sphere,
 )
@@ -60,7 +62,7 @@ class TestProj:
                 proj(b2, 1, p)
 
 
-# every site that sums c |x|^(2k) g, through polyring.radial_sum
+# every site that sums c |x|^(2k) g, through polyring's Horner core
 RADIAL_SUM_SITES = (
     "canonical_decompose",
     "reconstruct",
@@ -126,19 +128,52 @@ class TestCanonicalDecompose:
             canonical_decompose(z2_2, parse("x1^2 + x2", 2))
 
     def test_each_laplacian_power_computed_once(self, d3, monkeypatch):
-        real = dunkl.laplacian
+        # every Laplacian, of a Poly or of a power's int form, is one call of
+        # the kernel dunkl._image_sum on the Laplacian table
+        real = dunkl._image_sum
         calls = []
 
-        def counted(ctx, p):
-            calls.append(p)
-            return real(ctx, p)
+        def counted(ctx, den, monos, nums, table, *rest):
+            monos = list(monos)
+            calls.append((table is ctx.tables.laplacian, max(map(sum, monos))))
+            return real(ctx, den, monos, nums, table, *rest)
 
-        monkeypatch.setattr(dunkl, "laplacian", counted)
-        monkeypatch.setattr(harmonic, "laplacian", counted)
+        monkeypatch.setattr(dunkl, "_image_sum", counted)
         p = parse("x1^8 + 3*x1^2*x2^4*x3^2 - x2^5*x3^3", 3)
         decomp = canonical_decompose(d3, p)
-        assert len(calls) == 4  # Lap p, ..., Lap^4 p, one call each
+        assert calls == [(True, 8), (True, 6), (True, 4), (True, 2)]  # Lap p, ..., Lap^4 p, one call each
         assert decomp.reconstruct() == p
+
+    @pytest.mark.parametrize("lam", [F(0), F(1, 2), F(7, 3), 10**6 + F(1, 3)])
+    def test_coefficient_table_is_the_closed_form(self, lam):
+        for n in range(11):
+            table = harmonic._coefficients(lam, n)
+            assert len(table) == n // 2 + 1
+            for i, row in enumerate(table):
+                assert len(row) == n // 2 - i + 1
+                for j, a in enumerate(row):
+                    component = 4**i * math.factorial(i) * pochhammer(lam + 1 + n - 2 * i, i)
+                    projection = 4**j * math.factorial(j) * pochhammer(-lam - n + 2 * i + 1, j)
+                    assert type(a) is Fraction and a == 1 / (component * projection)
+
+    def test_one_fraction_build_per_component(self, d3, a2, monkeypatch):
+        # the Laplacian powers stay int forms: only each component's terms become Fractions
+        real = Poly._over.__func__
+        calls = []
+
+        def counted(cls, dim, den, numerators):
+            calls.append(dim)
+            return real(cls, dim, den, numerators)
+
+        monkeypatch.setattr(Poly, "_over", classmethod(counted))
+        p = parse("x1^8 + 3*x1^2*x2^4*x3^2 - x2^5*x3^3", 3)
+        q = h_harmonic_basis(a2, 4)[0]  # its powers end at q, and the components past it are 0
+        for ctx, poly in ((d3, p), (a2, q), (a2, p * q)):
+            calls.clear()
+            decomp = canonical_decompose(ctx, poly)
+            assert len(calls) == len(decomp.components) == poly.degree() // 2 + 1
+        calls.clear()
+        assert proj(a2, 4, q) == q and len(calls) == 1
 
     @pytest.mark.parametrize("site", RADIAL_SUM_SITES)
     def test_no_polynomial_products(self, d3, monkeypatch, site):
@@ -209,6 +244,15 @@ class TestReduceModSphere:
         for p in (parse("x3", 3), Poly.zero(3)):
             with pytest.raises(ValueError, match="polynomial dimension does not match the context"):
                 reduce_mod_sphere(b2, p)
+
+    def test_sum_of_the_components(self, rng, corpus):
+        # one Horner sum over every part's powers equals the components added up
+        for ctx in corpus:
+            for degree in range(7):
+                p = random_poly(rng, ctx.dim, degree, max_terms=8)
+                parts = [canonical_decompose(ctx, part) for _, part in p.homogeneous_parts()]
+                want = sum((comp for d in parts for _, comp in d.components), Poly.zero(ctx.dim))
+                assert reduce_mod_sphere(ctx, p) == want
 
     def test_multiple_of_sphere_ideal_dies(self, rng, b2):
         norm2 = Poly.norm_squared(2)

@@ -270,3 +270,26 @@ class TestReproducing:
     def test_rejects_degenerate_index(self, z2_2_zero):
         with pytest.raises(ValueError):
             reproducing_kernel(z2_2_zero, 1)
+
+    def test_profile_built_once_per_degree_and_index(self, monkeypatch, z2_3, b2):
+        # the profile depends on (n, lam) only: repeated checks reach gegenbauer
+        # once per pair, and the cached profile is the one built directly
+        intertwine._reproducing_profile.cache_clear()
+        calls = []
+        real = intertwine.gegenbauer
+
+        def counted(n, lam):
+            calls.append((n, lam))
+            return real(n, lam)
+
+        monkeypatch.setattr(intertwine, "gegenbauer", counted)
+        for _ in range(3):
+            for ctx in (z2_3, b2):
+                for m in range(3):
+                    for q in h_harmonic_basis(ctx, m):
+                        assert all(reproducing_check(ctx, n, q) for n in range(3))
+        pairs = [(n, ctx.lambda_kappa) for ctx in (z2_3, b2) for n in range(3)]
+        assert sorted(calls) == sorted(pairs)
+        monkeypatch.undo()
+        for n, lam in pairs:
+            assert intertwine._reproducing_profile(lam, n) == gegenbauer(n, lam) * ((n + lam) / lam)

@@ -27,6 +27,26 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def laplacian_kernel_calls(monkeypatch) -> list[int]:
+    """The input degree of every Laplacian from now on, recorded in a list that is returned.
+
+    Each Laplacian, of a Poly or of a power's int form in
+    dunkl._laplacian_powers, is one call of the kernel dunkl._image_sum on the
+    context's Laplacian table; the kernel's Dunkl-operator calls are not recorded.
+    """
+    calls = []
+    real = dunkl._image_sum
+
+    def counting(ctx, den, monos, nums, table, *rest):
+        monos = list(monos)
+        if table is ctx.tables.laplacian:
+            calls.append(max(map(sum, monos)))
+        return real(ctx, den, monos, nums, table, *rest)
+
+    monkeypatch.setattr(dunkl, "_image_sum", counting)
+    return calls
+
+
 def integral_radius_poly(ctx, q, f):
     """Independent oracle: expand f(ry) by homogeneous degree and integrate."""
     out = {}
@@ -144,42 +164,31 @@ class TestExtendedPizzetti:
 
     def test_laplacian_calls_stop_at_the_input_degree(self, monkeypatch, b2):
         # Lap lowers the degree by 2, so a degree-6 f takes 3 Laplacians however
-        # many terms are asked for; dunkl.laplacian is what _laplacian_powers calls
-        calls = []
-        real = dunkl.laplacian
-
-        def counting(ctx, p):
-            calls.append(p)
-            return real(ctx, p)
-
-        monkeypatch.setattr(dunkl, "laplacian", counting)
+        # many terms are asked for: Lap f_4, Lap f_6 and Lap^2 f_6, after the
+        # one that checks that q is h-harmonic
+        calls = laplacian_kernel_calls(monkeypatch)
         q = parse("x1*x2", 2)
         f = parse("x1^4*x2^2 + 3*x2^6 - x1^3*x2", 2)
         series = extended_pizzetti(b2, q, f, 10**5)
-        assert len(calls) == 3
+        assert calls == [2, 4, 6, 4]
         head = extended_pizzetti(b2, q, f, 3).coefficients
         assert series.coefficients == head + (F(0),) * (10**5 - 3)
         assert all(type(c) is Fraction for c in series.coefficients)
         calls.clear()
         series = extended_pizzetti(b2, q, parse("x1^40 + x1^20*x2^20", 2), 0)
-        assert series.coefficients == (F(0),) and not calls
+        assert series.coefficients == (F(0),) and calls == [2]
 
     def test_each_coefficient_reads_one_homogeneous_part(self, monkeypatch, b2):
         # (q(D) g)(0) reads only the degree-m part of g, so q(D) meets nothing
         # but Lap^n f_(m+2n), of degree m, and a part of the wrong parity costs
         # neither a Laplacian nor a q(D)
-        laplacian_inputs, operator_inputs = [], []
-        real_laplacian, real_apply = dunkl.laplacian, spherical.apply_operator_poly
-
-        def counting_laplacian(ctx, p):
-            laplacian_inputs.append(p)
-            return real_laplacian(ctx, p)
+        laplacian_inputs, operator_inputs = laplacian_kernel_calls(monkeypatch), []
+        real_apply = spherical.apply_operator_poly
 
         def counting_apply(ctx, q, p):
             operator_inputs.append(p)
             return real_apply(ctx, q, p)
 
-        monkeypatch.setattr(dunkl, "laplacian", counting_laplacian)
         monkeypatch.setattr(spherical, "apply_operator_poly", counting_apply)
         q = parse("x1*x2", 2)
         f = parse("x1^4*x2^2 + 3*x2^6 - x1^3*x2 + x1^2", 2)
@@ -192,7 +201,7 @@ class TestExtendedPizzetti:
         operator_inputs.clear()
         series = extended_pizzetti(b2, q, parse("x1^7 + x1^5*x2^2 + x1", 2), 5)
         assert series.coefficients == (F(0),) * 6
-        assert not laplacian_inputs and not operator_inputs
+        assert laplacian_inputs == [2] and not operator_inputs  # only the check of q
 
     def test_eval_matches_coefficients(self, z2_2):
         series = PizzettiSeries(1, (F(1, 2), F(3)))
