@@ -4,6 +4,8 @@ Every subcommand prints a single JSON document on stdout with rationals
 serialized as strings (never binary floats), so output is byte-deterministic
 for fixed inputs and seeds.  Exit codes: 0 on success or an all-pass verify
 run, 1 when verification finds a failing check, 2 on usage or parse errors.
+``verify --timings`` also writes each check's seconds to stderr as one JSON
+object; stdout and the ``--out`` report stay the same bytes.
 """
 
 from __future__ import annotations
@@ -172,6 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=verify.DEFAULT_MC_SAMPLES, help="Monte-Carlo samples per check"
     )
     p.add_argument("--out", default="", help="also write the JSON report to this path")
+    p.add_argument(
+        "--timings", action="store_true", help="write each check's seconds to stderr as one JSON object"
+    )
 
     return parser
 
@@ -180,11 +185,13 @@ def _run(args) -> int:
     command = args.command
     if command == "verify":
         families = [f.strip() for f in args.families.split(",") if f.strip()] or None
+        timings = {} if args.timings else None
         report = verify.verify(
             max_degree=args.max_degree,
             families=families,
             seed=args.seed,
             mc_samples=args.samples,
+            timings=timings,
         )
         payload = report.to_json_dict()
         _emit(payload)
@@ -192,6 +199,8 @@ def _run(args) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
                 handle.write("\n")
+        if timings is not None:
+            sys.stderr.write(json.dumps({name: round(s, 6) for name, s in timings.items()}) + "\n")
         return 0 if report.all_pass else 1
 
     ctx = _context(args)

@@ -8,9 +8,12 @@ case :func:`dunkl_axis`), and ``((0, 1),)`` for :func:`laplacian`.  Each
 image is computed once per context, on a miss of the one lookup
 :func:`_entry`: ``tables.axis`` holds the d coordinate images D_j x^beta
 of a monomial, a partial derivative plus one divided difference per root,
-and ``tables.laplacian`` holds Lap x^beta from the closed form of the sum
-of squares.  A miss sums Python ints scaled by the lcm of the context's
-kappa denominators, and both builders store through one step,
+and ``tables.laplacian`` holds Lap x^beta.  The Laplacian commutes with the
+group, so a Laplacian miss whose monomial has an orbit-mate
+(``DunklContext._orbit_mate``) is the mate's entry reflected, and only an
+orbit's representative takes the closed form of the sum of squares.  A
+closed-form miss sums Python ints scaled by the lcm of the context's kappa
+denominators, and both closed forms store through one step,
 :func:`_reduced_entry`, as int numerators over one denominator.  This module
 alone reads that layout; others get Laplacian images from
 :func:`_monomial_laplacian` as (monomial, numerator) pairs.  The kernel
@@ -149,6 +152,42 @@ def _monomial_axes(ctx: DunklContext, mono: Monomial) -> Entry:
 
 
 def _monomial_image(ctx: DunklContext, mono: Monomial) -> Entry:
+    """Lap x^mono: its orbit-mate's entry reflected, or the closed form for a representative.
+
+    With (r, m, s) the mate of ctx._orbit_mate, x^mono = s x^m(r x), and the
+    Laplacian commutes with r, so Lap x^mono = s (Lap x^m)(r x): the same
+    denominator, and each term n x^t becomes s s_t n x^t' for x^t(r x) =
+    s_t x^t', a bijection of monomials, so the entry stays reduced.  The
+    chain of mates is walked down to the first one in the table, or to the
+    representative, whose entry :func:`_entry` gets or builds, and back up,
+    storing each entry on the way; only a representative takes
+    :func:`_closed_form_image`.
+    """
+    table = ctx.tables.laplacian
+    chain = []
+    mate = ctx._orbit_mate(mono)
+    while mate is not None:
+        chain.append((mono, mate))
+        mono = mate[1]
+        if mono in table:
+            break
+        mate = ctx._orbit_mate(mono)
+    if not chain:
+        return _closed_form_image(ctx, mono)
+    den, (image,) = _entry(ctx, table, _monomial_image, mono)
+    shared = ctx.tables.shared
+    for mono, (root, _, sign) in reversed(chain):
+        terms = iter(image)
+        reflected = []
+        for t, n in zip(terms, terms):
+            ((m, s),) = root._terms(False, t)
+            reflected += (shared.setdefault(m, m), n if s == sign else -n)
+        image = tuple(reflected)
+        table[mono] = den, (image,)
+    return table[mono]
+
+
+def _closed_form_image(ctx: DunklContext, mono: Monomial) -> Entry:
     """Lap x^mono from the closed form (Dunkl 1989; Dunkl-Xu)
 
     Lap p = Delta p + sum over positive roots of

@@ -98,26 +98,34 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     semidefinite in the O(d)-invariant Fischer product, so T is positive
     definite for kappa >= 0 and the square system has V as its one solution.
     Each root's rule for one monomial (``Root._terms``) gives x^b(r_a x),
-    one term for a signed permutation.  [T | R] is filled in ints over one
-    denominator den, the lcm of the kappa and lower-image denominators (a
-    dense root's image keeps its Fraction coefficients), and solved by
-    fraction-free elimination in ``_linalg``, which the uniform scale by den
-    does not change.
+    one term for a signed permutation.  V commutes with the group, so only
+    the orbit representatives' columns are solved: a monomial with an
+    orbit-mate (r, m, s) (``DunklContext._orbit_mate``) has
+    V x^b = s (V x^m)(r x), built after the solve in lex-descending order, so
+    that the lex-greater mate is always ready.  [T | R] is filled in ints
+    over one denominator den, the lcm of the kappa and lower-image
+    denominators (a dense root's image keeps its Fraction coefficients),
+    with T full and R only for the representatives, and solved in one call
+    by fraction-free elimination in ``_linalg``, which the uniform scale by
+    den does not change.
     """
     monos = monomials_of_degree(ctx.dim, n)
     index = {m: i for i, m in enumerate(monos)}
+    mates = [ctx._orbit_mate(mono) for mono in monos]
+    reps = [mono for mono, mate in zip(monos, mates) if mate is None]
     split = {mono: over_one_denominator(image.terms.values()) for mono, image in lower.items()}
     kappa_den, roots = ctx._scaled_roots
     den = math.lcm(kappa_den, *[d for d, _ in split.values()])
     ks = [(root, k * (den // kappa_den)) for root, _, k in roots]
     shift = n * den + sum(k for _, k in ks)
     t = [[0] * len(monos) for _ in monos]
-    r = [[0] * len(monos) for _ in monos]
+    r = [[0] * len(reps) for _ in monos]
     for col, mono in enumerate(monos):
         t[col][col] = shift
         for root, k in ks:
             for m, c in root._terms(False, mono):
                 t[index[m]][col] -= k * c
+    for col, mono in enumerate(reps):
         for j, e in enumerate(mono):
             if e:
                 below = mono[:j] + (e - 1,) + mono[j + 1:]
@@ -126,11 +134,19 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
                 for m, v in zip(lower[below].terms, nums):
                     r[index[m[:j] + (m[j] + 1,) + m[j + 1:]]][col] += scale * v
 
-    x = _linalg.solve_unique(t, r)
-    return {
-        mono: Poly._raw(ctx.dim, {m: row[col] for m, row in zip(monos, x) if row[col]})
-        for col, mono in enumerate(monos)
-    }
+    columns = zip(*_linalg.solve_unique(t, r))
+    images: dict[Monomial, Poly] = {}
+    for mono, mate in zip(monos, mates):
+        if mate is None:
+            image = {m: c for m, c in zip(monos, next(columns)) if c}
+        else:
+            root, m, sign = mate
+            image = {}
+            for term, c in images[m].terms.items():
+                ((term, s),) = root._terms(False, term)
+                image[term] = c if s == sign else -c
+        images[mono] = Poly._raw(ctx.dim, image)
+    return images
 
 
 def intertwiner_apply(ctx: DunklContext, p: Poly) -> Poly:

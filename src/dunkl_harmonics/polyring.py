@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 RationalLike = Fraction | int
@@ -364,6 +365,7 @@ class Root(tuple):
     flips: tuple[int, ...]  # rows whose single nonzero is -1
     support: tuple[int, ...]  # the coordinates where a is nonzero
     scale: RationalLike | None  # 2 / c for c e_i, 1 / c for c (e_i - w e_j), None if dense
+    _permute: Callable[[Monomial], Monomial]  # mono -> (mono[perm[0]], ...), set when perm is not None
 
     def __new__(cls, values: Sequence[RationalLike]) -> Root:
         if isinstance(values, Root):
@@ -380,6 +382,9 @@ class Root(tuple):
             i, j = support
             self.perm = tuple(j if k == i else i if k == j else k for k in range(len(self)))
             self.flips, self.scale = support if c * self[j] > 0 else (), 1 if c == 1 else 1 / c
+        if self.perm is not None:
+            # itemgetter of one index returns the item, not a 1-tuple; in dimension 1 the perm is the identity
+            self._permute = operator.itemgetter(*self.perm) if len(self) > 1 else tuple
         return self
 
     @functools.cached_property
@@ -440,15 +445,23 @@ class Root(tuple):
         This is the root's one rule per monomial.  The monomials are
         distinct, the coefficients nonzero, and the pairs can be read more
         than once.  A dense root reads its tables (:meth:`_dense`) in place;
-        a signed permutation maps x^mono to one term +-x^m, and its quotient
-        has a closed form.
+        a signed permutation maps x^mono to one term +-x^m, read through the
+        ``itemgetter`` of its perm built with the root, with the sign from at
+        most two flipped exponents, and its quotient has a closed form.  The
+        image serves the V build's T matrix and both orbit-mate reflections
+        (``DunklContext._orbit_mate``).
         """
         if self.perm is None:
             return self._dense(quotient, mono).items()
         if not quotient:
             # x^e -> prod (+-x_perm[i])^e_i; perm is an involution, so the new
-            # exponent of x_k is e_perm[k]
-            return ((tuple(mono[i] for i in self.perm), -1 if sum(mono[i] for i in self.flips) & 1 else 1),)
+            # exponent of x_k is e_perm[k], and the sign is that of the parity
+            # of the at most two flipped exponents
+            flips = self.flips
+            if not flips:
+                return ((self._permute(mono), 1),)
+            odd = mono[flips[0]] + mono[flips[1]] if len(flips) == 2 else mono[flips[0]]
+            return ((self._permute(mono), -1 if odd & 1 else 1),)
         if len(self.support) == 1:
             # a = c e_i: x^b - r x^b is 2 x^b for odd b_i and 0 for even b_i
             i = self.support[0]

@@ -127,6 +127,33 @@ class DunklContext:
                            kappa.numerator * (den // kappa.denominator)) for root, kappa in self.active_roots)
 
     @functools.cached_property
+    def _swaps(self) -> tuple[tuple[Root, int, int], ...]:
+        """(root, i, j) for each positive root whose reflection is a signed permutation that swaps
+        coordinates i < j, in root order; dropped with the context."""
+        return tuple((root, *root.support) for root in self.positive_roots
+                     if root.perm is not None and len(root.support) == 2)
+
+    def _orbit_mate(self, mono: Monomial) -> tuple[Root, Monomial, int] | None:
+        """(r, m, s) with x^mono(r x) = s x^m and m lex-greater than mono, or None for a representative.
+
+        This is the one orbit-mate rule.  r is the first positive root whose
+        reflection is a signed permutation that moves mono to a lex-greater
+        monomial: one that swaps coordinates i < j with mono_j > mono_i, since
+        then m agrees with mono before i and m_i = mono_j.  A monomial with no
+        mate is its orbit's representative: the descending-sorted exponents
+        for types A, B and D, and every monomial for z2^d or dense roots.
+        Every reflection r of the group commutes with the Laplacian and with
+        V (Dunkl, Trans. AMS 311, 1989), and x^mono = s x^m(r x), so the image
+        of x^mono under either is s times that of x^m composed with r.  Each
+        step is lex-greater, so a chain of mates ends at the representative.
+        """
+        for root, i, j in self._swaps:
+            if mono[j] > mono[i]:
+                ((m, s),) = root._terms(False, mono)
+                return root, m, s
+        return None
+
+    @functools.cached_property
     def tables(self) -> ContextTables:
         """This context's memo tables, created on first use and dropped with it."""
         return ContextTables()

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -747,17 +748,25 @@ def verify(
     families: Sequence[str] | None = None,
     seed: int = DEFAULT_SEED,
     mc_samples: int = DEFAULT_MC_SAMPLES,
+    timings: dict[str, float] | None = None,
 ) -> VerifyReport:
     """Run the full check corpus and collect a deterministic report.
 
     Failures never raise; they become report rows with counterexamples.
     Fewer than two Monte-Carlo samples is refused, since one sample has no
-    standard error and would pass every agreement row.
+    standard error and would pass every agreement row.  When ``timings`` is
+    a dict, each named check's wall-clock seconds over the corpus are put in
+    it, in report order; the report itself does not change.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
     if mc_samples < 2:
         raise ValueError(MC_SAMPLES_ERROR)
     corpus = filter_corpus(default_corpus(), families)
-    return VerifyReport([run_row(name, check, ctx, seed, max_degree)
-                         for name, check in rows(mc_samples) for ctx in corpus])
+    checks: list[CheckResult] = []
+    for name, check in rows(mc_samples):
+        start = time.perf_counter()
+        checks += [run_row(name, check, ctx, seed, max_degree) for ctx in corpus]
+        if timings is not None:
+            timings[name] = time.perf_counter() - start
+    return VerifyReport(checks)

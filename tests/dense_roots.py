@@ -24,6 +24,20 @@ def rotated_b3() -> DunklContext:
     return DunklContext(3, tuple(units + pairs), (0,) * 3 + (1,) * 6, (Fraction(1, 2), Fraction(3, 2)))
 
 
+def rotated_b2_plus_a2() -> DunklContext:
+    """b2 rotated by [[3/5, -4/5], [4/5, 3/5]] on (x1, x2), beside a2 on (x3, x4, x5).
+
+    A reducible system: the four b2 roots are dense, and the three a2 roots
+    swap two coordinates, so orbit-mates and dense reflections meet in one
+    context.  kappa is (1/2, 3/2) on the short and long b2 roots and 1/3 on a2."""
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    units = [(c, s), (-s, c)]
+    b2 = units + [tuple(a + w * b for a, b in zip(*units)) for w in (-1, 1)]
+    a2 = [tuple(1 if k == i else -1 if k == j else 0 for k in range(3)) for i in range(3) for j in range(i + 1, 3)]
+    roots = [(*root, 0, 0, 0) for root in b2] + [(0, 0, *root) for root in a2]
+    return DunklContext(5, tuple(roots), (0, 0, 1, 1, 2, 2, 2), (Fraction(1, 2), Fraction(3, 2), Fraction(1, 3)))
+
+
 def substitute_linear(p: Poly, matrix) -> Poly:
     """p(Mx), exactly, for a square rational matrix M, as the sum of c prod_i (row i . x)^e_i."""
     if len(matrix) != p.dim or any(len(row) != p.dim for row in matrix):

@@ -4,7 +4,7 @@ import pytest
 
 from dunkl_harmonics import harmonic
 from dunkl_harmonics.cli import main
-from dunkl_harmonics.verify import default_corpus, filter_corpus, verify
+from dunkl_harmonics.verify import default_corpus, filter_corpus, rows, verify
 
 
 def run_cli(capsys, *argv):
@@ -248,6 +248,18 @@ class TestVerify:
         assert payload["summary"]["failed"] == 0
         assert payload["summary"]["total"] >= 12
         assert json.loads(out_path.read_text()) == payload
+
+    def test_timings_go_to_stderr_and_leave_the_report_bytes(self, capsys, tmp_path):
+        argv = ["verify", "--max-degree", "2", "--families", "b", "--samples", "5000"]
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(plain))
+        timed_code, timed_out, timed_err = run_cli(capsys, *argv, "--out", str(timed), "--timings")
+        assert code == timed_code == 0
+        assert timed_out == out and timed.read_bytes() == plain.read_bytes()
+        assert err == "" and timed_err.endswith("\n") and timed_err.count("\n") == 1
+        seconds = json.loads(timed_err)
+        assert list(seconds) == [name for name, _ in rows()]
+        assert all(type(s) is float and s >= 0 for s in seconds.values())
 
     def test_at_least_12_named_groups(self):
         report = verify(max_degree=2, families=["b"], mc_samples=5000)

@@ -5,12 +5,15 @@ differences of the monomial, which take a closed form when the root's
 reflection is a signed permutation; every such image is checked here
 against the defining formula with the divided difference taken as a plain
 quotient, and its stored tuple against the same miss path summed in Poly
-and Fraction arithmetic, term order included.  A dense root, whose
-reflection is not a signed permutation, is also checked against the plain
-substitution and division of ``dense_roots``.  The moments are built by a
-recurrence over the Laplacian images and checked against the
-iterated-Laplacian definition.  The remaining tests pin down that the tables
-are reused.
+and Fraction arithmetic, term order included.  A Laplacian miss whose
+monomial has an orbit-mate is instead the mate's entry reflected, and it is
+checked against the same two references, its terms in the mate's order; so
+are the V columns reflected the same way, against a solve of every column.
+A dense root, whose reflection is not a signed permutation, is also checked
+against the plain substitution and division of ``dense_roots``.  The
+moments are built by a recurrence over the Laplacian images and checked
+against the iterated-Laplacian definition.  The remaining tests pin down
+that the tables are reused.
 """
 
 import math
@@ -18,14 +21,18 @@ from fractions import Fraction
 
 import pytest
 
-from dense_roots import divide_by_linear, rotated_b3, substitute_linear
+from dense_roots import divide_by_linear, rotated_b2_plus_a2, rotated_b3, substitute_linear
 from dunkl_harmonics import (
     DunklContext,
     Poly,
+    _linalg,
     dirichlet_monomial,
     dunkl,
     dunkl_apply,
+    dunkl_axis,
     h_harmonic_basis,
+    intertwine,
+    intertwiner_apply,
     laplacian,
     make_context,
     monomials_of_degree,
@@ -53,6 +60,9 @@ CONTEXTS = {
         (F(1, 2), F(3, 4)),
     ),
     "dense": DunklContext(2, ((F(1), F(2)), (F(2), F(-1))), (0, 1), (F(1, 2), F(3, 4))),
+    # a2 conjugated by diag(1, -1, 1): its swaps flip signs, and no sign change is in the group,
+    # so an orbit-mate's sign does not cancel against those of the reflected terms
+    "a2-signed": DunklContext(3, ((1, 1, 0), (1, 0, -1), (0, 1, 1)), (0, 0, 0), (F(1, 3),)),
     "b3-zero-orbit": make_context("b", 3, [0, F(3, 2)]),
     "b3-two-denominators": make_context("b", 3, [F(1, 2), F(2, 3)]),
     "b3-rotated": rotated_b3(),
@@ -101,14 +111,30 @@ def assert_reduced(den, flats):
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_miss_path_matches_the_closed_form(name):
     ctx = CONTEXTS[name]
+    reflected = 0
     for n in range(TOP_DEGREE.get(name, 8) + 1):
         for mono in monomials_of_degree(ctx.dim, n):
             p = Poly.monomial(ctx.dim, mono)
             den, (image,) = entry = dunkl._monomial_image(ctx, mono)
             assert_reduced(den, [image])
             assert stored_poly(ctx.dim, den, image) == closed_form(ctx, p), mono
-            # the int sums store the very entry of the Fraction sums, term order included
-            assert entry == fraction_image(ctx, mono), mono
+            reference = fraction_image(ctx, mono)
+            if ctx._orbit_mate(mono) is None:
+                # a representative's int sums store the very entry of the Fraction sums, term order included
+                assert entry == reference, mono
+            else:
+                # a reflected entry holds the same terms over the same denominator, in its mate's order
+                reflected += 1
+                ref_den, (ref_image,) = reference
+                assert den == ref_den and pairs(image) == pairs(ref_image), mono
+    # every context with a swapping signed-permutation root reflects some entry
+    assert bool(reflected) == bool(ctx._swaps)
+
+
+def pairs(flat):
+    """The set of (monomial, numerator) pairs of a flat image m1, n1, m2, n2, ..."""
+    terms = iter(flat)
+    return set(zip(terms, terms))
 
 
 @pytest.mark.parametrize("name", DENSE)
@@ -252,15 +278,15 @@ def test_moment_recurrence_matches_the_definition(name):
             ), mono
 
 
-def _count_builds(monkeypatch):
+def _count_builds(monkeypatch, builder="_monomial_image"):
     built = []
-    real = dunkl._monomial_image
+    real = getattr(dunkl, builder)
 
     def counting(ctx, mono):
         built.append(mono)
         return real(ctx, mono)
 
-    monkeypatch.setattr(dunkl, "_monomial_image", counting)
+    monkeypatch.setattr(dunkl, builder, counting)
     return built
 
 
@@ -269,7 +295,8 @@ def test_seen_monomials_build_no_image(monkeypatch):
     ctx = make_context("b", 3, [F(1, 2), F(3, 2)])
     p = Poly(3, {(4, 2, 0): 3, (1, 1, 4): F(-1, 2), (0, 0, 6): 1})
     first = laplacian(ctx, p)
-    assert sorted(built) == sorted(p.terms)
+    # (1, 1, 4) and (0, 0, 6) are reflected copies of their orbits' representatives
+    assert sorted(built) == sorted([*p.terms, (4, 1, 1), (6, 0, 0)])
     built.clear()
     assert laplacian(ctx, p * 5) == first * 5
     assert laplacian(ctx, Poly.monomial(3, (1, 1, 4))) == closed_form(ctx, Poly.monomial(3, (1, 1, 4)))
@@ -281,6 +308,68 @@ def test_basis_builds_each_image_once(monkeypatch):
     ctx = make_context("d", 4, [F(2, 3)])
     h_harmonic_basis(ctx, 5)
     assert sorted(built) == sorted(monomials_of_degree(4, 5))
+
+
+def test_basis_takes_the_closed_form_once_per_orbit(monkeypatch):
+    closed = _count_builds(monkeypatch, "_closed_form_image")
+    h_harmonic_basis(make_context("d", 4, [F(2, 3)]), 5)
+    # the representatives on d4: the partitions of 5 into at most 4 parts
+    assert sorted(closed) == [(2, 1, 1, 1), (2, 2, 1, 0), (3, 1, 1, 0), (3, 2, 0, 0), (4, 1, 0, 0), (5, 0, 0, 0)]
+    closed.clear()
+    # z2^4 has no swapping root, so every monomial is its own orbit
+    h_harmonic_basis(make_context("z2", 4, [F(1, 2), F(1, 3), 1, F(2, 3)]), 5)
+    assert sorted(closed) == sorted(monomials_of_degree(4, 5))
+
+
+def all_columns_degree(ctx, n, lower):
+    """V on the degree-n monomials with every column of [T | R] solved, none reflected.
+
+    The reference for the V build: the same Euler system
+    T V x^b = sum_j b_j x_j V x^(b - e_j), T = n + sum_a kappa_a (1 - r_a),
+    in Fractions, with T from plain substitution into the reflection matrices."""
+    monos = monomials_of_degree(ctx.dim, n)
+    index = {m: i for i, m in enumerate(monos)}
+    t = [[F(0)] * len(monos) for _ in monos]
+    r = [[F(0)] * len(monos) for _ in monos]
+    for col, mono in enumerate(monos):
+        t[col][col] += n
+        for root, kappa in ctx.active_roots:
+            t[col][col] += kappa
+            for m, c in substitute_linear(Poly.monomial(ctx.dim, mono), root.matrix).terms.items():
+                t[index[m]][col] -= kappa * c
+        for j, e in enumerate(mono):
+            if e:
+                below = mono[:j] + (e - 1,) + mono[j + 1:]
+                for m, c in lower[below].terms.items():
+                    r[index[m[:j] + (m[j] + 1,) + m[j + 1:]]][col] += e * c
+    x = _linalg.solve_unique(t, r)
+    return {mono: Poly(ctx.dim, {m: row[col] for m, row in zip(monos, x)}) for col, mono in enumerate(monos)}
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_reflected_v_columns_match_an_all_columns_solve(name):
+    ctx = CONTEXTS[name]
+    lower = {(0,) * ctx.dim: Poly.const(ctx.dim, 1)}
+    for n in range(1, 6):
+        reference = all_columns_degree(ctx, n, lower)
+        assert intertwine._intertwiner_table(ctx, n) == reference, n
+        lower = reference
+
+
+def test_reducible_context_mixes_dense_and_swapping_roots():
+    ctx = rotated_b2_plus_a2()
+    assert {root.perm is None for root in ctx.positive_roots} == {True, False} and ctx._swaps
+    # ascending lex order, so a miss walks its whole chain of mates down to the representative
+    for n in range(7):
+        for mono in reversed(monomials_of_degree(ctx.dim, n)):
+            p = Poly.monomial(ctx.dim, mono)
+            assert laplacian(ctx, p) == closed_form(ctx, p), mono
+    for n in range(5):
+        for mono in monomials_of_degree(ctx.dim, n):
+            p = Poly.monomial(ctx.dim, mono)
+            vp = intertwiner_apply(ctx, p)
+            for j in range(1, ctx.dim + 1):
+                assert dunkl_axis(ctx, j, vp) == intertwiner_apply(ctx, p.partial(j)), (mono, j)
 
 
 def test_deep_moment_chain_is_iterative():

@@ -3,19 +3,22 @@
     PYTHONPATH=src python3 tools/time_cold.py [--repeat 5]
 
 Each case builds a fresh context per repetition, so no table is cached
-across repetitions: the degree-8 bases of A3, d4 and b4 (their kernels are
-the same shape, and A3 grows the largest rows), V up to degree 6 on the
+across repetitions: the degree-8 bases of A3, d4, b4 and z2^4 (their kernels
+are the same shape, and A3 grows the largest rows), V up to degree 6 on the
 same groups, and the d4 axis table: D_xi of the sum of every degree-8
 monomial, which fills the table's 165 degree-8 entries.  The dense cases
 time roots whose reflection is not a signed permutation: the planar
 ``dense`` system (roots (1, 2) and (2, -1)) and b3 rotated about x3, whose
 roots are dense except e3; a "table to degree n" case applies the operator
-to the sum of every monomial of degree <= n.  The Monte-Carlo cases time
-one ``mc_sphere_integral`` call each: (x1+x2)^4 on b2, (x1+...+x4)^8
-(165 terms) on d4 and a z2^3 target whose weight has the fractional power
-2 kappa = 2/3, with 16384 samples, and (x1+...+x4)^16 (969 terms) on d4
-with 8192 samples, which times the term loop.  Point PYTHONPATH
-at another checkout's ``src`` to time that revision with the same cases.
+to the sum of every monomial of degree <= n.  On z2^4 no root swaps two
+coordinates, so every monomial is its own orbit and every Laplacian image
+and V column is computed, none reflected from an orbit-mate.  The
+Monte-Carlo cases time one ``mc_sphere_integral`` call each: (x1+x2)^4 on
+b2, (x1+...+x4)^8 (165 terms) on d4 and a z2^3 target whose weight has the
+fractional power 2 kappa = 2/3, with 16384 samples, and (x1+...+x4)^16
+(969 terms) on d4 with 8192 samples, which times the term loop.  Point
+PYTHONPATH at another checkout's ``src`` to time that revision with the
+same cases.
 Prints one JSON object: per case, the best and the median seconds.
 Standard library and the package only.
 """
@@ -37,6 +40,7 @@ GROUPS = {
     "a3": ("a", 4, [Fraction(1, 3)]),
     "d4": ("d", 4, [Fraction(2, 3)]),
     "b4": ("b", 4, [Fraction(1, 2), Fraction(3, 2)]),
+    "z2^4": ("z2", 4, [Fraction(1, 2), Fraction(1, 3), 1, Fraction(2, 3)]),
 }
 
 
