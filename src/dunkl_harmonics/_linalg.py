@@ -1,10 +1,11 @@
-"""Exact dense linear algebra over the rationals: RREF, nullspaces, solves.
+"""Exact dense linear algebra over the rationals: RREF and unique solves.
 
 Pivoting is first-nonzero in row order within each column, scanned left to
 right over every column, so every result is deterministic for a
 deterministic input ordering.  Every nonzero row of the reduced form takes
 a pivot, so the rows past the rank are zero: ``rref`` returns only the
-pivot rows, and ``solve_unique`` reads both of its verdicts from the pivots.
+pivot rows, from which ``solve_unique`` reads both of its verdicts and
+``h_harmonic_basis`` its kernel vectors.
 
 The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).  Each
@@ -17,10 +18,11 @@ steps give over Fraction, the pivot rule does not change under a nonzero
 row scaling, so the pivots match, and the reduced row echelon form is
 unique.
 
-Entries may be Python ints or Fractions (an int has ``numerator`` and
-``denominator`` too).  A nonzero scale of the system leaves the pivots,
+Entries may be Python ints or Fractions, and a row of ints skips the pass
+over the denominators.  A nonzero scale of the system leaves the pivots,
 the pivot rows, the kernel and the solution as they are; the V build and
-``h_harmonic_basis`` rely on it to hand over their systems in ints.
+``h_harmonic_basis`` rely on it to hand over their systems in ints.  The
+pivot rows are Fractions, each pivot entry the one shared ``Fraction(1)``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 
 Matrix = list[list[int | Fraction]]
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _content_free(row: list[int]) -> list[int]:
@@ -49,8 +51,11 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     """
     rows = []
     for row in matrix:
-        scale = functools.reduce(math.lcm, (v.denominator for v in row), 1)
-        rows.append(_content_free([v.numerator * (scale // v.denominator) for v in row]))
+        try:
+            rows.append(_content_free(row))  # rows are replaced, never changed in place
+        except TypeError:  # math.gcd refuses a Fraction: scale the row to ints over its denominators
+            scale = functools.reduce(math.lcm, (v.denominator for v in row), 1)
+            rows.append(_content_free([v.numerator * (scale // v.denominator) for v in row]))
     pivots: list[int] = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -69,22 +74,9 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    return [[Fraction(v, row[c]) if v else _ZERO for v in row] for row, c in zip(rows, pivots)], pivots
-
-
-def nullspace(matrix: Matrix, ncols: int) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column, in column order."""
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            vec[p] = -reduced[row_idx][f]
-        basis.append(vec)
-    return basis
+    # a pivot row is zero before its pivot, so each row is zeros, the shared one, and its tail over the pivot
+    return [[_ZERO] * c + [_ONE] + [Fraction(v, row[c]) if v else _ZERO for v in row[c + 1:]]
+            for row, c in zip(rows, pivots)], pivots
 
 
 def solve_unique(a: Matrix, b: Matrix) -> Matrix:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import _linalg
 from .dunkl import Form, _laplacian_powers, _monomial_laplacian, laplacian
-from .polyring import Poly, _radial_ints, monomials_of_degree, over_one_denominator, pochhammer, radial_sum
+from .polyring import Poly, _radial_ints, monomials_of_degree, pochhammer, radial_sum
 from .reflection import DunklContext
 
 
@@ -130,14 +130,16 @@ def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
 def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
     """Exact rational basis of the degree-n h-harmonics.
 
-    Computed as the kernel of the Laplacian from degree n to degree n - 2 by
-    exact fraction-free Gauss-Jordan elimination (``_linalg``) over the
-    graded-lex monomial basis; the result is deterministic and each vector
-    is scaled to a primitive integer form with positive leading coefficient.
-    Each column is a table image n_i / d scaled to ints by L / d, for L the
-    lcm of the columns' d, which leaves the kernel as it is.  The Laplacian
-    maps degree n onto degree n - 2, so every row of the matrix takes a
-    pivot; below degree 2 there are no rows and the monomials are the basis.
+    The kernel of the Laplacian from degree n to n - 2, by fraction-free
+    Gauss-Jordan elimination (``_linalg.rref``) over the graded-lex monomials,
+    with each column, a table image n_i / d, scaled to ints by L / d for L the
+    lcm of the d.  Every row takes a pivot, as the Laplacian maps onto degree
+    n - 2; below degree 2 the monomials are the basis.  The kernel vector of
+    a free column f, x^f minus the sum of R_pf x^p over the pivot rows R, is
+    written in ints times den, the lcm of the R_pf denominators: primitive,
+    as each prime's full power in den divides some R_pf's denominator, and
+    signed so that its leading term, which is that of the first pivot row
+    with R_pf nonzero (all lie left of f), or else x^f, is positive.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -151,17 +153,16 @@ def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
     for col, (d, pairs) in enumerate(images):
         for m, v in pairs:
             matrix[index[m]][col] = v * (scale // d)
-    kernel = _linalg.nullspace(matrix, len(monos))
-    return [_primitive(Poly._raw(ctx.dim, {m: c for m, c in zip(monos, vec) if c})) for vec in kernel]
-
-
-def _primitive(p: Poly) -> Poly:
-    """Clear denominators, divide by the content, make the leading term positive."""
-    _, nums = over_one_denominator(p.terms.values())
-    content = functools.reduce(math.gcd, nums)
-    if p.terms[max(p.terms, key=lambda m: (sum(m), m))] < 0:
-        content = -content
-    return Poly._raw(p.dim, {m: Fraction(v // content) for m, v in zip(p.terms, nums)})
+    reduced, pivots = _linalg.rref(matrix)
+    basis = []
+    for f in (c for c in range(len(monos)) if c not in pivots):
+        entries = [(monos[p], row[f]) for p, row in zip(pivots, reduced) if row[f]]
+        den = math.lcm(*[v.denominator for _, v in entries])
+        sign = -1 if entries and entries[0][1] > 0 else 1
+        terms = {m: Fraction(-sign * v.numerator * (den // v.denominator)) for m, v in entries}
+        terms[monos[f]] = Fraction(sign * den)
+        basis.append(Poly._raw(ctx.dim, terms))
+    return basis
 
 
 def reduce_mod_sphere(ctx: DunklContext, p: Poly) -> Poly:

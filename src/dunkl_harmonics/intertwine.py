@@ -6,17 +6,18 @@ for plain partial derivatives.  It is built here from the Euler identity
 instead: degree by degree, the monomial images are the unique solution of
 one square exact linear system in ints that needs reflections only, no
 Dunkl operator; the defining property is checked independently by the
-test suite and by verify.  On top of V sit the zonal-kernel constructions:
-the Funk-Hecke identity as an exact congruence modulo the sphere ideal, and
-the degree-n reproducing kernel.  A profile phi(t) is a :class:`Poly` of
+test suite and by verify.  The V table holds each image as a
+``dunkl.Form``, int numerators over one denominator, which every reader
+takes as it is.  On top of V sit the zonal-kernel constructions: the
+Funk-Hecke identity as an exact congruence modulo the sphere ideal, and the
+degree-n reproducing kernel.  A profile phi(t) is a :class:`Poly` of
 dimension 1, its variable t being x1.  The zonal functions sum over the
-terms (l!/gamma!) x^gamma V y^gamma of phi(<x, y>) pushed through V in y,
-with V y^gamma read from the V table; there is no two-block polynomial
-type, and the reproducing kernel is a plain :class:`Poly` in 2d variables.
-Integrating such a sum against q(y) applies one functional,
-L_q(x^a) = int x^a q dmu, to every V y^gamma: L_q is read once per monomial
-and put over one denominator, and each gamma is one int dot product with
-V y^gamma's numerators, with no product polynomial (``_y_integral``).
+terms (l!/gamma!) x^gamma V y^gamma of phi(<x, y>) pushed through V in y;
+there is no two-block polynomial type, and the reproducing kernel is a
+plain :class:`Poly` in 2d variables.  Integrating such a sum against q(y)
+applies one functional, L_q(x^a) = int x^a q dmu, to every V y^gamma: L_q
+is read once per monomial and put over one denominator, and each gamma is
+one int dot product with V y^gamma's numerators (``_y_integral``).
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from typing import Iterator
 
 from . import _linalg
 # unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
-from .dunkl import dunkl_axis
+from .dunkl import Form, dunkl_axis
 from .harmonic import reduce_mod_sphere, require_h_harmonic
 from .polyring import (
-    Monomial, Poly, RationalLike, as_fraction, monomials_of_degree, over_one_denominator, pochhammer,
-    radial_sum,
+    Monomial, Poly, RationalLike, _radial_ints, as_fraction, monomials_of_degree, over_one_denominator, pochhammer,
 )
 from .reflection import DunklContext
 from .spherical import _denominator, sphere_integrate
@@ -75,20 +75,17 @@ def gegenbauer(m: int, lam: RationalLike) -> Poly:
 # the intertwining operator
 
 
-def _intertwiner_table(ctx: DunklContext, degree: int) -> dict[Monomial, Poly]:
-    """Images of the degree-``degree`` monomials under V, from the context's tables."""
-    tables = ctx.tables.intertwiner
-    for n in range(degree + 1):
-        if n in tables:
-            continue
-        if n == 0:
-            tables[0] = {(0,) * ctx.dim: Poly.const(ctx.dim, 1)}
-            continue
-        tables[n] = _build_degree(ctx, n, tables[n - 1])
+def _intertwiner_table(ctx: DunklContext, degree: int) -> dict[Monomial, Form]:
+    """Images of the degree-``degree`` monomials under V, as int forms, from the context's tables."""
+    tables, one = ctx.tables.intertwiner, (0,) * ctx.dim
+    tables.setdefault(0, {one: (1, {one: 1})})
+    for n in range(1, degree + 1):
+        if n not in tables:
+            tables[n] = _build_degree(ctx, n, tables[n - 1])
     return tables[degree]
 
 
-def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dict[Monomial, Poly]:
+def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Form]) -> dict[Monomial, Form]:
     """V on the degree-n monomials, from the images one degree lower.
 
     For q homogeneous of degree n the Euler identity reads
@@ -102,20 +99,20 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     the orbit representatives' columns are solved: a monomial with an
     orbit-mate (r, m, s) (``DunklContext._orbit_mate``) has
     V x^b = s (V x^m)(r x), built after the solve in lex-descending order, so
-    that the lex-greater mate is always ready.  [T | R] is filled in ints
-    over one denominator den, the lcm of the kappa and lower-image
-    denominators (a dense root's image keeps its Fraction coefficients),
-    with T full and R only for the representatives, and solved in one call
-    by fraction-free elimination in ``_linalg``, which the uniform scale by
-    den does not change.
+    that the lex-greater mate is always ready.  [T | R] is filled in ints over
+    den, the lcm of the kappa and lower-form denominators (a dense root's
+    image keeps its Fraction coefficients), with R, read from the lower
+    forms, only for the representatives, and solved in one call by
+    fraction-free elimination in ``_linalg``, which the scale by den does not
+    change.  Each solved column becomes a reduced form once; a mate's
+    reflection maps its terms one to one, so it keeps the mate's denominator.
     """
     monos = monomials_of_degree(ctx.dim, n)
     index = {m: i for i, m in enumerate(monos)}
     mates = [ctx._orbit_mate(mono) for mono in monos]
     reps = [mono for mono, mate in zip(monos, mates) if mate is None]
-    split = {mono: over_one_denominator(image.terms.values()) for mono, image in lower.items()}
     kappa_den, roots = ctx._scaled_roots
-    den = math.lcm(kappa_den, *[d for d, _ in split.values()])
+    den = math.lcm(kappa_den, *[d for d, _ in lower.values()])
     ks = [(root, k * (den // kappa_den)) for root, _, k in roots]
     shift = n * den + sum(k for _, k in ks)
     t = [[0] * len(monos) for _ in monos]
@@ -128,25 +125,27 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Poly]) -> dic
     for col, mono in enumerate(reps):
         for j, e in enumerate(mono):
             if e:
-                below = mono[:j] + (e - 1,) + mono[j + 1:]
-                d, nums = split[below]
+                d, nums = lower[mono[:j] + (e - 1,) + mono[j + 1:]]
                 scale = e * (den // d)
-                for m, v in zip(lower[below].terms, nums):
+                for m, v in nums.items():
                     r[index[m[:j] + (m[j] + 1,) + m[j + 1:]]][col] += scale * v
 
     columns = zip(*_linalg.solve_unique(t, r))
-    images: dict[Monomial, Poly] = {}
+    forms: dict[Monomial, Form] = {}
     for mono, mate in zip(monos, mates):
         if mate is None:
-            image = {m: c for m, c in zip(monos, next(columns)) if c}
+            column = {m: c for m, c in zip(monos, next(columns)) if c}
+            d, nums = over_one_denominator(column.values())
+            forms[mono] = d, dict(zip(column, nums))
         else:
             root, m, sign = mate
+            d, nums = forms[m]
             image = {}
-            for term, c in images[m].terms.items():
+            for term, v in nums.items():
                 ((term, s),) = root._terms(False, term)
-                image[term] = c if s == sign else -c
-        images[mono] = Poly._raw(ctx.dim, image)
-    return images
+                image[term] = v if s == sign else -v
+            forms[mono] = d, image
+    return forms
 
 
 def intertwiner_apply(ctx: DunklContext, p: Poly) -> Poly:
@@ -159,14 +158,15 @@ def intertwiner_apply(ctx: DunklContext, p: Poly) -> Poly:
     """
     ctx.check_dim(p)
     tables = {n: _intertwiner_table(ctx, n) for n in {sum(mono) for mono in p.terms}}
-    return radial_sum(ctx.dim, [(0, c, tables[sum(mono)][mono]) for mono, c in p.terms.items()])
+    forms = ((c, tables[sum(mono)][mono]) for mono, c in p.terms.items())
+    return Poly._over(ctx.dim, *_radial_ints((0, c, nums, den, nums.values()) for c, (den, nums) in forms))
 
 
 # ---------------------------------------------------------------------------
 # zonal kernels
 
 
-def _zonal_terms(ctx: DunklContext, phi: Poly) -> Iterator[tuple[Monomial, Fraction, Poly]]:
+def _zonal_terms(ctx: DunklContext, phi: Poly) -> Iterator[tuple[Monomial, Fraction, Form]]:
     """The terms (gamma, weight, V y^gamma) of phi(<x, y>) pushed through V in y.
 
     <x, y>^l = sum over |gamma| = l of (l!/gamma!) x^gamma y^gamma, so V in y
@@ -188,11 +188,11 @@ def _y_integral(ctx: DunklContext, phi: Poly, q: Poly) -> Poly:
     monomial a that the images reach, by :func:`sphere_integrate` on x^a q
     (q's terms with their exponents shifted by a), and its values are put over
     one denominator.  The coefficient of x^gamma is then one int dot product
-    of V y^gamma's numerators with those of L_q, times gamma's weight: one
-    Fraction per gamma, and no product polynomial.
+    of V y^gamma's stored numerators with those of L_q, times gamma's weight:
+    one Fraction per gamma, no split of an image, and no product polynomial.
     """
     terms = list(_zonal_terms(ctx, phi))
-    reached = list(dict.fromkeys(a for _, _, image in terms for a in image.terms))
+    reached = list(dict.fromkeys(a for _, _, (_, nums) in terms for a in nums))
     den, values = over_one_denominator([
         sphere_integrate(ctx, Poly._raw(ctx.dim, {
             tuple(i + j for i, j in zip(a, b)): c for b, c in q.terms.items()
@@ -201,9 +201,8 @@ def _y_integral(ctx: DunklContext, phi: Poly, q: Poly) -> Poly:
     ])
     functional = dict(zip(reached, values))
     out = {}
-    for gamma, weight, image in terms:
-        image_den, nums = over_one_denominator(image.terms.values())
-        dot = sum(n * functional[a] for a, n in zip(image.terms, nums))
+    for gamma, weight, (image_den, nums) in terms:
+        dot = sum(n * functional[a] for a, n in nums.items())
         out[gamma] = weight * Fraction(dot, image_den * den)
     return Poly(ctx.dim, out)
 
@@ -292,10 +291,11 @@ def reproducing_kernel(ctx: DunklContext, n: int) -> Poly:
     """The degree-n zonal reproducing kernel, the intertwined profile of <x, y>,
     as a polynomial in 2d variables: x is variables 1..d and y is d+1..2d."""
     out: dict[Monomial, Fraction] = {}
-    for gamma, weight, image in _zonal_terms(ctx, _reproducing_profile(ctx.lambda_kappa, n)):
-        for mono, c in image.terms.items():
-            out[gamma + mono] = weight * c
-    return Poly(2 * ctx.dim, out)
+    for gamma, weight, (den, nums) in _zonal_terms(ctx, _reproducing_profile(ctx.lambda_kappa, n)):
+        w, w_den = weight.as_integer_ratio()
+        for mono, v in nums.items():
+            out[gamma + mono] = Fraction(w * v, w_den * den)
+    return Poly._raw(2 * ctx.dim, out)
 
 
 def reproducing_check(ctx: DunklContext, n: int, q: Poly) -> bool:

@@ -83,8 +83,9 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
     return out
 
 
-def monomials_of_degree(dim: int, degree: int) -> list[Monomial]:
-    """All exponent vectors of total degree ``degree``, lex-descending."""
+@functools.lru_cache(maxsize=256)
+def monomials_of_degree(dim: int, degree: int) -> tuple[Monomial, ...]:
+    """All exponent vectors of total degree ``degree``, lex-descending, as one tuple kept in a bounded cache."""
     if dim < 1 or degree < 0:
         raise ValueError("need dim >= 1 and degree >= 0")
 
@@ -96,7 +97,7 @@ def monomials_of_degree(dim: int, degree: int) -> list[Monomial]:
             for rest in gen(d - 1, n - k):
                 yield (k,) + rest
 
-    return list(gen(dim, degree))
+    return tuple(gen(dim, degree))
 
 
 class Poly:
@@ -350,9 +351,10 @@ def _raised(mono: Monomial) -> tuple[Monomial, ...]:
 class Root(tuple):
     """A nonzero vector a of Fractions that carries its reflection r_a = I - 2 a a^T / |a|^2.
 
-    r_a is classified once, from the support of a: it is a signed permutation
-    exactly when a is c e_i or c (e_i +- e_j) with |a_i| = |a_j| (every
-    catalog root), and dense (``perm`` None) otherwise.  Every map of a
+    r_a is classified once, from the reduced (numerator, denominator) pairs
+    of a's entries (``ratios``), with no Fraction arithmetic: it is a signed
+    permutation exactly when a is c e_i or c (e_i +- e_j) with |a_i| = |a_j|
+    (every catalog root), and dense (``perm`` None) otherwise.  Every map of a
     monomial by the root goes through one rule, :meth:`_terms`, which gives
     the terms of x^b(r_a x) or of the divided difference of x^b: in closed
     form for a signed permutation, and from the tables of :meth:`_dense` for
@@ -361,6 +363,7 @@ class Root(tuple):
     first use, and ``Root(a)`` returns a itself when it is already a Root.
     """
 
+    ratios: tuple[tuple[int, int], ...]  # (numerator, denominator) of each entry
     perm: tuple[int, ...] | None  # column of row i's single nonzero, or None if dense
     flips: tuple[int, ...]  # rows whose single nonzero is -1
     support: tuple[int, ...]  # the coordinates where a is nonzero
@@ -371,17 +374,19 @@ class Root(tuple):
         if isinstance(values, Root):
             return values
         self = super().__new__(cls, map(as_fraction, values))
-        self.support = support = tuple(i for i, v in enumerate(self) if v)
+        self.ratios = ratios = tuple(v.as_integer_ratio() for v in self)
+        self.support = support = tuple(i for i, (n, _) in enumerate(ratios) if n)
         if not support:
             raise ValueError("alpha must be a nonzero vector of the ambient dimension")
         self.perm, self.flips, self.scale = None, (), None
-        c = self[support[0]]
+        n, d = ratios[support[0]]
         if len(support) == 1:
-            self.perm, self.flips, self.scale = tuple(range(len(self))), support, 2 if c == 1 else 2 / c
-        elif len(support) == 2 and abs(c) == abs(self[support[1]]):
+            self.perm, self.flips = tuple(range(len(self))), support
+            self.scale = 2 if n == d == 1 else Fraction(2 * d, n)
+        elif len(support) == 2 and (abs(n), d) == (abs(ratios[support[1]][0]), ratios[support[1]][1]):
             i, j = support
             self.perm = tuple(j if k == i else i if k == j else k for k in range(len(self)))
-            self.flips, self.scale = support if c * self[j] > 0 else (), 1 if c == 1 else 1 / c
+            self.flips, self.scale = support if n * ratios[j][0] > 0 else (), 1 if n == d == 1 else Fraction(d, n)
         if self.perm is not None:
             # itemgetter of one index returns the item, not a 1-tuple; in dimension 1 the perm is the identity
             self._permute = operator.itemgetter(*self.perm) if len(self) > 1 else tuple

@@ -28,12 +28,10 @@ from typing import Sequence
 
 from .polyring import Monomial, Poly, RationalLike, Root, as_fraction
 
-Vector = tuple[Fraction, ...]
-
 FAMILY_ORBITS = {"z2": None, "a": 1, "b": 2, "d": 1}
 
 
-def _exact(values: Sequence[RationalLike]) -> Vector:
+def _exact(values: Sequence[RationalLike]) -> tuple[Fraction, ...]:
     """The values as Fractions, refusing a root entry or multiplicity that is not exact."""
     try:
         return tuple(map(as_fraction, values))
@@ -71,7 +69,7 @@ class DunklContext:
     active_roots: tuple[tuple[Root, Fraction], ...] = field(init=False)
 
     def __post_init__(self):
-        roots = tuple(map(_exact, self.positive_roots))
+        roots = tuple(root if isinstance(root, Root) else _exact(root) for root in self.positive_roots)
         kappas = _exact(self.kappa_by_orbit)
         if self.dim < 2:
             raise ValueError("dimension must be >= 2")
@@ -84,15 +82,16 @@ class DunklContext:
         for idx, root in enumerate(roots):
             if len(root) != self.dim or not any(root):
                 raise ValueError(f"root #{idx} is not a nonzero vector of dimension {self.dim}")
-        fault = _root_set_fault(roots, self.orbit_ids)
+        roots = tuple(map(Root, roots))
+        fault = _root_set_fault(tuple(root.ratios for root in roots), self.orbit_ids)
         if fault is not None:
             raise ValueError(fault)
-        roots = tuple(map(Root, roots))
         object.__setattr__(self, "positive_roots", roots)
         object.__setattr__(self, "kappa_by_orbit", kappas)
         root_kappas = [kappas[oid] for oid in self.orbit_ids]
         active = tuple((root, kappa) for root, kappa in zip(roots, root_kappas) if kappa)
-        object.__setattr__(self, "lambda_kappa", Fraction(self.dim, 2) - 1 + sum(root_kappas, Fraction(0)))
+        total = sum(k * self.orbit_ids.count(oid) for oid, k in enumerate(kappas) if k)
+        object.__setattr__(self, "lambda_kappa", Fraction(self.dim, 2) - 1 + total)
         object.__setattr__(self, "active_roots", active)
 
     def check_dim(self, p: Poly, name: str = "polynomial") -> None:
@@ -123,7 +122,7 @@ class DunklContext:
         """(den, ((root, alpha, den kappa), ...)) over the active roots: den the lcm of the kappa
         denominators, and alpha the root with its integral entries as ints; dropped with the context."""
         den = math.lcm(*[kappa.denominator for _, kappa in self.active_roots])
-        return den, tuple((root, tuple(a.numerator if a.denominator == 1 else a for a in root),
+        return den, tuple((root, tuple(n if d == 1 else a for a, (n, d) in zip(root, root.ratios)),
                            kappa.numerator * (den // kappa.denominator)) for root, kappa in self.active_roots)
 
     @functools.cached_property
@@ -163,21 +162,20 @@ class DunklContext:
 class ContextTables:
     """Exact per-monomial data of one context, each entry computed once.
 
-    ``laplacian`` maps a monomial to its Dunkl Laplacian, ``axis`` a
-    monomial to its d coordinate Dunkl operator images D_1 x^beta, ...,
-    D_d x^beta, ``moments`` an even-degree monomial to its normalized
-    weighted spherical integral, and ``intertwiner`` a degree to the V
-    images of its monomials.  ``laplacian`` and ``axis`` share one entry
+    ``laplacian`` maps a monomial to its Dunkl Laplacian, ``axis`` a monomial
+    to its d coordinate Dunkl operator images D_1 x^beta, ..., D_d x^beta,
+    ``moments`` an even-degree monomial to its normalized weighted spherical
+    integral, and ``intertwiner`` a degree to the V images of its monomials,
+    each a reduced ``dunkl.Form`` (den, {monomial: numerator}) that V's
+    readers take as it is.  ``laplacian`` and ``axis`` share one entry
     layout, (den, images) with one image for the Laplacian and d for the
-    axes: one positive int denominator and each image flat as
-    m1, n1, m2, n2, ... for the terms n_i / den x^m_i, with int numerators
-    and den prime to them all (``polyring.over_one_denominator``), so the
-    operator kernel sums ints.  Only ``dunkl`` reads that layout.
-    Entries are only ever added, and every entry is a function of the
-    context and its key, so two threads that miss together write equal
-    values.  The tables grow with the monomials of the degrees this context
-    has been asked about (``axis`` holds d images per monomial it has seen)
-    and are dropped with the context.  The images repeat a few hundred
+    axes: one positive int denominator and each image flat as m1, n1, m2,
+    n2, ... for the terms n_i / den x^m_i, den prime to the int numerators
+    (``polyring.over_one_denominator``), so the operator kernel sums ints;
+    only ``dunkl`` reads it.  Entries are only ever added, and each is a
+    function of the context and its key, so two threads that miss together
+    write equal values.  The tables grow with the monomials of the degrees
+    asked about and are dropped with the context.  The images repeat a few hundred
     monomials many times over, so they hold the one instance of each that
     ``shared`` maps it to; on d4 that takes the two tables from 0.77 MB to
     0.35 MB once every monomial of degree 4 to 8 has been seen.
@@ -187,16 +185,20 @@ class ContextTables:
     axis: dict[Monomial, tuple[int, tuple[tuple, ...]]] = field(default_factory=dict)
     shared: dict[Monomial, Monomial] = field(default_factory=dict)
     moments: dict[Monomial, Fraction] = field(default_factory=dict)
-    intertwiner: dict[int, dict[Monomial, Poly]] = field(default_factory=dict)
+    intertwiner: dict[int, dict[Monomial, tuple[int, dict[Monomial, int]]]] = field(default_factory=dict)
 
 
-def _catalog_roots(family: str, d: int) -> tuple[list[Vector], list[int]]:
-    """The positive roots of a known family in dimension d, and their orbit ids."""
-    units = [tuple(Fraction(int(k == i)) for k in range(d)) for i in range(d)]
+_UNIT_ENTRIES = {v: Fraction(v) for v in (-1, 0, 1)}
+
+
+def _catalog_roots(family: str, d: int) -> tuple[list[Root], list[int]]:
+    """The positive roots of a known family in dimension d, built once as ``Root``s of shared entries, and their
+    orbit ids; :class:`DunklContext` keeps them as they are."""
+    units = [Root([_UNIT_ENTRIES[int(k == i)] for k in range(d)]) for i in range(d)]
     if family == "z2":
         return units, list(range(d))
     signs = (-1,) if family == "a" else (-1, 1)
-    pairs = [tuple(Fraction(1 if k == i else sj if k == j else 0) for k in range(d))
+    pairs = [Root([_UNIT_ENTRIES[1 if k == i else sj if k == j else 0] for k in range(d)])
              for i in range(d) for j in range(i + 1, d) for sj in signs]
     if family == "b":
         return units + pairs, [0] * d + [1] * len(pairs)
@@ -225,17 +227,17 @@ def make_context(family: str, d: int, kappa_by_orbit: Sequence[RationalLike]) ->
 
 
 @functools.lru_cache(maxsize=64)
-def _root_set_fault(roots: tuple[Vector, ...], orbit_ids: tuple[int, ...]) -> str | None:
-    """Why the roots are not a reduced, reflection-closed system, or None.
+def _root_set_fault(ratios: tuple[tuple[tuple[int, int], ...], ...], orbit_ids: tuple[int, ...]) -> str | None:
+    """Why the roots, given by their ``Root.ratios``, are not a reduced, reflection-closed system, or None.
 
     Each reflection must map every root to a root of the same orbit, up to
     sign, so that it permutes the root set and preserves multiplicities.
     The verdict depends on the roots and their orbits only, not on the
     multiplicities, so it is computed once per root set: the O(R^2) checks
-    in Fractions otherwise dominate every ``make_context``.  It is keyed by
-    plain Fraction tuples, so the cache keeps no context's ``Root``s, nor
-    the tables a dense Root fills, alive.
+    in Fractions otherwise dominate every ``make_context``.  Its key, plain int
+    pairs, hashes no Fraction and keeps no ``Root`` nor a dense Root's tables alive.
     """
+    roots = tuple(tuple(Fraction(n, d) for n, d in root) for root in ratios)
     for i, u in enumerate(roots):
         for j in range(i + 1, len(roots)):
             v = roots[j]

@@ -1,12 +1,15 @@
 """The cold-path systems built in integers against their Fraction-matrix fill.
 
 ``intertwine._build_degree`` fills the V system [T | R] in Python ints over
-one denominator, and ``h_harmonic_basis`` reads its matrix straight from the
-Laplacian table as ints.  The references below fill the same systems as
-dense Fraction matrices, term by term from ``Poly.reflect`` and ``laplacian``,
-and solve them with ``_linalg``, and the basis reference scales each kernel
-vector to its primitive form by Fraction products; the two routes must
-agree by ``==``.  The contexts cover a zero orbit, mixed kappa denominators
+one denominator from the int forms one degree lower and stores int forms,
+and ``h_harmonic_basis`` reads its matrix straight from the Laplacian table
+as ints and writes its kernel vectors in ints from ``rref``'s pivot rows.
+The references below fill the same systems as dense Fraction matrices, term
+by term from ``Poly.reflect`` and ``laplacian``, and solve them with
+``_linalg``; the basis reference takes the kernel by the test-local
+:func:`nullspace`, the second route for the basis, and scales each kernel
+vector to its primitive form by Fraction products.  The V forms are compared
+through their ``Poly`` view, and the two routes must agree by ``==``.  The contexts cover a zero orbit, mixed kappa denominators
 and a dense root pair whose reflection images have Fraction coefficients.
 """
 
@@ -54,6 +57,19 @@ def fraction_build_degree(ctx, n, lower):
     return {mono: Poly(ctx.dim, {m: row[col] for m, row in zip(monos, x)}) for col, mono in enumerate(monos)}
 
 
+def nullspace(matrix, ncols):
+    """Basis of the right kernel, one vector per free column, in column order, from ``rref``."""
+    reduced, pivots = _linalg.rref(matrix)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
 def primitive(p):
     """Clear denominators, divide by the content, make the leading term positive, in Fractions."""
     if p.is_zero:
@@ -82,18 +98,19 @@ def fraction_basis(ctx, n):
     for col, mono in enumerate(monos):
         for m, c in laplacian(ctx, Poly.monomial(ctx.dim, mono)).terms.items():
             matrix[index[m]][col] = c
-    return [primitive(Poly(ctx.dim, dict(zip(monos, vec)))) for vec in _linalg.nullspace(matrix, len(monos))]
+    return [primitive(Poly(ctx.dim, dict(zip(monos, vec)))) for vec in nullspace(matrix, len(monos))]
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
 def test_build_degree_matches_the_fraction_fill(name):
     ctx = CONTEXTS[name]()
+    forms = {(0,) * ctx.dim: (1, {(0,) * ctx.dim: 1})}
     lower = {(0,) * ctx.dim: Poly.const(ctx.dim, 1)}
     for n in range(1, 7):
-        got = intertwine._build_degree(ctx, n, lower)
+        forms = intertwine._build_degree(ctx, n, forms)
         lower = fraction_build_degree(ctx, n, lower)
-        assert got == lower, n
-        assert all(type(c) is Fraction for image in got.values() for c in image.terms.values())
+        assert {mono: Poly._over(ctx.dim, *form) for mono, form in forms.items()} == lower, n
+        assert all(type(den) is int and all(type(v) is int for v in nums.values()) for den, nums in forms.values())
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))

@@ -143,32 +143,53 @@ def test_rref_accepts_int_entries():
     assert _linalg.rref(matrix) == pivot_rows(matrix)
 
 
+def assert_reduced_like_the_reference(matrix):
+    rows, pivots = _linalg.rref(matrix)
+    assert (rows, pivots) == pivot_rows(matrix)
+    assert all(type(v) is Fraction for row in rows for v in row)
+    # every pivot entry is the one shared Fraction(1)
+    assert len({id(row[c]) for row, c in zip(rows, pivots)}) <= 1
+    assert all(type(row[c]) is Fraction and row[c] == 1 for row, c in zip(rows, pivots))
+
+
+def test_rref_takes_int_fraction_and_mixed_rows():
+    rng = random.Random("linalg:row-types")
+    for _ in range(30):
+        ints = random_matrix(rng, 3, 6, kind="int")
+        fractions = random_matrix(rng, 3, 6, kind="fraction")
+        mixed = random_matrix(rng, 3, 6, kind="mixed")
+        for matrix in (ints, fractions, mixed, ints + fractions + mixed, mixed[:1] + ints[:2] + fractions[:2]):
+            assert_reduced_like_the_reference(matrix)
+    # Fractions of denominator 1 take the denominator pass, and ints beside them the int rows' path
+    assert_reduced_like_the_reference([[Fraction(4), Fraction(6), 2], [3, 5, 7], [Fraction(2), 0, Fraction(-4)]])
+
+
+def test_rref_of_the_dense_v_system(monkeypatch):
+    # the V build's [T | R] on the roots (1, 2) and (2, -1): their reflections bring
+    # Fraction entries into T beside ints, so rows mix the two types
+    from dunkl_harmonics import DunklContext, intertwine
+
+    systems = []
+    real = _linalg.rref
+
+    def recording(matrix):
+        systems.append([row[:] for row in matrix])
+        return real(matrix)
+
+    monkeypatch.setattr(_linalg, "rref", recording)
+    ctx = DunklContext(2, ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(-1))), (0, 1), (Fraction(1, 3), Fraction(2)))
+    intertwine._intertwiner_table(ctx, 4)
+    monkeypatch.undo()
+    assert len(systems) == 4
+    assert any({type(v) for v in row} == {int, Fraction} for matrix in systems for row in matrix)
+    for matrix in systems:
+        assert_reduced_like_the_reference(matrix)
+
+
 def test_rref_of_a_zero_matrix_and_of_no_rows():
     zero = [[Fraction(0)] * 3 for _ in range(2)]
     assert _linalg.rref(zero) == ([], [])
     assert _linalg.rref([]) == ([], [])
-
-
-def test_nullspace_is_the_kernel_in_column_order():
-    for kind in KINDS:
-        rng = random.Random("linalg:nullspace" + ("" if kind == "fraction" else f":{kind}"))
-        for _ in range(30):
-            matrix = random_matrix(rng, 5, 7, rng.randint(1, 4), kind)
-            basis = _linalg.nullspace(matrix, 7)
-            reduced, pivots = gauss_jordan(matrix, 7)
-            assert len(basis) == 7 - len(pivots)
-            for vec in basis:
-                assert all(type(v) is Fraction for v in vec)
-                assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in matrix)
-            free = [c for c in range(7) if c not in pivots]
-            for f, vec in zip(free, basis):
-                assert [vec[c] for c in free] == [int(c == f) for c in free]
-                assert [vec[p] for p in pivots] == [-row[f] for row in reduced[:len(pivots)]]
-
-
-def test_nullspace_of_no_rows_is_the_identity_basis():
-    assert _linalg.nullspace([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert _linalg.nullspace([], 0) == []
 
 
 def test_solve_unique_recovers_the_solution():

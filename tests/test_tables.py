@@ -352,8 +352,28 @@ def test_reflected_v_columns_match_an_all_columns_solve(name):
     lower = {(0,) * ctx.dim: Poly.const(ctx.dim, 1)}
     for n in range(1, 6):
         reference = all_columns_degree(ctx, n, lower)
-        assert intertwine._intertwiner_table(ctx, n) == reference, n
+        table = intertwine._intertwiner_table(ctx, n)
+        assert {mono: Poly._over(ctx.dim, *form) for mono, form in table.items()} == reference, n
         lower = reference
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_v_table_holds_reduced_forms(name):
+    # every stored image n_i / den x^m_i is reduced, and an orbit-mate's
+    # reflection keeps its mate's denominator, a bijection of its terms
+    ctx = CONTEXTS[name]
+    for n in range(6):
+        table = intertwine._intertwiner_table(ctx, n)
+        assert list(table) == list(monomials_of_degree(ctx.dim, n))
+        for mono, (den, nums) in table.items():
+            assert type(den) is int and den > 0 and nums
+            assert all(type(v) is int and v for v in nums.values())
+            assert math.gcd(den, *nums.values()) == 1
+            mate = ctx._orbit_mate(mono)
+            if mate is not None:
+                _, m, _ = mate
+                assert den == table[m][0]
+                assert sorted(map(abs, nums.values())) == sorted(map(abs, table[m][1].values()))
 
 
 def test_reducible_context_mixes_dense_and_swapping_roots():

@@ -3,7 +3,12 @@
     PYTHONPATH=src python3 tools/time_cold.py [--repeat 5]
 
 Each case builds a fresh context per repetition, so no table is cached
-across repetitions: the degree-8 bases of A3, d4, b4 and z2^4 (their kernels
+across repetitions.  The cold_tables cases come first, on that workload's
+four groups: one ``make_context`` per repetition, then a cold op, a fresh
+context with the h-harmonic basis and V at the group's top workload degree;
+their ``first_s``, the first repetition, is the first context of its root
+set in the process, and the first cold op, before the bounded caches of the
+monomial lists and the root-set verdict have seen it.  Then the degree-8 bases of A3, d4, b4 and z2^4 (their kernels
 are the same shape, and A3 grows the largest rows), V up to degree 6 on the
 same groups, and the d4 axis table: D_xi of the sum of every degree-8
 monomial, which fills the table's 165 degree-8 entries.  The dense cases
@@ -19,7 +24,7 @@ fractional power 2 kappa = 2/3, with 16384 samples, and (x1+...+x4)^16
 (969 terms) on d4 with 8192 samples, which times the term loop.  Point
 PYTHONPATH at another checkout's ``src`` to time that revision with the
 same cases.
-Prints one JSON object: per case, the best and the median seconds.
+Prints one JSON object: per case, the first, the best and the median seconds.
 Standard library and the package only.
 """
 
@@ -62,7 +67,24 @@ def up_to(dim: int, degree: int) -> Poly:
     return Poly(dim, {mono: 1 for n in range(degree + 1) for mono in monomials_of_degree(dim, n)})
 
 
+# cold_tables' groups and the top degree of each (perfbench/workloads.py's COLD_FAMILIES)
+COLD = {
+    "z2^3": (("z2", 3, [Fraction(1, 2), Fraction(5, 3), 2]), 5),
+    "a2": (("a", 3, [Fraction(4, 3)]), 4),
+    "b3": (("b", 3, [Fraction(1, 2), Fraction(5, 3)]), 4),
+    "d4": (("d", 4, [Fraction(2, 3)]), 3),
+}
+
+
+def cold_op(args, degree: int):
+    ctx = make_context(*args)
+    return h_harmonic_basis(ctx, degree), intertwiner_apply(ctx, Poly.monomial(ctx.dim, (degree,) + (0,) * (ctx.dim - 1)))
+
+
 def cases():
+    for name, (args, degree) in COLD.items():
+        yield f"{name} make_context", lambda args=args: make_context(*args)
+        yield f"{name} cold op, basis and V at degree {degree}", lambda args=args, degree=degree: cold_op(args, degree)
     for name, args in GROUPS.items():
         yield f"{name} basis degree 8", lambda args=args: h_harmonic_basis(make_context(*args), 8)
         yield f"{name} V to degree 6", lambda args=args: intertwiner_apply(
@@ -101,7 +123,8 @@ def main() -> None:
             start = time.perf_counter()
             run()
             times.append(time.perf_counter() - start)
-        out[name] = {"best_s": round(min(times), 4), "median_s": round(statistics.median(times), 4)}
+        out[name] = {"first_s": round(times[0], 6), "best_s": round(min(times), 6),
+                     "median_s": round(statistics.median(times), 6)}
     print(json.dumps(out, indent=1))
 
 
