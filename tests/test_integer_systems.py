@@ -9,8 +9,9 @@ by term from ``Poly.reflect`` and ``laplacian``, and solve them with
 ``_linalg``; the basis reference takes the kernel by the test-local
 :func:`nullspace`, the second route for the basis, and scales each kernel
 vector to its primitive form by Fraction products.  The V forms are compared
-through their ``Poly`` view, and the two routes must agree by ``==``.  The contexts cover a zero orbit, mixed kappa denominators
-and a dense root pair whose reflection images have Fraction coefficients.
+through their ``Poly`` view, and the two routes must agree by ``==``.  The
+contexts cover a zero orbit, mixed kappa denominators and a dense root pair
+whose reflection images have Fraction coefficients.
 """
 
 import math

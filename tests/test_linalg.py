@@ -177,7 +177,7 @@ def test_rref_of_the_dense_v_system(monkeypatch):
         return real(matrix)
 
     monkeypatch.setattr(_linalg, "rref", recording)
-    ctx = DunklContext(2, ((Fraction(1), Fraction(2)), (Fraction(2), Fraction(-1))), (0, 1), (Fraction(1, 3), Fraction(2)))
+    ctx = DunklContext(2, ((1, 2), (2, -1)), (0, 1), (Fraction(1, 3), 2))
     intertwine._intertwiner_table(ctx, 4)
     monkeypatch.undo()
     assert len(systems) == 4

@@ -78,13 +78,14 @@ COLD = {
 
 def cold_op(args, degree: int):
     ctx = make_context(*args)
-    return h_harmonic_basis(ctx, degree), intertwiner_apply(ctx, Poly.monomial(ctx.dim, (degree,) + (0,) * (ctx.dim - 1)))
+    top = Poly.monomial(ctx.dim, (degree,) + (0,) * (ctx.dim - 1))
+    return h_harmonic_basis(ctx, degree), intertwiner_apply(ctx, top)
 
 
 def cases():
     for name, (args, degree) in COLD.items():
         yield f"{name} make_context", lambda args=args: make_context(*args)
-        yield f"{name} cold op, basis and V at degree {degree}", lambda args=args, degree=degree: cold_op(args, degree)
+        yield f"{name} cold op, basis and V at degree {degree}", lambda a=args, n=degree: cold_op(a, n)
     for name, args in GROUPS.items():
         yield f"{name} basis degree 8", lambda args=args: h_harmonic_basis(make_context(*args), 8)
         yield f"{name} V to degree 6", lambda args=args: intertwiner_apply(
