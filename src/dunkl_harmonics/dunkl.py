@@ -1,36 +1,29 @@
 """The Dunkl operator, its Laplacian, operator substitution, and the pairing.
 
 Everything here is exact.  Both operators are linear, and both are thin
-callers of one kernel, :func:`_image_sum`, which sums the table images of
-the input's monomials weighted by a list of (image index, int weight)
-pairs: the nonzero axes of xi for :func:`dunkl_apply` (and its coordinate
-case :func:`dunkl_axis`), and ``((0, 1),)`` for :func:`laplacian`.  Each
-image is computed once per context, on a miss of the one lookup
-:func:`_entry`: ``tables.axis`` holds the d coordinate images D_j x^beta
-of a monomial, a partial derivative plus one divided difference per root,
-and ``tables.laplacian`` holds Lap x^beta.  The Laplacian commutes with the
-group, so a Laplacian miss whose monomial has an orbit-mate
+callers of one kernel, :func:`_image_sum`, which takes a ``polyring.Form``
+and sums the table images of its monomials weighted by a list of (image
+index, int weight) pairs: the nonzero axes of xi for :func:`dunkl_apply`
+(and its coordinate case :func:`dunkl_axis`), and ``((0, 1),)`` for
+:func:`laplacian`.  Each image is computed once per context, on a miss of
+the one lookup :func:`_entry`: ``tables.axis`` holds the d coordinate images
+D_j x^beta of a monomial, a partial derivative plus one divided difference
+per root, and ``tables.laplacian`` holds Lap x^beta.  The Laplacian commutes
+with the group, so a Laplacian miss whose monomial has an orbit-mate
 (``DunklContext._orbit_mate``) is the mate's entry reflected, and only an
 orbit's representative takes the closed form of the sum of squares.  A
 closed-form miss sums Python ints scaled by the lcm of the context's kappa
-denominators, and both closed forms store through one step,
-:func:`_reduced_entry`, as int numerators over one denominator.  This module
-alone reads that layout; others get Laplacian images from
-:func:`_monomial_laplacian` as (monomial, numerator) pairs.  The kernel
-takes and returns int numerators over one denominator, and the two
-operators put a ``Poly`` into that form and build one Fraction per output
-term, so the results are those of the formulas applied to the whole input.
-:func:`_laplacian_powers` is the one place that iterates the Laplacian over
-a sequence p, Lap p, Lap^2 p, ..., and the one place that decides where it
-ends.  It yields each power as a :data:`Form`, int numerators over one
-denominator reduced by one gcd, straight from the kernel: its readers feed
-the forms to ``polyring._radial_ints`` or build a ``Poly`` of the one power
-they need, so no other power becomes Fractions.  For a homogeneous input
-of degree n the operator output is
-homogeneous of degree n - 1 (zero when n = 0) and the Laplacian output of
-degree n - 2; the test suite exercises both rather than asserting them per
-call.  Inputs of another dimension are refused by
-:meth:`DunklContext.check_dim`, as in every other module.
+denominators, and both closed forms store through :func:`_reduced_entry`, as
+int numerators over one denominator.  Only this module reads that layout;
+others get Laplacian images from :func:`_monomial_laplacian`.  A public call
+crosses from ``Poly`` to Form and back once (``Poly._form``, ``Poly._over``),
+and a composition stays a Form between its steps, each one kernel call
+reduced by one gcd (:func:`_step`): :func:`_laplacian_powers`, the one place
+that iterates the Laplacian and decides where p, Lap p, ... ends, and
+:func:`apply_operator_poly`, which chains the axis operators.  For a
+homogeneous input of degree n the outputs are zero or homogeneous, of degree
+n - 1 for an operator and n - 2 for the Laplacian; the tests check both.
+Inputs of another dimension are refused by :meth:`DunklContext.check_dim`.
 """
 
 from __future__ import annotations
@@ -39,13 +32,11 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .polyring import Monomial, Poly, RationalLike, as_fraction, over_one_denominator, radial_sum
+from .polyring import Form, Monomial, Poly, RationalLike, _radial_ints, as_fraction, over_one_denominator
 from .reflection import DunklContext
 
 # (den, (image, ...)), each image flat as m1, n1, m2, n2, ... for the terms n_i / den x^m_i
 Entry = tuple[int, tuple[tuple, ...]]
-# (den, {m: n}): the polynomial with the terms n / den x^m, den > 0 and no n zero
-Form = tuple[int, dict[Monomial, int]]
 Builder = Callable[[DunklContext, Monomial], Entry]
 
 
@@ -64,9 +55,8 @@ def dunkl_apply(ctx: DunklContext, xi: Sequence[RationalLike], p: Poly) -> Poly:
     if len(xi_nums) != ctx.dim or not any(xi_nums):
         raise ValueError("xi must be a nonzero vector of the ambient dimension")
     axes = [(j, x) for j, x in enumerate(xi_nums) if x]
-    den, nums = over_one_denominator(p.terms.values())
-    out = _image_sum(ctx, den * xi_den, p.terms, nums, ctx.tables.axis, _monomial_axes, axes)
-    return Poly._over(ctx.dim, *out)
+    den, terms = p._form()
+    return Poly._over(ctx.dim, *_image_sum(ctx, (den * xi_den, terms), ctx.tables.axis, _monomial_axes, axes))
 
 
 def dunkl_axis(ctx: DunklContext, axis: int, p: Poly) -> Poly:
@@ -84,25 +74,22 @@ def laplacian(ctx: DunklContext, p: Poly) -> Poly:
     (built on a miss by ``_monomial_image``).
     """
     ctx.check_dim(p)
-    den, nums = over_one_denominator(p.terms.values())
-    out = _image_sum(ctx, den, p.terms, nums, ctx.tables.laplacian, _monomial_image, ((0, 1),))
-    return Poly._over(ctx.dim, *out)
+    return Poly._over(ctx.dim, *_image_sum(ctx, p._form(), ctx.tables.laplacian, _monomial_image, ((0, 1),)))
 
 
 def _image_sum(
-    ctx: DunklContext, den: int, monos: Iterable[Monomial], nums: Iterable[int],
-    table: dict[Monomial, Entry], build: Builder, weights: Sequence[tuple[int, int]],
-) -> tuple[int, dict[Monomial, int]]:
-    """The sum of n / den times w times image j of x^m's entry, over the terms (m, n) and the (j, w) in weights.
+    ctx: DunklContext, form: Form, table: dict[Monomial, Entry], build: Builder, weights: Sequence[tuple[int, int]],
+) -> Form:
+    """The sum of n / den times w times image j of x^m's entry, over form's terms (m, n) and the (j, w) in weights.
 
-    The input is int numerators over den, and so is the sum: the entries are
-    put over one denominator, and the output numerators, some of which may
-    be zero, are over den times that denominator.
+    The entries are put over one denominator, and the output numerators,
+    some of which may be zero, are over form's den times that denominator.
     """
-    entries = [_entry(ctx, table, build, mono) for mono in monos]
+    den, terms = form
+    entries = [_entry(ctx, table, build, mono) for mono in terms]
     scale = math.lcm(*[d for d, _ in entries])
     out: dict[Monomial, int] = {}
-    for n, (d, images) in zip(nums, entries):
+    for n, (d, images) in zip(terms.values(), entries):
         n *= scale // d
         for j, w in weights:
             nw = n * w
@@ -254,24 +241,29 @@ def _shifted(mono: Monomial, i: int, e: int) -> Monomial:
     return mono[:i] + (e,) + mono[i + 1:]
 
 
-def _laplacian_powers(ctx: DunklContext, p: Poly) -> Iterator[Form]:
-    """p, Lap p, Lap^2 p, ... up to the last nonzero power, each computed when it is read.
+def _step(
+    ctx: DunklContext, form: Form, table: dict[Monomial, Entry], build: Builder, weights: Sequence[tuple[int, int]],
+) -> Form:
+    """One step of a composition: the kernel :func:`_image_sum` on form, reduced by one gcd, zeros dropped."""
+    den, out = _image_sum(ctx, form, table, build, weights)
+    g = math.gcd(den, *out.values())
+    return den // g, {m: v // g for m, v in out.items() if v}
 
-    Each power is a :data:`Form`, reduced by one gcd, and each step is one
-    call of the kernel :func:`_image_sum` on the Laplacian table, so no
-    power but p is ever a ``Poly``.  Lap lowers the degree by 2, so for p of
-    degree n the sequence ends by Lap^(n // 2) p; a power of degree < 2 ends
-    it without another Laplacian, and a zero p yields nothing.
+
+def _laplacian_powers(ctx: DunklContext, p: Poly) -> Iterator[Form]:
+    """p, Lap p, Lap^2 p, ... up to the last nonzero power, each a reduced Form computed when it is read.
+
+    Each step is one :func:`_step` on the Laplacian table.  Lap lowers the
+    degree by 2, so for p of degree n the sequence ends by Lap^(n // 2) p; a
+    power of degree < 2 ends it without another Laplacian, and a zero p
+    yields nothing.
     """
-    den, nums = over_one_denominator(p.terms.values())
-    terms = dict(zip(p.terms, nums))
-    while terms:
-        yield den, terms
-        if max(map(sum, terms)) < 2:
+    form = p._form()
+    while form[1]:
+        yield form
+        if max(map(sum, form[1])) < 2:
             return
-        den, out = _image_sum(ctx, den, terms, terms.values(), ctx.tables.laplacian, _monomial_image, ((0, 1),))
-        g = math.gcd(den, *out.values())
-        den, terms = den // g, {m: v // g for m, v in out.items() if v}
+        form = _step(ctx, form, ctx.tables.laplacian, _monomial_image, ((0, 1),))
 
 
 def apply_operator_poly(ctx: DunklContext, q: Poly, p: Poly) -> Poly:
@@ -279,17 +271,20 @@ def apply_operator_poly(ctx: DunklContext, q: Poly, p: Poly) -> Poly:
 
     Each monomial x^beta of q acts as the product of the per-axis operators;
     the operators commute, so the fixed ascending axis order is immaterial
-    (and that commutation is itself a verified property).
+    (and that commutation is itself a verified property).  p is split once,
+    each axis step is one :func:`_step` on the axis table, and the images
+    are summed by ``polyring._radial_ints`` into the one ``Poly`` returned.
     """
     ctx.check_dim(q)
     ctx.check_dim(p)
+    form = p._form()
     images = []
     for mono, coeff in q.terms.items():
-        r = p
-        for axis in (j + 1 for j, e in enumerate(mono) for _ in range(e)):
-            r = dunkl_axis(ctx, axis, r)
-        images.append((0, coeff, r))
-    return radial_sum(ctx.dim, images)
+        image = form
+        for j in (j for j, e in enumerate(mono) for _ in range(e)):
+            image = _step(ctx, image, ctx.tables.axis, _monomial_axes, ((j, 1),))
+        images.append((0, coeff, image))
+    return Poly._over(ctx.dim, *_radial_ints(images))
 
 
 def pairing(ctx: DunklContext, p: Poly, q: Poly) -> Fraction:

@@ -6,12 +6,12 @@ homogeneous polynomial of degree n splits uniquely as a sum of
 coefficients of that splitting are implemented verbatim; the reconstruction
 identity is the independent check, exercised by the tests.  Both the
 projection and the splitting read the sequence p, Lap p, Lap^2 p, ... as
-int forms (``dunkl._laplacian_powers``); the splitting computes each
-Lap^k p once and shares it among its components.  Their coefficients depend
-only on (lam, n), so they are one cached table (:func:`_coefficients`).
+``polyring.Form``s (``dunkl._laplacian_powers``); the splitting computes
+each Lap^k p once and shares it among its components.  Their coefficients
+depend only on (lam, n), so they are one cached table (:func:`_coefficients`).
 The projection, the components, the reconstruction and the reduction modulo
 the sphere are sums of c |x|^(2k) g, taken with Horner's rule in |x|^2 by
-``polyring.radial_sum`` or, from the int forms, its core
+``polyring.radial_sum`` or, from the Forms, its core
 ``polyring._radial_ints``, so none of them makes a product of two
 polynomials or any Fraction but one per output term.  The spherical layer
 shares the homogeneity and h-harmonic checks kept here.
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .dunkl import Form, _laplacian_powers, _monomial_laplacian, laplacian
-from .polyring import Poly, _radial_ints, monomials_of_degree, pochhammer, radial_sum
+from .dunkl import _laplacian_powers, _monomial_laplacian, laplacian
+from .polyring import Form, Poly, _radial_ints, monomials_of_degree, pochhammer, radial_sum
 from .reflection import DunklContext
 
 
@@ -102,13 +102,12 @@ def _project(ctx: DunklContext, n: int, i: int, powers: list[Form]) -> Poly:
 
     That is the sum of a_ij |x|^(2j) Lap^(i+j) p over row i of
     :func:`_coefficients`, taken by ``polyring._radial_ints`` from the
-    powers' int forms, with one Fraction per output term; for i = 0 it is
-    the projection of p.  The powers end at the last nonzero one (see
+    powers' Forms, with one Fraction per output term; for i = 0 it is the
+    projection of p.  The powers end at the last nonzero one (see
     ``_laplacian_powers``), and past it the component is 0.
     """
     row = _coefficients(ctx.lambda_kappa, n)[i]
-    split = [(j, c, terms, den, terms.values()) for j, (c, (den, terms)) in enumerate(zip(row, powers))]
-    return Poly._over(ctx.dim, *_radial_ints(split))
+    return Poly._over(ctx.dim, *_radial_ints(zip(range(len(row)), row, powers)))
 
 
 def canonical_decompose(ctx: DunklContext, p: Poly) -> HarmonicDecomposition:
@@ -159,9 +158,9 @@ def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
         entries = [(monos[p], row[f]) for p, row in zip(pivots, reduced) if row[f]]
         den = math.lcm(*[v.denominator for _, v in entries])
         sign = -1 if entries and entries[0][1] > 0 else 1
-        terms = {m: Fraction(-sign * v.numerator * (den // v.denominator)) for m, v in entries}
-        terms[monos[f]] = Fraction(sign * den)
-        basis.append(Poly._raw(ctx.dim, terms))
+        terms = {m: -sign * v.numerator * (den // v.denominator) for m, v in entries}
+        terms[monos[f]] = sign * den
+        basis.append(Poly._over(ctx.dim, 1, terms))
     return basis
 
 
@@ -173,12 +172,12 @@ def reduce_mod_sphere(ctx: DunklContext, p: Poly) -> Poly:
     the sphere.  For a part of degree n that is the sum of the components,
     sum over i <= j of a_i(j-i) |x|^(2(j-i)) Lap^j p (see
     :func:`_coefficients`), so every part enters one Horner sum from its
-    powers' int forms, and no component is built.
+    powers' Forms, and no component is built.
     """
     ctx.check_dim(p)
     split = []
     for n, part in p.homogeneous_parts():
         rows = _coefficients(ctx.lambda_kappa, n)
-        for j, (den, terms) in enumerate(_laplacian_powers(ctx, part)):
-            split += [(j - i, rows[i][j - i], terms, den, terms.values()) for i in range(j + 1)]
+        for j, power in enumerate(_laplacian_powers(ctx, part)):
+            split += [(j - i, rows[i][j - i], power) for i in range(j + 1)]
     return Poly._over(ctx.dim, *_radial_ints(split))

@@ -7,17 +7,18 @@ instead: degree by degree, the monomial images are the unique solution of
 one square exact linear system in ints that needs reflections only, no
 Dunkl operator; the defining property is checked independently by the
 test suite and by verify.  The V table holds each image as a
-``dunkl.Form``, int numerators over one denominator, which every reader
-takes as it is.  On top of V sit the zonal-kernel constructions: the
-Funk-Hecke identity as an exact congruence modulo the sphere ideal, and the
-degree-n reproducing kernel.  A profile phi(t) is a :class:`Poly` of
-dimension 1, its variable t being x1.  The zonal functions sum over the
-terms (l!/gamma!) x^gamma V y^gamma of phi(<x, y>) pushed through V in y;
-there is no two-block polynomial type, and the reproducing kernel is a
-plain :class:`Poly` in 2d variables.  Integrating such a sum against q(y)
-applies one functional, L_q(x^a) = int x^a q dmu, to every V y^gamma: L_q
-is read once per monomial and put over one denominator, and each gamma is
-one int dot product with V y^gamma's numerators (``_y_integral``).
+``polyring.Form``, int numerators over one denominator, which every reader
+takes as it is: a ``Poly`` is built only at the public boundary.  On top of
+V sit the zonal-kernel constructions: the Funk-Hecke identity as an exact
+congruence modulo the sphere ideal, and the degree-n reproducing kernel.  A
+profile phi(t) is a :class:`Poly` of dimension 1, its variable t being x1.
+The zonal functions sum over the terms (l!/gamma!) x^gamma V y^gamma of
+phi(<x, y>) pushed through V in y; there is no two-block polynomial type,
+and the reproducing kernel is a plain :class:`Poly` in 2d variables.
+Integrating such a sum against q(y) applies one functional, L_q(x^a) = int
+x^a q dmu, to every V y^gamma: L_q is read once per monomial and put over
+one denominator, and each gamma is one int dot product with V y^gamma's
+numerators (``_y_integral``).
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from typing import Iterator
 
 from . import _linalg
 # unused here; perfbench/test_smoke.py::test_tracer_patches_from_imports_and_restores_them reads it
-from .dunkl import Form, dunkl_axis
+from .dunkl import dunkl_axis
 from .harmonic import reduce_mod_sphere, require_h_harmonic
-from .polyring import (
-    Monomial, Poly, RationalLike, _radial_ints, as_fraction, monomials_of_degree, over_one_denominator, pochhammer,
-)
+from .polyring import (Form, Monomial, Poly, RationalLike, _radial_ints, as_fraction, monomials_of_degree,
+                       over_one_denominator, pochhammer)
 from .reflection import DunklContext
 from .spherical import _denominator, sphere_integrate
 
@@ -76,7 +76,7 @@ def gegenbauer(m: int, lam: RationalLike) -> Poly:
 
 
 def _intertwiner_table(ctx: DunklContext, degree: int) -> dict[Monomial, Form]:
-    """Images of the degree-``degree`` monomials under V, as int forms, from the context's tables."""
+    """Images of the degree-``degree`` monomials under V, as Forms, from the context's tables."""
     tables, one = ctx.tables.intertwiner, (0,) * ctx.dim
     tables.setdefault(0, {one: (1, {one: 1})})
     for n in range(1, degree + 1):
@@ -158,8 +158,7 @@ def intertwiner_apply(ctx: DunklContext, p: Poly) -> Poly:
     """
     ctx.check_dim(p)
     tables = {n: _intertwiner_table(ctx, n) for n in {sum(mono) for mono in p.terms}}
-    forms = ((c, tables[sum(mono)][mono]) for mono, c in p.terms.items())
-    return Poly._over(ctx.dim, *_radial_ints((0, c, nums, den, nums.values()) for c, (den, nums) in forms))
+    return Poly._over(ctx.dim, *_radial_ints((0, c, tables[sum(mono)][mono]) for mono, c in p.terms.items()))
 
 
 # ---------------------------------------------------------------------------

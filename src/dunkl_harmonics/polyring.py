@@ -6,12 +6,11 @@ arithmetic is exact, and no float enters: the float lane is
 :mod:`dunkl_harmonics.oracle`.  Text I/O follows a small grammar with
 variables ``x1 .. xd`` (see :func:`parse`), and :meth:`Poly.__str__`
 emits terms in graded-lexicographic order so that formatting is canonical.
-:func:`radial_sum` is the one routine for a sum of c |x|^(2k) g: Horner's
-rule in |x|^2, whose multiplication is a shift of exponents, summed in int
-numerators over one denominator by its core :func:`_radial_ints`, which the
-Laplacian powers' int forms enter directly.  :func:`over_one_denominator`
-is the one place that splits exact values into that form, for the operator
-kernels and their tables too.
+The exact kernels sum a :data:`Form`, int numerators over one denominator,
+and :meth:`Poly._form` and :meth:`Poly._over` are the one crossing between
+it and a ``Poly``.  :func:`radial_sum` is the one routine for a sum of
+c |x|^(2k) g: Horner's rule in |x|^2, a shift of exponents, summed over
+Forms by its core :func:`_radial_ints`.
 
 The reflection primitives live here too.  A :class:`Root` is a nonzero
 rational vector ``a`` that carries its reflection ``r_a``, classified once
@@ -38,6 +37,8 @@ from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 RationalLike = Fraction | int
+# (den, {m: n}): the polynomial with the terms n / den x^m, den > 0; a zero n is no term
+Form = tuple[int, dict[Monomial, int]]
 
 
 class PolyParseError(ValueError):
@@ -162,8 +163,13 @@ class Poly:
 
     @classmethod
     def _over(cls, dim: int, den: int, numerators: dict[Monomial, int]) -> Poly:
-        # internal: the terms n / den of the nonzero numerators, den > 0
+        # internal: the Poly of the Form (den, numerators), one Fraction per nonzero term
         return cls._raw(dim, {m: Fraction(n, den) for m, n in numerators.items() if n})
+
+    def _form(self) -> Form:
+        # internal: the reduced Form of the terms (see over_one_denominator), the inverse of _over
+        den, nums = over_one_denominator(self.terms.values())
+        return den, dict(zip(self.terms, nums))
 
     # -- basic queries ---------------------------------------------------
 
@@ -299,30 +305,23 @@ class Poly:
 
 
 def radial_sum(dim: int, terms: Iterable[tuple[int, RationalLike, Poly]]) -> Poly:
-    """The sum of c |x|^(2k) g over triples (k, c, g) of dimension ``dim``, by Horner's rule in |x|^2.
-
-    Each g is put over one denominator (see :func:`over_one_denominator`)
-    and summed by :func:`_radial_ints`, with one Fraction per output term.
-    """
-    split = [(k, c, g.terms, *over_one_denominator(g.terms.values())) for k, c, g in terms]
-    return Poly._over(dim, *_radial_ints(split))
+    """The sum of c |x|^(2k) g over triples (k, c, g) of dimension ``dim``: :func:`_radial_ints` of the g's Forms."""
+    return Poly._over(dim, *_radial_ints([(k, c, g._form()) for k, c, g in terms]))
 
 
-def _radial_ints(
-    terms: Iterable[tuple[int, RationalLike, Iterable[Monomial], int, Iterable[int]]],
-) -> tuple[int, dict[Monomial, int]]:
-    """The sum of c |x|^(2k) sum_i n_i / den x^(m_i) over (k, c, monos, den, nums), as (scale, numerators).
+def _radial_ints(terms: Iterable[tuple[int, RationalLike, Form]]) -> Form:
+    """The sum of c |x|^(2k) g over the triples (k, c, g), g a :data:`Form`.
 
     This is the one Horner routine in |x|^2.  Every term is put over one
-    common denominator, ``scale``, so the sum runs in Python ints, and some
-    output numerators may be zero.  out = |x|^2 out + (the terms with k)
-    for k = K .. 0, where multiplying by |x|^2 adds 2 to each exponent in
-    turn: one dict, and no product of two polynomials.
+    common denominator, so the sum runs in Python ints, and some output
+    numerators may be zero.  out = |x|^2 out + (the terms with k) for
+    k = K .. 0, where multiplying by |x|^2 adds 2 to each exponent in turn:
+    one dict, and no product of two polynomials.
     """
-    buckets: dict[int, list[tuple[int, int, Iterable[Monomial], Iterable[int]]]] = {}
-    for k, c, monos, den, nums in terms:
-        buckets.setdefault(k, []).append((c.numerator, c.denominator * den, monos, nums))
-    scale = math.lcm(*[den for bucket in buckets.values() for _, den, _, _ in bucket])
+    buckets: dict[int, list[tuple[int, int, dict[Monomial, int]]]] = {}
+    for k, c, (den, nums) in terms:
+        buckets.setdefault(k, []).append((c.numerator, c.denominator * den, nums))
+    scale = math.lcm(*[den for bucket in buckets.values() for _, den, _ in bucket])
     out: dict[Monomial, int] = {}
     for k in range(max(buckets, default=-1), -1, -1):
         if out:
@@ -331,9 +330,9 @@ def _radial_ints(
                 for m in _raised(mono):
                     shifted[m] = shifted.get(m, 0) + c
             out = shifted
-        for c, den, monos, nums in buckets.get(k, ()):
+        for c, den, nums in buckets.get(k, ()):
             c *= scale // den
-            for m, v in zip(monos, nums):
+            for m, v in nums.items():
                 out[m] = out.get(m, 0) + c * v
     return scale, out
 

@@ -166,7 +166,7 @@ class ContextTables:
     to its d coordinate Dunkl operator images D_1 x^beta, ..., D_d x^beta,
     ``moments`` an even-degree monomial to its normalized weighted spherical
     integral, and ``intertwiner`` a degree to the V images of its monomials,
-    each a reduced ``dunkl.Form`` (den, {monomial: numerator}) that V's
+    each a reduced ``polyring.Form`` (den, {monomial: numerator}) that V's
     readers take as it is.  ``laplacian`` and ``axis`` share one entry
     layout, (den, images) with one image for the Laplacian and d for the
     axes: one positive int denominator and each image flat as m1, n1, m2,
@@ -232,24 +232,30 @@ def _root_set_fault(ratios: tuple[tuple[tuple[int, int], ...], ...], orbit_ids: 
 
     Each reflection must map every root to a root of the same orbit, up to
     sign, so that it permutes the root set and preserves multiplicities.
-    The verdict depends on the roots and their orbits only, not on the
-    multiplicities, so it is computed once per root set: the O(R^2) checks
-    in Fractions otherwise dominate every ``make_context``.  Its key, plain int
-    pairs, hashes no Fraction and keeps no ``Root`` nor a dense Root's tables alive.
+    The verdict depends on the roots and their orbits, not on the
+    multiplicities, so it is computed once per root set, in ints: the reduced
+    int pairs are the exact roots, so they key the index, the parallel test
+    cross-multiplies them, and a signed permutation maps them with no
+    Fraction.  The key keeps no ``Root`` nor a dense Root's tables alive.
     """
-    roots = tuple(tuple(Fraction(n, d) for n, d in root) for root in ratios)
-    for i, u in enumerate(roots):
-        for j in range(i + 1, len(roots)):
-            v = roots[j]
-            if all(u[a] * v[b] == u[b] * v[a] for a in range(len(u)) for b in range(len(u))):
+    for i, u in enumerate(ratios):
+        for j in range(i + 1, len(ratios)):
+            v = ratios[j]  # u_a v_b == u_b v_a for all a, b
+            if all(u[a][0] * v[b][0] * u[b][1] * v[a][1] == u[b][0] * v[a][0] * u[a][1] * v[b][1]
+                   for a in range(len(u)) for b in range(a)):
                 return f"roots #{i} and #{j} are parallel; the system must be reduced"
-    index = {root: i for i, root in enumerate(roots)}
-    for beta in map(Root, roots):
-        for i, alpha in enumerate(roots):
-            image = beta.apply(alpha)
-            pos = image if image in index else tuple(-v for v in image)
+    index = {root: i for i, root in enumerate(ratios)}
+    for beta in (Root([Fraction(n, d) for n, d in root]) for root in ratios):
+        for i, alpha in enumerate(ratios):
+            if beta.perm is None:
+                image = tuple(v.as_integer_ratio() for v in beta.apply([Fraction(n, d) for n, d in alpha]))
+            else:
+                image = tuple((-alpha[j][0], alpha[j][1]) if k in beta.flips else alpha[j]
+                              for k, j in enumerate(beta.perm))
+            pos = image if image in index else tuple((-n, d) for n, d in image)
             if pos not in index or orbit_ids[index[pos]] != orbit_ids[i]:
-                return (f"the reflection across {beta} maps {alpha} to {image}, "
+                alpha = tuple(Fraction(n, d) for n, d in alpha)
+                return (f"the reflection across {beta} maps {alpha} to {beta.apply(alpha)}, "
                         "outside the root set or its orbit")
     return None
 

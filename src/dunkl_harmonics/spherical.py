@@ -15,12 +15,13 @@ values are those of the iterated-Laplacian formula.  The radius expansions
 applied to radial polynomials are finite, exact objects here because inputs
 are polynomials.  The n-th coefficient of the mean of q(y) f(ry), q
 h-harmonic of degree m, is (q(D) Lap^n f)(0) / (2^(m+2n) n! (lam+1)_(m+n)),
-and it comes from one homogeneous part of f, f_(m+2n) (``_numerator``),
-whose Laplacian powers stay int forms but for the one q(D) reads.
+and it comes from one homogeneous part of f, f_(m+2n) (``_numerator``):
+its Laplacian powers stay ``polyring.Form``s but the one that q(D) takes as
+a ``Poly``, and q(D) returns one ``Poly``, whose constant term is read.
 Hobson's expansion, q(D)|x|^(2j) and ``RadialPowerSum.to_poly`` are sums of
 c |x|^(2k) g, taken by ``polyring.radial_sum`` (Hobson's by its core, from
-the powers' int forms).  ``_finite`` refuses a float value that is not
-finite with ``ValueError``, here and in the oracle.
+the powers' Forms).  ``_finite`` refuses a float value that is not finite
+with ``ValueError``, here and in the oracle.
 """
 
 from __future__ import annotations
@@ -229,10 +230,10 @@ def hobson_apply(ctx: DunklContext, p: Poly, f0: RadialPowerSum) -> Poly:
     ctx.check_dim(p)
     m = _require_homogeneous(p, "p")
     terms = []
-    for i, (den, lap) in enumerate(_laplacian_powers(ctx, p)):
+    for i, power in enumerate(_laplacian_powers(ctx, p)):
         for j, c in f0.terms:
             coeff, k = _radial_derivative_power(j, m - i)
-            terms.append((k, c * coeff / (2**i * math.factorial(i)), lap, den, lap.values()))
+            terms.append((k, c * coeff / (2**i * math.factorial(i)), power))
     return Poly._over(ctx.dim, *_radial_ints(terms))
 
 

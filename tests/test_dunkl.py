@@ -108,6 +108,42 @@ class TestOperatorSubstitution:
         out = apply_operator_poly(z2_2, parse("x1", 2), parse("x1*x2", 2))
         assert out == parse("2*x2", 2)  # (1 + 2 kappa_1) x2
 
+    def test_one_crossing_and_one_kernel_call_per_axis_step(self, monkeypatch):
+        # p becomes a Form once and the result a Poly once; in between, each
+        # axis step of each monomial of q is one kernel call on the axis
+        # table, with no dunkl_apply and so no Poly per step
+        ctx = make_context("d", 4, [F(2, 3)])
+        q = parse("x1*x2*x3 - 2*x4^3 + 3/2*x1^2*x4", 4)
+        p = parse("x1^5*x2*x3 - 2*x1*x2^3*x3*x4^2 + 3/2*x1*x2*x3^5 + x4^4 + x1^3", 4)
+        expected = Poly.zero(4)
+        for mono, c in q.terms.items():
+            image = p
+            for j in (j for j, e in enumerate(mono) for _ in range(e)):
+                image = dunkl.dunkl_axis(ctx, j + 1, image)
+            expected = expected + image * c
+        calls = []
+
+        def counting(name, real):
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+            return counted
+
+        real_sum = dunkl._image_sum
+
+        def kernel(ctx, form, table, *rest):
+            calls.append("axis kernel" if table is ctx.tables.axis else "other kernel")
+            return real_sum(ctx, form, table, *rest)
+
+        monkeypatch.setattr(dunkl, "_image_sum", kernel)
+        monkeypatch.setattr(dunkl, "dunkl_apply", counting("dunkl_apply", dunkl.dunkl_apply))
+        monkeypatch.setattr(Poly, "_over", classmethod(counting("_over", Poly._over.__func__)))
+        monkeypatch.setattr(Poly, "_form", counting("_form", Poly._form))
+        got = apply_operator_poly(ctx, q, p)
+        monkeypatch.undo()
+        assert got == expected and not got.is_zero
+        assert calls == ["_form"] + ["axis kernel"] * 9 + ["_over"]  # 3 monomials of degree 3
+
 
 class TestPairing:
     def test_constants(self, a2):
