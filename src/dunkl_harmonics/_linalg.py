@@ -11,18 +11,20 @@ The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968; Geddes,
 Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9).  Each
 row is scaled once to a primitive integer row; a row is reduced against
 the pivot row by row = (a/g) row - (f/g) lead with g = gcd(a, f), a the
-pivot and f the row's entry, and divided by its content.  Fractions are
-built only at the end.  The results are those of Gauss-Jordan over
-Fraction: every integer row is a nonzero multiple of the row the same
-steps give over Fraction, the pivot rule does not change under a nonzero
-row scaling, so the pivots match, and the reduced row echelon form is
-unique.
+pivot and f the row's entry, and divided by its content.  No Fraction is
+built: ``rref`` returns each pivot row as the primitive integer multiple of
+the reduced row whose pivot entry is positive, and ``solve_unique`` each
+column of X as a reduced form, int numerators over one denominator.  The
+results are those of Gauss-Jordan over Fraction: every integer row is a
+nonzero multiple of the row the same steps give over Fraction, the pivot
+rule does not change under a nonzero row scaling, so the pivots match, and
+the reduced row echelon form is unique, so dividing a returned row by its
+pivot entry gives the reduced row.
 
 Entries may be Python ints or Fractions, and a row of ints skips the pass
 over the denominators.  A nonzero scale of the system leaves the pivots,
 the pivot rows, the kernel and the solution as they are; the V build and
-``h_harmonic_basis`` rely on it to hand over their systems in ints.  The
-pivot rows are Fractions, each pivot entry the one shared ``Fraction(1)``.
+``h_harmonic_basis`` rely on it to hand over their systems in ints.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import math
 from fractions import Fraction
 
 Matrix = list[list[int | Fraction]]
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
+# (den, {i: n}): the column x_i = n / den, reduced and den > 0, its zero entries left out
+Column = tuple[int, dict[int, int]]
 
 
 def _content_free(row: list[int]) -> list[int]:
@@ -43,11 +45,12 @@ def _content_free(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """The pivot rows of the reduced row echelon form, and their pivot columns.
+def rref(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
+    """The pivot rows of the reduced row echelon form, in ints, and their pivot columns.
 
-    The input is not touched.  The rows past the rank are zero and are left
-    out, so a zero matrix gives ``([], [])``.
+    Each row is the primitive integer multiple of the reduced row with a
+    positive pivot entry.  The input is not touched.  The rows past the rank
+    are zero and are left out, so a zero matrix gives ``([], [])``.
     """
     rows = []
     for row in matrix:
@@ -74,12 +77,10 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    # a pivot row is zero before its pivot, so each row is zeros, the shared one, and its tail over the pivot
-    return [[_ZERO] * c + [_ONE] + [Fraction(v, row[c]) if v else _ZERO for v in row[c + 1:]]
-            for row, c in zip(rows, pivots)], pivots
+    return [row if row[c] > 0 else [-v for v in row] for row, c in zip(rows, pivots)], pivots
 
 
-def solve_unique(a: Matrix, b: Matrix) -> Matrix:
+def solve_unique(a: Matrix, b: Matrix) -> list[Column]:
     """Solve A X = B where the (possibly overdetermined) system is consistent
     with a unique solution.  Inconsistency or rank deficiency raises
     AssertionError: callers use this only for systems that provably have
@@ -87,7 +88,9 @@ def solve_unique(a: Matrix, b: Matrix) -> Matrix:
 
     [A | B] is reduced at full width: A has full column rank when its n
     columns are the first n pivots, and then the system is consistent when
-    no pivot falls in B.  The pivot rows are then [I | X].
+    no pivot falls in B.  Pivot row i is then a_i [e_i | X_i] with a_i > 0,
+    and column j of X is returned as its reduced :data:`Column`, the
+    x_ij = y_ij / a_i over the lcm of the a_i divided by one gcd.
     """
     if not a:
         raise ValueError("empty coefficient matrix")
@@ -97,4 +100,11 @@ def solve_unique(a: Matrix, b: Matrix) -> Matrix:
         raise AssertionError("linear system is rank deficient; this is a bug")
     if len(pivots) > n:
         raise AssertionError("linear system is inconsistent; this is a bug")
-    return [row[n:] for row in reduced]
+    lcm = functools.reduce(math.lcm, (row[i] for i, row in enumerate(reduced)), 1)
+    scales = [lcm // row[i] for i, row in enumerate(reduced)]
+    columns = []
+    for j in range(n, n + len(b[0])):
+        nums = {i: y * s for i, (row, s) in enumerate(zip(reduced, scales)) if (y := row[j])}
+        g = functools.reduce(math.gcd, nums.values(), lcm)
+        columns.append((lcm // g, {i: v // g for i, v in nums.items()}))
+    return columns

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .polyring import Form, Monomial, Poly, RationalLike, _radial_ints, as_fraction, over_one_denominator
 from .reflection import DunklContext
@@ -183,14 +183,17 @@ def _closed_form_image(ctx: DunklContext, mono: Monomial) -> Entry:
     which equals the sum of squares because the roots and multiplicities are
     invariant under the group (:class:`DunklContext` checks it).  With
     delta_alpha the divided difference and d_alpha the derivative along
-    alpha, each root's term is (delta_alpha d_alpha + d_alpha delta_alpha) p,
-    so no linear division is left.  delta_alpha x^mono is read from the
+    alpha, each root's term is (d_alpha delta_alpha + delta_alpha d_alpha) p,
+    so no linear division is left.  Both halves are summed in one pass per
+    root: d_alpha is taken term by term of delta_alpha x^mono, read from the
     root's rule for one monomial (``Root._terms``), and the derivative
     d_alpha x^mono, a polynomial of up to d terms, takes
-    :meth:`Poly.divided_difference`, which sums that rule.  The monomial
-    enters with the int coefficient 1, so for a root with integer entries
-    (every catalog root) each term keeps int coefficients, and the one image
-    is stored as an entry (:func:`_reduced_entry`).
+    :meth:`Poly.divided_difference`, which sums that rule, unless it is 0.
+    The monomial enters with the int coefficient 1, so for a root with
+    integer entries (every catalog root) each term keeps int coefficients,
+    and the one image is stored as an entry (:func:`_reduced_entry`).  The
+    first half's zero terms are dropped before the second half is added, so
+    the entry's terms keep the order of the two halves summed apart.
     """
     scale, roots = ctx._scaled_roots
     out: dict[Monomial, RationalLike] = {}
@@ -198,9 +201,19 @@ def _closed_form_image(ctx: DunklContext, mono: Monomial) -> Entry:
         if e > 1:
             out[_shifted(mono, i, e - 2)] = e * (e - 1) * scale
     for root, alpha, k in roots:
-        term = _derivative(root._terms(True, mono), alpha)
-        for m, v in Poly._raw(ctx.dim, _derivative(((mono, 1),), alpha)).divided_difference(root).terms.items():
-            term[m] = term.get(m, 0) + v
+        axes = [(j, a) for j, a in enumerate(alpha) if a]
+        term: dict[Monomial, RationalLike] = {}
+        for m, c in root._terms(True, mono):
+            for j, a in axes:
+                e = m[j]
+                if e:
+                    d = _shifted(m, j, e - 1)
+                    term[d] = term.get(d, 0) + c * a * e
+        derivative = {_shifted(mono, j, mono[j] - 1): a * mono[j] for j, a in axes if mono[j]}
+        if derivative:
+            term = {m: v for m, v in term.items() if v}
+            for m, v in Poly._raw(ctx.dim, derivative).divided_difference(root).terms.items():
+                term[m] = term.get(m, 0) + v
         for m, v in term.items():
             if v:
                 out[m] = out.get(m, 0) + k * v
@@ -222,18 +235,6 @@ def _reduced_entry(ctx: DunklContext, scale: int, images: list[dict[Monomial, Ra
         tuple(t for m in image for t in (shared.setdefault(m, m), next(numerators) // g))
         for image in images
     )
-
-
-def _derivative(terms: Iterable, alpha: Sequence[RationalLike]) -> dict[Monomial, RationalLike]:
-    """The nonzero terms of the derivative along alpha, sum of alpha_j d_j, of (monomial, coefficient) pairs."""
-    out: dict[Monomial, RationalLike] = {}
-    for mono, c in terms:
-        for j, a in enumerate(alpha):
-            e = mono[j]
-            if a and e:
-                m = _shifted(mono, j, e - 1)
-                out[m] = out.get(m, 0) + c * a * e
-    return {m: v for m, v in out.items() if v}
 
 
 def _shifted(mono: Monomial, i: int, e: int) -> Monomial:

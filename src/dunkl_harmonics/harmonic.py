@@ -133,12 +133,13 @@ def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
     Gauss-Jordan elimination (``_linalg.rref``) over the graded-lex monomials,
     with each column, a table image n_i / d, scaled to ints by L / d for L the
     lcm of the d.  Every row takes a pivot, as the Laplacian maps onto degree
-    n - 2; below degree 2 the monomials are the basis.  The kernel vector of
-    a free column f, x^f minus the sum of R_pf x^p over the pivot rows R, is
-    written in ints times den, the lcm of the R_pf denominators: primitive,
-    as each prime's full power in den divides some R_pf's denominator, and
-    signed so that its leading term, which is that of the first pivot row
-    with R_pf nonzero (all lie left of f), or else x^f, is positive.
+    n - 2; below degree 2 the monomials are the basis.  ``rref`` returns each
+    pivot row as ints, a_p times the reduced row with a_p > 0.  The kernel
+    vector of a free column f, x^f minus the sum of (y_pf / a_p) x^p over the
+    pivot rows y, is written in ints times den, the lcm of the a_p with y_pf
+    nonzero, and divided by its content, so it is primitive; it is signed so
+    that its leading term, which is that of the first pivot row with y_pf
+    nonzero (all lie left of f), or else x^f, is positive.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -155,11 +156,13 @@ def h_harmonic_basis(ctx: DunklContext, n: int) -> list[Poly]:
     reduced, pivots = _linalg.rref(matrix)
     basis = []
     for f in (c for c in range(len(monos)) if c not in pivots):
-        entries = [(monos[p], row[f]) for p, row in zip(pivots, reduced) if row[f]]
-        den = math.lcm(*[v.denominator for _, v in entries])
-        sign = -1 if entries and entries[0][1] > 0 else 1
-        terms = {m: -sign * v.numerator * (den // v.denominator) for m, v in entries}
-        terms[monos[f]] = sign * den
+        entries = [(monos[p], row[p], row[f]) for p, row in zip(pivots, reduced) if row[f]]
+        den = functools.reduce(math.lcm, (a for _, a, _ in entries), 1)
+        nums = [y * (den // a) for _, a, y in entries]
+        g = functools.reduce(math.gcd, nums, den)
+        sign = -1 if entries and entries[0][2] > 0 else 1
+        terms = {m: -sign * v // g for (m, _, _), v in zip(entries, nums)}
+        terms[monos[f]] = sign * den // g
         basis.append(Poly._over(ctx.dim, 1, terms))
     return basis
 

@@ -104,8 +104,10 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Form]) -> dic
     image keeps its Fraction coefficients), with R, read from the lower
     forms, only for the representatives, and solved in one call by
     fraction-free elimination in ``_linalg``, which the scale by den does not
-    change.  Each solved column becomes a reduced form once; a mate's
-    reflection maps its terms one to one, so it keeps the mate's denominator.
+    change.  The solver builds no Fraction: it returns each solved column as
+    a reduced form over the unknowns' indices, its zero entries left out,
+    which is stored keyed by the monomials.  A mate's reflection maps its
+    terms one to one, so it keeps the mate's denominator.
     """
     monos = monomials_of_degree(ctx.dim, n)
     index = {m: i for i, m in enumerate(monos)}
@@ -130,13 +132,12 @@ def _build_degree(ctx: DunklContext, n: int, lower: dict[Monomial, Form]) -> dic
                 for m, v in nums.items():
                     r[index[m[:j] + (m[j] + 1,) + m[j + 1:]]][col] += scale * v
 
-    columns = zip(*_linalg.solve_unique(t, r))
+    columns = iter(_linalg.solve_unique(t, r))
     forms: dict[Monomial, Form] = {}
     for mono, mate in zip(monos, mates):
         if mate is None:
-            column = {m: c for m, c in zip(monos, next(columns)) if c}
-            d, nums = over_one_denominator(column.values())
-            forms[mono] = d, dict(zip(column, nums))
+            d, nums = next(columns)
+            forms[mono] = d, {monos[i]: v for i, v in nums.items()}
         else:
             root, m, sign = mate
             d, nums = forms[m]

@@ -194,9 +194,10 @@ _UNIT_ENTRIES = {v: Fraction(v) for v in (-1, 0, 1)}
 def _catalog_roots(family: str, d: int) -> tuple[list[Root], list[int]]:
     """The positive roots of a known family in dimension d, built once as ``Root``s of shared entries, and their
     orbit ids; :class:`DunklContext` keeps them as they are."""
-    units = [Root([_UNIT_ENTRIES[int(k == i)] for k in range(d)]) for i in range(d)]
-    if family == "z2":
-        return units, list(range(d))
+    if family in ("z2", "b"):  # the unit roots e_i, which a and d do not have
+        units = [Root([_UNIT_ENTRIES[int(k == i)] for k in range(d)]) for i in range(d)]
+        if family == "z2":
+            return units, list(range(d))
     signs = (-1,) if family == "a" else (-1, 1)
     pairs = [Root([_UNIT_ENTRIES[1 if k == i else sj if k == j else 0] for k in range(d)])
              for i in range(d) for j in range(i + 1, d) for sj in signs]

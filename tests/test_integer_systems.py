@@ -54,8 +54,8 @@ def fraction_build_degree(ctx, n, lower):
             if e:
                 for m, c in lower[mono[:j] + (e - 1,) + mono[j + 1:]].terms.items():
                     r[index[m[:j] + (m[j] + 1,) + m[j + 1:]]][col] += c * e
-    x = _linalg.solve_unique(t, r)
-    return {mono: Poly(ctx.dim, {m: row[col] for m, row in zip(monos, x)}) for col, mono in enumerate(monos)}
+    return {mono: Poly(ctx.dim, {monos[i]: Fraction(v, den) for i, v in nums.items()})
+            for mono, (den, nums) in zip(monos, _linalg.solve_unique(t, r))}
 
 
 def nullspace(matrix, ncols):
@@ -66,7 +66,7 @@ def nullspace(matrix, ncols):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
+            vec[p] = -Fraction(row[f], row[p])
         basis.append(vec)
     return basis
 
@@ -121,3 +121,21 @@ def test_basis_matches_the_fraction_matrix(name):
         got = h_harmonic_basis(ctx, n)
         assert got == fraction_basis(ctx, n), n
         assert all(type(c) is Fraction for q in got for c in q.terms.values())
+
+
+@pytest.mark.parametrize("args", [("d", 4, [F(2, 3)]), ("b", 3, [F(1, 2), F(2, 3)]), ("z2", 3, [F(1, 2), 0, F(2, 3)])])
+def test_v_build_constructs_no_fraction(monkeypatch, args):
+    # the solver hands back int forms, so a catalog context's V table is built in ints throughout
+    ctx = make_context(*args)
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *a, **k):
+        built.append(a)
+        return real(cls, *a, **k)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    table = intertwine._intertwiner_table(ctx, 5)
+    monkeypatch.undo()
+    assert built == []
+    assert len(table) == len(monomials_of_degree(ctx.dim, 5))

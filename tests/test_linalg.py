@@ -4,15 +4,18 @@ The reference below divides each pivot row by its pivot and subtracts
 Fraction multiples, with the solver's pivot rule: first nonzero in row
 order, columns left to right, optionally over the leading columns only.  On
 seeded random rational matrices of every shape the solver must return the
-reference's pivot rows, entry for entry, and the same pivots, and the
+reference's pivot rows, each as its primitive integer multiple with a
+positive pivot entry, entry for entry, and the same pivots, and the
 reference's rows past the rank must be zero.  Split at a drawn column into
 A | B, the reference restricted to A's columns gives ``solve_unique`` its
-verdict: rank deficient, inconsistent, or the solution.  The rows are drawn
+verdict: rank deficient, inconsistent, or the solution, whose columns must
+be the reference's, each over one reduced denominator.  The rows are drawn
 in three kinds: Fractions, Python ints, and a mix of the two, which is what
 the integer V build hands over when a dense root's reflection brings
 Fraction entries into int rows.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -47,11 +50,34 @@ def gauss_jordan(matrix, ncols=None):
     return rows, pivots
 
 
+def primitive(row):
+    """The primitive integer multiple of a reduced row, whose pivot entry 1 makes it positive."""
+    den = math.lcm(*[v.denominator for v in row])
+    nums = [v.numerator * (den // v.denominator) for v in row]
+    g = math.gcd(*nums)
+    return [v // g for v in nums]
+
+
 def pivot_rows(matrix):
-    """The reference's pivot rows and pivots; its rows past the rank are zero."""
+    """The reference's pivot rows, as ``rref`` returns them, and pivots; its rows past the rank are zero."""
     rows, pivots = gauss_jordan(matrix)
     assert not any(any(row) for row in rows[len(pivots):])
-    return rows[:len(pivots)], pivots
+    return [primitive(row) for row in rows[:len(pivots)]], pivots
+
+
+def columns(x, width):
+    """The ``width`` columns of X, given as Fraction rows, as ``solve_unique`` returns them: (den, {i: n}), reduced."""
+    out = []
+    for column in ([row[j] for row in x] for j in range(width)):
+        den = math.lcm(*[v.denominator for v in column])
+        out.append((den, {i: v.numerator * (den // v.denominator) for i, v in enumerate(column) if v}))
+    return out
+
+
+def assert_int_rows(rows, pivots):
+    # the pivot rows are ints, with a positive pivot entry
+    assert all(type(v) is int for row in rows for v in row)
+    assert all(row[c] > 0 for row, c in zip(rows, pivots))
 
 
 KINDS = ("fraction", "int", "mixed")
@@ -111,7 +137,9 @@ def test_rref_matches_fraction_gauss_jordan(shape):
         for _ in range(30):
             matrix = random_matrix(rng, n_rows, width, rank, kind)
             before = [row[:] for row in matrix]
-            assert _linalg.rref(matrix) == pivot_rows(matrix)
+            got = _linalg.rref(matrix)
+            assert got == pivot_rows(matrix)
+            assert_int_rows(*got)
             k = rng.randint(0, width)
             a, b = [row[:k] for row in matrix], [row[k:] for row in matrix]
             rows, pivots = gauss_jordan(matrix, k)
@@ -122,7 +150,7 @@ def test_rref_matches_fraction_gauss_jordan(shape):
                 with pytest.raises(AssertionError, match="inconsistent"):
                     _linalg.solve_unique(a, b)
             else:
-                assert _linalg.solve_unique(a, b) == [row[k:] for row in rows[:k]]
+                assert _linalg.solve_unique(a, b) == columns([row[k:] for row in rows[:k]], width - k)
             assert matrix == before  # the input is not touched
 
 
@@ -143,13 +171,19 @@ def test_rref_accepts_int_entries():
     assert _linalg.rref(matrix) == pivot_rows(matrix)
 
 
+def test_rref_ends_a_negative_pivot_entry_positive():
+    # [1, 1] - [1, -1] leaves [0, -2], so the second pivot is -1 after the content, and
+    # reducing [1, 1] against it gives [-1, 0]: both rows end with a negative pivot entry
+    matrix = [[1, 1], [1, -1]]
+    assert _linalg.rref(matrix) == pivot_rows(matrix) == ([[1, 0], [0, 1]], [0, 1])
+    matrix = [[-2, 4, Fraction(-6, 5)], [0, 0, -3]]
+    assert _linalg.rref(matrix) == pivot_rows(matrix) == ([[1, -2, 0], [0, 0, 1]], [0, 2])
+
+
 def assert_reduced_like_the_reference(matrix):
     rows, pivots = _linalg.rref(matrix)
     assert (rows, pivots) == pivot_rows(matrix)
-    assert all(type(v) is Fraction for row in rows for v in row)
-    # every pivot entry is the one shared Fraction(1)
-    assert len({id(row[c]) for row, c in zip(rows, pivots)}) <= 1
-    assert all(type(row[c]) is Fraction and row[c] == 1 for row, c in zip(rows, pivots))
+    assert_int_rows(rows, pivots)
 
 
 def test_rref_takes_int_fraction_and_mixed_rows():
@@ -203,7 +237,8 @@ def test_solve_unique_recovers_the_solution():
                 x = [[rational(rng, 0.2, kind) for _ in range(2)] for _ in range(n)]
                 b = [[sum((a[i][k] * x[k][j] for k in range(n)), 0) for j in range(2)] for i in range(n_rows)]
                 got = _linalg.solve_unique(a, b)
-                assert got == x and all(type(v) is Fraction for row in got for v in row)
+                assert got == columns(x, 2)
+                assert all(type(den) is int and all(type(v) is int for v in nums.values()) for den, nums in got)
 
 
 def test_solve_unique_refuses_an_inconsistent_system():
@@ -212,8 +247,8 @@ def test_solve_unique_refuses_an_inconsistent_system():
     with pytest.raises(AssertionError, match="inconsistent"):
         _linalg.solve_unique(a, b)
     b[2][0] = Fraction(3)  # now consistent
-    x = _linalg.solve_unique(a, b)
-    assert [sum(aik * xk[0] for aik, xk in zip(row, x)) for row in a] == [1, 2, 3]
+    ((den, nums),) = _linalg.solve_unique(a, b)
+    assert [sum(aik * Fraction(nums.get(k, 0), den) for k, aik in enumerate(row)) for row in a] == [1, 2, 3]
 
 
 def test_solve_unique_refuses_a_rank_deficient_system():

@@ -342,8 +342,8 @@ def all_columns_degree(ctx, n, lower):
                 below = mono[:j] + (e - 1,) + mono[j + 1:]
                 for m, c in lower[below].terms.items():
                     r[index[m[:j] + (m[j] + 1,) + m[j + 1:]]][col] += e * c
-    x = _linalg.solve_unique(t, r)
-    return {mono: Poly(ctx.dim, {m: row[col] for m, row in zip(monos, x)}) for col, mono in enumerate(monos)}
+    return {mono: Poly(ctx.dim, {monos[i]: F(v, den) for i, v in nums.items()})
+            for mono, (den, nums) in zip(monos, _linalg.solve_unique(t, r))}
 
 
 @pytest.mark.parametrize("name", sorted(CONTEXTS))
